@@ -46,13 +46,14 @@ def main(argv=None) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",") if e]
     t0 = time.time()
 
-    frames = []
+    drives = []
     for seed in range(1000, 1000 + args.train_seeds):
         stream, log, _ = generate_scenario(
             ScenarioSpec(track_seed=seed, n_frames=args.train_frames)
         )
         assert log.count == 0
-        frames.extend(stream.frames)
+        drives.append(stream.frames)
+    frames = np.concatenate(drives)
     model = train_reconstructor(
         FrameStream(frames=frames, frame_rate_hz=10.0),
         "sae",

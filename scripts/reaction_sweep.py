@@ -17,6 +17,7 @@ from lanewatch.detector import DetectorConfig, run_detector
 from lanewatch.evalkit import (
     LabellingConfig,
     WindowKind,
+    anchored_curves,
     label_windows,
     score_windows,
 )
@@ -69,10 +70,10 @@ def main(argv=None) -> int:
     reaction_rs = [int(r) for r in args.reaction_rs.split(",") if r]
     t0 = time.time()
 
-    frames = []
-    for seed in range(1000, 1006):
-        stream, _, _ = generate_scenario(ScenarioSpec(track_seed=seed, n_frames=900))
-        frames.extend(stream.frames)
+    frames = np.concatenate([
+        generate_scenario(ScenarioSpec(track_seed=seed, n_frames=900))[0].frames
+        for seed in range(1000, 1006)
+    ])
     model = train_reconstructor(
         FrameStream(frames=frames, frame_rate_hz=10.0),
         "sae",
@@ -118,11 +119,7 @@ def main(argv=None) -> int:
             roc.append((fp / (fp + tn), tp / (tp + fn)))
             if tp + fp > 0:
                 pr.append((tp / (tp + fn), tp / (tp + fp)))
-        roc_pts = sorted(set(roc) | {(0.0, 0.0), (1.0, 1.0)})
-        auc_roc = float(np.trapezoid([p[1] for p in roc_pts], [p[0] for p in roc_pts]))
-        pr_pts = sorted(pr)
-        full = [(0.0, pr_pts[0][1])] + pr_pts + [(1.0, n_anom / (n_anom + n_norm))]
-        auc_pr = float(np.trapezoid([p[1] for p in full], [p[0] for p in full]))
+        _, _, auc_roc, auc_pr = anchored_curves(roc, pr, n_anom / (n_anom + n_norm))
         tp, fp, tn, fn = pooled_counts(runs, theta_eps, labelling)
         print(
             f"{r:>4} {auc_roc:>8.3f} {auc_pr:>8.3f} "

@@ -266,9 +266,7 @@ def cmd_detect(cfg: PipelineConfig) -> None:
     _require_workdir(cfg)
     _, smoothed = _smoothed_errors(cfg)
     _, threshold, _ = io.read_params_json(cfg.path("params"))
-    detector = DetectorConfig(
-        theta=threshold.theta, healing_frames_h=cfg.healing_h, ar=cfg.ar
-    )
+    detector = DetectorConfig(theta=threshold.theta, healing_frames_h=cfg.healing_h)
     alarms, decisions = run_detector_verbose(smoothed, detector)
     io.write_decision_csv(cfg.path("alarms"), smoothed.start_index, decisions)
     print(f"{len(alarms)} alarms over {len(decisions)} frames -> {cfg.path('alarms')}")
@@ -298,7 +296,7 @@ def _evaluate_once(cfg: PipelineConfig, labelling: LabellingConfig, smoothed, th
     report dict for one labelling geometry."""
     log = io.read_misbehaviour_csv(cfg.path("misbehaviour"))
     labels = label_windows(log, labelling)
-    detector = DetectorConfig(theta=theta, healing_frames_h=cfg.healing_h, ar=cfg.ar)
+    detector = DetectorConfig(theta=theta, healing_frames_h=cfg.healing_h)
     alarms, _ = run_detector_verbose(smoothed, detector)
     report = score_windows(labels, alarms, labelling.healing_h).with_metrics()
     thetas = cfg.thresholds if cfg.thresholds is not None else _default_thresholds(smoothed)

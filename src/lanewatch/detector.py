@@ -10,11 +10,10 @@ separated by strictly more than healing_frames_h frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .reconstruct import ErrorSeries
-from .smoothing import ArFilterConfig
 
 __all__ = [
     "Decision",
@@ -36,12 +35,10 @@ class Decision(str, Enum):
 
 @dataclass
 class DetectorConfig:
-    """Threshold, cooldown length, and the smoothing the pipeline applies
-    before stepping the detector."""
+    """Threshold and cooldown length."""
 
     theta: float
     healing_frames_h: int = DEFAULT_HEALING_FRAMES
-    ar: ArFilterConfig = field(default_factory=ArFilterConfig)
 
     def __post_init__(self):
         if not self.theta > 0.0:

@@ -39,6 +39,7 @@ __all__ = [
     "label_windows",
     "score_windows",
     "compute_metrics",
+    "anchored_curves",
     "sweep_curves",
 ]
 
@@ -284,19 +285,40 @@ def _trapezoid_area(points: list[tuple[float, float]]) -> float:
     return float(np.trapezoid(ys, xs))
 
 
+def anchored_curves(
+    roc_points: list[tuple[float, float]],
+    pr_points: list[tuple[float, float]],
+    prevalence: float,
+) -> tuple[list[tuple[float, float]], list[tuple[float, float]], float, float]:
+    """Anchor (fpr, tpr) and (recall, precision) operating points and
+    integrate them; returns (roc_curve, pr_curve, auc_roc, auc_pr).
+
+    The ROC polyline is anchored at (0,0) and (1,1).  The PR polyline is
+    anchored at recall 0 with the precision of the lowest-recall point and
+    at recall 1 with the label prevalence (anomalous windows over
+    anomalous plus normal windows).  Areas are trapezoidal.
+    """
+    roc_curve = sorted(set(roc_points) | {(0.0, 0.0), (1.0, 1.0)})
+    if pr_points:
+        lowest_recall_precision = min(pr_points)[1]
+    else:
+        # No threshold produced an alarm inside a counted window; the flat
+        # prevalence line is the only honest curve left.
+        lowest_recall_precision = prevalence
+    pr_curve = sorted(
+        set(pr_points) | {(0.0, lowest_recall_precision), (1.0, prevalence)}
+    )
+    return roc_curve, pr_curve, _trapezoid_area(roc_curve), _trapezoid_area(pr_curve)
+
+
 def sweep_curves(
     labels: list[WindowLabel],
     smoothed: ErrorSeries,
     thetas: list[float],
     h: int = 60,
 ) -> ThresholdSweep:
-    """Run the detector at every threshold and assemble ROC and PR curves.
-
-    The ROC polyline is anchored at (0,0) and (1,1).  The PR polyline is
-    anchored at recall 0 with the precision of the lowest-recall defined
-    point and at recall 1 with the label prevalence (anomalous windows
-    over anomalous plus normal windows).  Areas are trapezoidal.
-    """
+    """Run the detector at every threshold and assemble ROC and PR curves,
+    anchored and integrated by anchored_curves."""
     if not thetas:
         raise ValueError("threshold sweep needs at least one threshold")
     n_anomalous = sum(1 for w in labels if w.kind is WindowKind.ANOMALOUS)
@@ -318,17 +340,10 @@ def sweep_curves(
         roc_rows.append((theta, report.fpr, report.tpr))
         if report.precision is not None:
             pr_rows.append((theta, report.tpr, report.precision))
-    roc_points = [(fpr, tpr) for _, fpr, tpr in roc_rows]
-    roc_curve = sorted(set(roc_points) | {(0.0, 0.0), (1.0, 1.0)})
-    pr_points = [(recall, precision) for _, recall, precision in pr_rows]
-    if pr_points:
-        lowest_recall_precision = min(pr_points)[1]
-    else:
-        # No threshold produced an alarm inside a counted window; the flat
-        # prevalence line is the only honest curve left.
-        lowest_recall_precision = prevalence
-    pr_curve = sorted(
-        set(pr_points) | {(0.0, lowest_recall_precision), (1.0, prevalence)}
+    roc_curve, pr_curve, auc_roc, auc_pr = anchored_curves(
+        [(fpr, tpr) for _, fpr, tpr in roc_rows],
+        [(recall, precision) for _, recall, precision in pr_rows],
+        prevalence,
     )
     return ThresholdSweep(
         thetas=sorted(thetas),
@@ -336,6 +351,6 @@ def sweep_curves(
         pr_rows=pr_rows,
         roc_curve=roc_curve,
         pr_curve=pr_curve,
-        auc_roc=_trapezoid_area(roc_curve),
-        auc_pr=_trapezoid_area(pr_curve),
+        auc_roc=auc_roc,
+        auc_pr=auc_pr,
     )

@@ -27,7 +27,6 @@ from .reconstruct import (
     Activation,
     ErrorSeries,
     FrameStream,
-    FrameTensor,
     ReconstructorKind,
     ReconstructorModel,
 )
@@ -59,16 +58,9 @@ _HEADER = struct.Struct("<IIII")
 
 
 def write_frames(path: str | Path, stream: FrameStream) -> None:
-    if stream.frames:
-        w, h, c = stream.frame_shape
-    else:
-        w = h = c = 1
-    payload = bytearray()
-    payload += FRAME_MAGIC
-    payload += _HEADER.pack(len(stream.frames), w, h, c)
-    for frame in stream.frames:
-        payload += frame.pixels.astype("<f4").tobytes()
-    Path(path).write_bytes(bytes(payload))
+    count, height, width, channels = stream.frames.shape
+    header = FRAME_MAGIC + _HEADER.pack(count, width, height, channels)
+    Path(path).write_bytes(header + stream.frames.astype("<f4").tobytes())
 
 
 def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
@@ -84,7 +76,7 @@ def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
     if len(data) < 4 + _HEADER.size:
         raise FormatError(f"{path}: truncated header", byte_offset=len(data))
     count, width, height, channels = _HEADER.unpack_from(data, 4)
-    if count and (width == 0 or height == 0 or channels == 0):
+    if width == 0 or height == 0 or channels == 0:
         raise FormatError(
             f"{path}: zero frame dimension {width}x{height}x{channels}", byte_offset=4
         )
@@ -98,17 +90,16 @@ def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
         )
     per_frame = width * height * channels
     raw = np.frombuffer(data, dtype="<f4", offset=body_offset)
-    frames = []
-    for i in range(count):
-        pixels = raw[i * per_frame : (i + 1) * per_frame].astype(np.float64)
-        try:
-            frames.append(
-                FrameTensor(width=width, height=height, channels=channels, pixels=pixels)
-            )
-        except ValueError as exc:
-            raise FormatError(
-                f"{path}: frame {i}: {exc}", byte_offset=body_offset + i * per_frame * 4
-            ) from exc
+    # NaN fails both comparisons, so this also catches non-finite cells.
+    bad = np.flatnonzero(~((raw >= 0.0) & (raw <= 1.0)))
+    if bad.size:
+        i = int(bad[0]) // per_frame
+        raise FormatError(
+            f"{path}: frame {i}: pixel values must be finite and lie in [0, 1], "
+            f"found {raw[bad[0]]}",
+            byte_offset=body_offset + i * per_frame * 4,
+        )
+    frames = raw.astype(np.float64).reshape(count, height, width, channels)
     return FrameStream(frames=frames, frame_rate_hz=frame_rate_hz)
 
 
@@ -306,9 +297,10 @@ def read_params_json(path: str | Path) -> tuple[GammaParams, ThresholdSpec, int]
     try:
         params = GammaParams(shape_alpha=float(doc["alpha"]), rate_beta=float(doc["rate"]))
         threshold = ThresholdSpec(epsilon=float(doc["epsilon"]), theta=float(doc["theta"]))
+        sample_count = int(doc["sample_count"])
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    return params, threshold, int(doc["sample_count"])
+    return params, threshold, sample_count
 
 
 def write_report_json(path: str | Path, report: dict) -> None:

@@ -1,4 +1,4 @@
-"""Frame types, image reconstructors, and per-frame reconstruction errors.
+"""Frame streams, image reconstructors, and per-frame reconstruction errors.
 
 Reconstructors are small fully-connected networks trained by mini-batch
 SGD to reproduce nominal camera frames: a shallow autoencoder (one hidden
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "FrameTensor",
     "FrameStream",
     "ErrorSeries",
     "ReconstructorKind",
@@ -49,79 +48,40 @@ class Activation(str, Enum):
 
 
 @dataclass
-class FrameTensor:
-    """One image frame: width x height x channels values in [0, 1].
+class FrameStream:
+    """Ordered frames sharing one shape; index i is discrete time t = i.
 
-    pixels is flat, row-major with channel last: index (y, x, c) maps to
-    (y * width + x) * channels + c.
+    frames is one C-contiguous float64 array of shape (n_frames, height,
+    width, channels): frame-major, row-major, channel last, the same layout
+    as the FRM1 body.  It is validated once, as a whole: every value must
+    be finite and lie in [0, 1].
     """
 
-    width: int
-    height: int
-    channels: int
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        if self.width <= 0 or self.height <= 0 or self.channels <= 0:
-            raise ValueError(
-                f"frame dimensions must be positive, got "
-                f"{self.width}x{self.height}x{self.channels}"
-            )
-        self.pixels = np.ascontiguousarray(self.pixels, dtype=np.float64).ravel()
-        expected = self.width * self.height * self.channels
-        if self.pixels.size != expected:
-            raise ValueError(
-                f"pixel count {self.pixels.size} does not match "
-                f"{self.width}x{self.height}x{self.channels} = {expected}"
-            )
-        if not np.all(np.isfinite(self.pixels)):
-            raise ValueError("pixel values must be finite")
-        lo = float(self.pixels.min(initial=0.0))
-        hi = float(self.pixels.max(initial=0.0))
-        if lo < 0.0 or hi > 1.0:
-            raise ValueError(f"pixel values must lie in [0, 1], found range [{lo}, {hi}]")
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.width, self.height, self.channels)
-
-    def as_image(self) -> np.ndarray:
-        """View as a (height, width, channels) array."""
-        return self.pixels.reshape(self.height, self.width, self.channels)
-
-
-@dataclass
-class FrameStream:
-    """Ordered frames sharing one shape; index i is discrete time t = i."""
-
-    frames: list[FrameTensor]
+    frames: np.ndarray
     frame_rate_hz: float = 30.0
 
     def __post_init__(self):
         if not self.frame_rate_hz > 0.0:
             raise ValueError(f"frame rate must be positive, got {self.frame_rate_hz}")
-        if self.frames:
-            shape = self.frames[0].shape
-            for i, f in enumerate(self.frames):
-                if f.shape != shape:
-                    raise ValueError(
-                        f"frame {i} has shape {f.shape}, expected {shape}"
-                    )
+        self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
+        if self.frames.ndim != 4 or min(self.frames.shape[1:]) <= 0:
+            raise ValueError(
+                "frames must have shape (n_frames, height, width, channels) with "
+                f"positive frame dimensions, got {self.frames.shape}"
+            )
+        # NaN fails both comparisons, so this also rejects non-finite values.
+        if self.frames.size and not (self.frames.min() >= 0.0 and self.frames.max() <= 1.0):
+            raise ValueError(
+                "pixel values must be finite and lie in [0, 1], found range "
+                f"[{self.frames.min()}, {self.frames.max()}]"
+            )
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    @property
-    def frame_shape(self) -> tuple[int, int, int]:
-        if not self.frames:
-            raise ValueError("empty stream has no frame shape")
-        return self.frames[0].shape
+        return self.frames.shape[0]
 
     def as_matrix(self) -> np.ndarray:
-        """Stack pixels into an (n_frames, n_pixels) matrix."""
-        if not self.frames:
-            raise ValueError("empty stream has no pixel matrix")
-        return np.stack([f.pixels for f in self.frames])
+        """View the frames as an (n_frames, n_pixels) matrix."""
+        return self.frames.reshape(len(self), math.prod(self.frames.shape[1:]))
 
 
 @dataclass
@@ -144,11 +104,11 @@ class ErrorSeries:
         return np.arange(self.start_index, self.start_index + self.values.size)
 
 
-def reconstruction_error(x: FrameTensor, x_prime: FrameTensor) -> float:
+def reconstruction_error(x: np.ndarray, x_prime: np.ndarray) -> float:
     """Mean pixel-wise squared error between a frame and its reconstruction."""
     if x.shape != x_prime.shape:
         raise ValueError(f"frame shapes differ: {x.shape} vs {x_prime.shape}")
-    diff = x.pixels - x_prime.pixels
+    diff = x - x_prime
     return float(np.mean(diff * diff))
 
 
@@ -321,23 +281,22 @@ def _loss_and_grads(
     return loss, grad_w, grad_b
 
 
-def _build_training_set(
-    stream: FrameStream, kind: ReconstructorKind, history_k: int
+def _inputs_and_targets(
+    stream: FrameStream, history_k: int | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Input/target matrices: identity pairs for autoencoders, k-frame
-    windows (oldest first) predicting the next frame for the sequence kind."""
+    """Input/target matrices: identity pairs for autoencoders (history_k
+    None); for the sequence predictor, row i of the inputs holds frames
+    i ... i+k-1 (oldest first) and its target is frame i+k."""
     frames = stream.as_matrix()
-    if kind in (ReconstructorKind.SAE, ReconstructorKind.DAE):
+    if history_k is None:
         return frames, frames
     n = frames.shape[0]
     if n <= history_k:
         raise ValueError(
-            f"sequence training needs more than history_k={history_k} frames, got {n}"
+            f"sequence predictor needs more than history_k={history_k} frames, got {n}"
         )
-    inputs = np.stack(
-        [frames[i - history_k : i].ravel() for i in range(history_k, n)]
-    )
-    return inputs, frames[history_k:]
+    lags = [frames[j : n - history_k + j] for j in range(history_k)]
+    return np.concatenate(lags, axis=1), frames[history_k:]
 
 
 def train_reconstructor(
@@ -350,8 +309,7 @@ def train_reconstructor(
     hyper = hyper or TrainConfig()
     if len(stream) == 0:
         raise ValueError("cannot train on an empty stream")
-    w, h, c = stream.frame_shape
-    n_pixels = w * h * c
+    n_pixels = stream.as_matrix().shape[1]
     hidden = hyper.hidden_sizes if hyper.hidden_sizes is not None else _DEFAULT_HIDDEN[kind]
     if kind is ReconstructorKind.SAE and len(hidden) != 1:
         raise ConfigError(f"shallow autoencoder takes one hidden size, got {hidden}")
@@ -374,7 +332,7 @@ def train_reconstructor(
         weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
         biases.append(np.zeros(n_out))
 
-    inputs, targets = _build_training_set(stream, kind, hyper.history_k)
+    inputs, targets = _inputs_and_targets(stream, history_k)
     n_samples = inputs.shape[0]
     epoch_losses: list[float] = []
     for _ in range(hyper.epochs):
@@ -407,29 +365,27 @@ def _forward_clamped(model: ReconstructorModel, inputs: np.ndarray) -> np.ndarra
     return np.clip(post[-1], 0.0, 1.0)
 
 
-def reconstruct(
-    model: ReconstructorModel, history: list[FrameTensor] | tuple[FrameTensor, ...]
-) -> FrameTensor:
-    """Reconstruct one frame.
+def reconstruct(model: ReconstructorModel, history: np.ndarray) -> np.ndarray:
+    """Reconstruct one frame: a (k, height, width, channels) history in, an
+    (height, width, channels) frame out.
 
-    Autoencoders take the frame itself (history of length 1); the sequence
-    predictor takes its previous history_k frames, oldest first.
+    Autoencoders take the frame itself (k = 1); the sequence predictor
+    takes its previous history_k frames, oldest first.  This is the
+    single-frame reference for error_series.
     """
+    history = np.asarray(history, dtype=np.float64)
     needed = model.input_window
-    if len(history) != needed:
-        raise ValueError(f"{model.kind.value} needs {needed} input frames, got {len(history)}")
-    shape = history[0].shape
-    for f in history:
-        if f.shape != shape:
-            raise ValueError("history frames must share one shape")
-    flat = np.concatenate([f.pixels for f in history])
-    if flat.size != model.layer_sizes[0]:
+    if history.ndim != 4 or len(history) != needed:
         raise ValueError(
-            f"input size {flat.size} does not match model input {model.layer_sizes[0]}"
+            f"{model.kind.value} needs a ({needed}, height, width, channels) history, "
+            f"got shape {history.shape}"
         )
-    out = _forward_clamped(model, flat[None, :])[0]
-    w, h, c = shape
-    return FrameTensor(width=w, height=h, channels=c, pixels=out)
+    flat = history.reshape(1, -1)
+    if flat.shape[1] != model.layer_sizes[0]:
+        raise ValueError(
+            f"input size {flat.shape[1]} does not match model input {model.layer_sizes[0]}"
+        )
+    return _forward_clamped(model, flat)[0].reshape(history.shape[1:])
 
 
 def error_series(model: ReconstructorModel, stream: FrameStream) -> ErrorSeries:
@@ -439,18 +395,9 @@ def error_series(model: ReconstructorModel, stream: FrameStream) -> ErrorSeries:
     has no prediction for the first history_k frames, so its series starts
     at index history_k.
     """
-    n = len(stream)
-    if n == 0:
+    if len(stream) == 0:
         raise ValueError("cannot score an empty stream")
-    frames = stream.as_matrix()
-    if model.kind in (ReconstructorKind.SAE, ReconstructorKind.DAE):
-        recon = _forward_clamped(model, frames)
-        diffs = frames - recon
-        return ErrorSeries(values=np.mean(diffs * diffs, axis=1), start_index=0)
-    k = model.history_k
-    if n <= k:
-        raise ValueError(f"sequence scoring needs more than {k} frames, got {n}")
-    inputs = np.stack([frames[i - k : i].ravel() for i in range(k, n)])
-    recon = _forward_clamped(model, inputs)
-    diffs = frames[k:] - recon
-    return ErrorSeries(values=np.mean(diffs * diffs, axis=1), start_index=k)
+    k = model.history_k if model.kind is ReconstructorKind.SEQ else None
+    inputs, targets = _inputs_and_targets(stream, k)
+    diffs = targets - _forward_clamped(model, inputs)
+    return ErrorSeries(values=np.mean(diffs * diffs, axis=1), start_index=k or 0)

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .reconstruct import FrameStream, FrameTensor
+from .reconstruct import FrameStream
 
 __all__ = [
     "Condition",
@@ -249,7 +249,7 @@ def generate_scenario(
     shake_std = 0.0  # transient amplitude, fixed at the causing lapse's onset
     breathe_log = 0.0  # log of the slow sensor-gain factor
     breathe_kick = SENSOR_BREATHE_LOG_STD * math.sqrt(1.0 - SENSOR_BREATHE_PULL**2)
-    frames: list[FrameTensor] = []
+    frames = np.empty((n, FRAME_HEIGHT, FRAME_WIDTH, 1))
     flags = np.zeros(n, dtype=bool)
     intensities = np.empty(n, dtype=np.float64)
 
@@ -310,15 +310,7 @@ def generate_scenario(
         if Condition.FOG in active:
             blend = FOG_BLEND_GAIN * s_t * _fog_field(rng)
             img = img * (1.0 - blend) + FOG_WHITE_LEVEL * blend
-        np.clip(img, 0.0, 1.0, out=img)
-        frames.append(
-            FrameTensor(
-                width=FRAME_WIDTH,
-                height=FRAME_HEIGHT,
-                channels=1,
-                pixels=img.ravel(),
-            )
-        )
+        np.clip(img, 0.0, 1.0, out=frames[t, :, :, 0])
 
         if abs(offset) > LANE_HALF_WIDTH:
             flags[t] = True

@@ -40,12 +40,12 @@ EVAL_SPEC = dict(
 @pytest.fixture(scope="session")
 def nominal_model():
     """Shallow autoencoder trained on six nominal drives."""
-    frames = []
+    drives = []
     for seed in TRAIN_SEEDS:
         stream, log, _ = generate_scenario(ScenarioSpec(track_seed=seed, n_frames=900))
         assert log.count == 0, "training streams must be misbehaviour-free"
-        frames.extend(stream.frames)
-    stream = FrameStream(frames=frames, frame_rate_hz=10.0)
+        drives.append(stream.frames)
+    stream = FrameStream(frames=np.concatenate(drives), frame_rate_hz=10.0)
     return train_reconstructor(
         stream, ReconstructorKind.SAE, TrainConfig(epochs=120, seed=0)
     )

@@ -17,7 +17,6 @@ from lanewatch.evalkit import WindowKind
 from lanewatch.reconstruct import (
     Activation,
     FrameStream,
-    FrameTensor,
     ReconstructorKind,
     ReconstructorModel,
 )
@@ -160,6 +159,17 @@ def test_missing_workdir_exits_2(tmp_path):
     assert main(["simulate", "--config", str(config)]) == 2
 
 
+def test_null_sample_count_exits_2(pipeline_dir, tmp_path):
+    work, _ = pipeline_dir
+    for name in ("frames.frm1", "model.json"):
+        (tmp_path / name).write_bytes((work / name).read_bytes())
+    params = json.loads((work / "params.json").read_text())
+    params["sample_count"] = None
+    (tmp_path / "params.json").write_text(json.dumps(params))
+    config = _write_config(tmp_path, "config.json", tmp_path)
+    assert main(["detect", "--config", str(config)]) == 2
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
@@ -170,9 +180,8 @@ def test_constant_errors_exit_3(tmp_path):
     # Identical frames plus an all-zero model give a constant error series;
     # the distribution fit must refuse it and the CLI must say so with a
     # numerical-error exit, not a crash.
-    frame = FrameTensor(width=2, height=2, channels=1, pixels=np.full(4, 0.5))
     write_frames(tmp_path / "frames.frm1",
-                 FrameStream(frames=[frame] * 12, frame_rate_hz=10.0))
+                 FrameStream(frames=np.full((12, 2, 2, 1), 0.5), frame_rate_hz=10.0))
     model = ReconstructorModel(
         kind=ReconstructorKind.SAE,
         layer_sizes=[4, 2, 4],

@@ -19,6 +19,7 @@ from lanewatch.evalkit import (
     LabellingConfig,
     WindowKind,
     WindowLabel,
+    anchored_curves,
     compute_metrics,
     label_windows,
     score_windows,
@@ -284,6 +285,16 @@ def test_pr_curve_anchors():
     prevalence = n_anom / (n_anom + n_norm)
     assert sweep.pr_curve[0][0] == 0.0
     assert (1.0, prevalence) in sweep.pr_curve
+
+
+def test_anchored_curves_without_defined_precision():
+    # No threshold alarmed inside a counted window, so no PR point exists;
+    # the PR curve falls back to the flat prevalence line.
+    roc, pr, auc_roc, auc_pr = anchored_curves([(0.0, 0.0)], [], 0.25)
+    assert roc == [(0.0, 0.0), (1.0, 1.0)]
+    assert pr == [(0.0, 0.25), (1.0, 0.25)]
+    assert auc_roc == pytest.approx(0.5, abs=1e-15)
+    assert auc_pr == pytest.approx(0.25, abs=1e-15)
 
 
 def test_window_label_validation():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,6 @@ from lanewatch.io import (
 from lanewatch.reconstruct import (
     ErrorSeries,
     FrameStream,
-    FrameTensor,
     ReconstructorKind,
     TrainConfig,
     train_reconstructor,
@@ -41,11 +42,7 @@ from lanewatch.scenario import MisbehaviourLog
 
 def _stream(n=5, w=4, h=3, c=1, seed=0):
     rng = np.random.default_rng(seed)
-    frames = [
-        FrameTensor(width=w, height=h, channels=c, pixels=rng.random(w * h * c))
-        for _ in range(n)
-    ]
-    return FrameStream(frames=frames, frame_rate_hz=10.0)
+    return FrameStream(frames=rng.random((n, h, w, c)), frame_rate_hz=10.0)
 
 
 # ------------------------------------------------------------------- frames
@@ -55,13 +52,12 @@ def test_frames_round_trip_exact(tmp_path):
     path = tmp_path / "frames.frm1"
     write_frames(path, stream)
     back = read_frames(path, frame_rate_hz=10.0)
-    assert len(back.frames) == 5
-    assert back.frame_shape == (4, 3, 1)
-    for orig, copy in zip(stream.frames, back.frames):
-        # Storage is f32, so the round trip is exact only at f32 precision.
-        np.testing.assert_array_equal(
-            orig.pixels.astype(np.float32), copy.pixels.astype(np.float32)
-        )
+    assert len(back) == 5
+    assert back.frames.shape == (5, 3, 4, 1)
+    # Storage is f32, so the round trip is exact only at f32 precision.
+    np.testing.assert_array_equal(
+        stream.frames.astype(np.float32), back.frames.astype(np.float32)
+    )
 
 
 def test_frames_rewrite_is_byte_identical(tmp_path):
@@ -101,8 +97,32 @@ def test_frames_truncated_header(tmp_path):
 
 def test_frames_empty_stream(tmp_path):
     path = tmp_path / "frames.frm1"
-    write_frames(path, FrameStream(frames=[], frame_rate_hz=10.0))
-    assert read_frames(path).frames == []
+    write_frames(path, FrameStream(frames=np.empty((0, 3, 4, 1)), frame_rate_hz=10.0))
+    assert read_frames(path).frames.shape == (0, 3, 4, 1)
+
+
+def test_frames_zero_count_zero_dimensions(tmp_path):
+    path = tmp_path / "frames.frm1"
+    path.write_bytes(FRAME_MAGIC + struct.pack("<IIII", 0, 0, 0, 0))
+    with pytest.raises(FormatError) as exc_info:
+        read_frames(path)
+    assert exc_info.value.byte_offset == 4
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1.5, -0.1])
+@pytest.mark.parametrize("frame", [0, 3])
+def test_frames_bad_cell(tmp_path, value, frame):
+    n, w, h, c = 5, 4, 3, 1
+    path = tmp_path / "frames.frm1"
+    write_frames(path, _stream(n=n, w=w, h=h, c=c))
+    data = bytearray(path.read_bytes())
+    frame_start = 4 + 16 + frame * w * h * c * 4
+    cell = frame_start + 7 * 4  # a cell inside the frame, not its first
+    data[cell : cell + 4] = struct.pack("<f", value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as exc_info:
+        read_frames(path)
+    assert exc_info.value.byte_offset == frame_start
 
 
 # --------------------------------------------------------------------- CSVs
@@ -231,9 +251,16 @@ def test_params_json_round_trip_exact(tmp_path):
 
 def test_params_json_missing_field(tmp_path):
     path = tmp_path / "params.json"
-    path.write_text('{"alpha": 2.0, "rate": 3.0}\n')
-    with pytest.raises(FormatError):
-        read_params_json(path)
+    fields = '"alpha": 2.0, "rate": 3.0, "epsilon": 0.05, "theta": 0.01'
+    # A missing field, then a present but non-integer sample count.
+    for doc in (
+        '{"alpha": 2.0, "rate": 3.0}',
+        '{' + fields + ', "sample_count": null}',
+        '{' + fields + ', "sample_count": "abc"}',
+    ):
+        path.write_text(doc + "\n")
+        with pytest.raises(FormatError):
+            read_params_json(path)
 
 
 def test_state_json_round_trip(tmp_path):

@@ -10,7 +10,6 @@ from lanewatch.reconstruct import (
     Activation,
     ErrorSeries,
     FrameStream,
-    FrameTensor,
     ReconstructorKind,
     ReconstructorModel,
     TrainConfig,
@@ -22,14 +21,13 @@ from lanewatch.reconstruct import (
 from lanewatch.reconstruct import _loss_and_grads
 
 
-def _frame(pixels: np.ndarray, w: int = 4, h: int = 4) -> FrameTensor:
-    return FrameTensor(width=w, height=h, channels=1, pixels=np.asarray(pixels, float))
+def _frame(pixels: np.ndarray, w: int = 4, h: int = 4) -> np.ndarray:
+    return np.asarray(pixels, float).reshape(h, w, 1)
 
 
 def _noise_stream(seed: int, n: int, w: int = 4, h: int = 4) -> FrameStream:
     rng = np.random.default_rng(seed)
-    frames = [_frame(rng.random(w * h), w, h) for _ in range(n)]
-    return FrameStream(frames=frames, frame_rate_hz=10.0)
+    return FrameStream(frames=rng.random((n, h, w, 1)), frame_rate_hz=10.0)
 
 
 # ---------------------------------------------------------------- gradients
@@ -112,10 +110,10 @@ def test_error_series_is_mean_pixel_squared_error():
     stream = _noise_stream(8, 12)
     model = train_reconstructor(stream, "sae", TrainConfig(hidden_sizes=(6,), epochs=3, seed=2))
     errors = error_series(model, stream)
-    frame = stream.frames[4]
-    recon = reconstruct(model, [frame])
-    by_hand = float(np.mean((frame.pixels - recon.pixels) ** 2))
-    assert errors.values[4] == pytest.approx(by_hand, rel=1e-12)
+    for i, frame in enumerate(stream.frames):
+        recon = reconstruct(model, stream.frames[i : i + 1])
+        by_hand = float(np.mean((frame - recon) ** 2))
+        assert errors.values[i] == pytest.approx(by_hand, rel=1e-12)
     assert errors.start_index == 0
 
 
@@ -125,9 +123,11 @@ def test_sequence_scoring_skips_history():
     errors = error_series(model, stream)
     assert errors.start_index == 4
     assert len(errors.values) == 16
-    recon = reconstruct(model, stream.frames[0:4])
-    by_hand = float(np.mean((stream.frames[4].pixels - recon.pixels) ** 2))
-    assert errors.values[0] == pytest.approx(by_hand, rel=1e-12)
+    # Row i of the windowed inputs holds frames i ... i+3, oldest first.
+    for i in range(16):
+        recon = reconstruct(model, stream.frames[i : i + 4])
+        by_hand = float(np.mean((stream.frames[i + 4] - recon) ** 2))
+        assert errors.values[i] == pytest.approx(by_hand, rel=1e-12)
 
 
 def test_reconstruct_checks_history_length():
@@ -148,18 +148,38 @@ def test_reconstruction_error_hand_value():
 def test_reconstruction_clamped_to_unit_interval():
     stream = _noise_stream(12, 15)
     model = train_reconstructor(stream, "sae", TrainConfig(hidden_sizes=(6,), epochs=0, seed=4))
-    out = reconstruct(model, [stream.frames[0]])
-    assert float(out.pixels.min()) >= 0.0
-    assert float(out.pixels.max()) <= 1.0
+    out = reconstruct(model, stream.frames[:1])
+    assert out.shape == (4, 4, 1)
+    assert float(out.min()) >= 0.0
+    assert float(out.max()) <= 1.0
 
 
 # --------------------------------------------------------------- containers
 
-def test_frame_tensor_validation():
-    with pytest.raises(ValueError):
-        FrameTensor(width=2, height=2, channels=1, pixels=np.zeros(3))
-    with pytest.raises(ValueError):
-        FrameTensor(width=2, height=2, channels=1, pixels=np.array([0.0, 0.1, np.nan, 0.2]))
+def test_frame_stream_validation():
+    bad_shapes = [
+        np.zeros(3),
+        np.zeros((2, 2, 2)),
+        np.zeros((1, 2, 0, 1)),
+        [np.zeros((2, 2, 1)), np.zeros((2, 3, 1))],
+    ]
+    bad_values = [
+        np.array([0.0, 0.1, bad, 0.2]).reshape(1, 2, 2, 1)
+        for bad in (np.nan, np.inf, -np.inf, 1.5, -0.1)
+    ]
+    for frames in bad_shapes + bad_values:
+        with pytest.raises(ValueError):
+            FrameStream(frames=frames, frame_rate_hz=10.0)
+
+
+def test_frame_stream_from_list_of_frames():
+    # The form a stream built by extending a list of per-frame arrays takes.
+    stream = _noise_stream(13, 6, w=3, h=2)
+    rebuilt = FrameStream(frames=list(stream.frames), frame_rate_hz=stream.frame_rate_hz)
+    assert rebuilt.frames.dtype == np.float64
+    assert rebuilt.frames.flags.c_contiguous
+    np.testing.assert_array_equal(rebuilt.frames, stream.frames)
+    assert rebuilt.frame_rate_hz == stream.frame_rate_hz
 
 
 def test_error_series_frame_indices():
@@ -189,4 +209,4 @@ def test_model_shape_validation():
 
 def test_empty_stream_rejected():
     with pytest.raises(ValueError):
-        train_reconstructor(FrameStream(frames=[], frame_rate_hz=10.0), "sae")
+        train_reconstructor(FrameStream(frames=np.empty((0, 4, 4, 1)), frame_rate_hz=10.0), "sae")
