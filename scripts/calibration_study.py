@@ -10,19 +10,12 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
 from lanewatch.detector import DetectorConfig, run_detector
-from lanewatch.evalkit import label_windows, score_windows
-from lanewatch.gammafit import estimate_threshold, fit_gamma_mle
-from lanewatch.reconstruct import (
-    FrameStream,
-    TrainConfig,
-    error_series,
-    train_reconstructor,
-)
-from lanewatch.scenario import ScenarioSpec, generate_scenario
-from lanewatch.smoothing import ar_filter
+from lanewatch.evalkit import label_windows, pooled_counts
+from lanewatch.experiment import calibrate, score_drive, train_nominal
+from lanewatch.gammafit import estimate_threshold
+from lanewatch.reconstruct import TrainConfig
+from lanewatch.scenario import ScenarioSpec
 
 
 def parse_args(argv=None):
@@ -46,52 +39,30 @@ def main(argv=None) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",") if e]
     t0 = time.time()
 
-    drives = []
-    for seed in range(1000, 1000 + args.train_seeds):
-        stream, log, _ = generate_scenario(
-            ScenarioSpec(track_seed=seed, n_frames=args.train_frames)
-        )
-        assert log.count == 0
-        drives.append(stream.frames)
-    frames = np.concatenate(drives)
-    model = train_reconstructor(
-        FrameStream(frames=frames, frame_rate_hz=10.0),
-        "sae",
-        TrainConfig(epochs=args.epochs, seed=0),
-    )
-    print(f"[{time.time() - t0:5.1f}s] trained on {len(frames)} nominal frames")
+    hyper = TrainConfig(epochs=args.epochs, seed=0)
+    model = train_nominal(range(1000, 1000 + args.train_seeds), args.train_frames, "sae", hyper)
+    n_frames = args.train_seeds * args.train_frames
+    print(f"[{time.time() - t0:5.1f}s] trained on {n_frames} nominal frames")
 
-    smoothed = []
-    for seed in range(1500, 1500 + args.calibration_seeds):
-        stream, _, _ = generate_scenario(
-            ScenarioSpec(track_seed=seed, n_frames=args.stream_frames)
-        )
-        smoothed.append(ar_filter(error_series(model, stream)).values)
-    params = fit_gamma_mle(np.concatenate(smoothed))
+    params = calibrate(model, range(1500, 1500 + args.calibration_seeds), args.stream_frames)
     print(
         f"[{time.time() - t0:5.1f}s] fitted shape {params.shape_alpha:.3f} "
         f"rate {params.rate_beta:.1f} on {args.calibration_seeds} drives"
     )
 
-    held = []
-    for seed in range(2000, 2000 + args.heldout_seeds):
-        stream, log, _ = generate_scenario(
-            ScenarioSpec(track_seed=seed, n_frames=args.stream_frames)
-        )
-        held.append((label_windows(log), ar_filter(error_series(model, stream))))
+    held = [
+        score_drive(model, ScenarioSpec(track_seed=seed, n_frames=args.stream_frames))
+        for seed in range(2000, 2000 + args.heldout_seeds)
+    ]
+    labels = [label_windows(d.log) for d in held]
 
     print(f"\n{'epsilon':>8} {'theta':>10} {'measured FPR':>13} {'windows':>8}")
     for epsilon in epsilons:
         theta = estimate_threshold(params, epsilon).theta
-        fp = tn = 0
-        for labels, smooth in held:
-            alarms = run_detector(
-                smooth, DetectorConfig(theta=theta, healing_frames_h=args.healing_h)
-            )
-            report = score_windows(labels, alarms, args.healing_h)
-            fp += report.fp
-            tn += report.tn
-        print(f"{epsilon:>8.3f} {theta:>10.6f} {fp / (fp + tn):>13.4f} {fp + tn:>8}")
+        cfg = DetectorConfig(theta=theta, healing_frames_h=args.healing_h)
+        alarms = [run_detector(d.smoothed, cfg) for d in held]
+        report = pooled_counts(labels, alarms, args.healing_h)
+        print(f"{epsilon:>8.3f} {theta:>10.6f} {report.fpr:>13.4f} {report.fp + report.tn:>8}")
     print(f"\n[{time.time() - t0:5.1f}s] done")
     return 0
 

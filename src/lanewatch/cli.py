@@ -14,12 +14,16 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import io
-from .detector import DetectorConfig, run_detector_verbose
+from .detector import DetectorConfig, run_detector, run_detector_verbose
 from .errors import ConfigError, ConvergenceError, DegenerateDataError, FormatError
-from .evalkit import LabellingConfig, label_windows, score_windows, sweep_curves
+from .evalkit import (
+    LabellingConfig,
+    label_windows,
+    pooled_counts,
+    pooled_sweep,
+    threshold_grid,
+)
 from .gammafit import estimate_threshold, fit_gamma_mle
 from .reconstruct import (
     Activation,
@@ -44,12 +48,6 @@ _DEFAULT_FILES = {
     "roc": "roc.csv",
     "pr": "pr.csv",
 }
-
-# Probabilities whose smoothed-error quantiles form the default threshold
-# grid for curve sweeps. The grid starts at the 40th percentile: below it
-# every threshold sits under the quiet-zone noise floor, where the alarm
-# cooldown turns sweeps into phase lotteries rather than sensitivity trades.
-_SWEEP_QUANTILES = np.linspace(0.40, 0.995, 36)
 
 
 @dataclass
@@ -218,10 +216,9 @@ def _require_workdir(cfg: PipelineConfig) -> None:
 
 
 def _smoothed_errors(cfg: PipelineConfig):
-    stream = io.read_frames(cfg.path("frames"), frame_rate_hz=cfg.scenario.frame_rate_hz)
-    model = io.read_model_json(cfg.path("model"))
-    raw = error_series(model, stream)
-    return raw, ar_filter(raw, cfg.ar)
+    """The errors fit wrote, smoothed; errors.csv holds repr floats, so
+    this equals smoothing the freshly computed series."""
+    return ar_filter(io.read_error_csv(cfg.path("errors")), cfg.ar)
 
 
 def cmd_simulate(cfg: PipelineConfig) -> None:
@@ -250,8 +247,10 @@ def cmd_train(cfg: PipelineConfig) -> None:
 
 def cmd_fit(cfg: PipelineConfig) -> None:
     _require_workdir(cfg)
-    raw, smoothed = _smoothed_errors(cfg)
+    stream = io.read_frames(cfg.path("frames"), frame_rate_hz=cfg.scenario.frame_rate_hz)
+    raw = error_series(io.read_model_json(cfg.path("model")), stream)
     io.write_error_csv(cfg.path("errors"), raw)
+    smoothed = ar_filter(raw, cfg.ar)
     params = fit_gamma_mle(smoothed)
     threshold = estimate_threshold(params, cfg.epsilon)
     io.write_params_json(cfg.path("params"), params, threshold, len(smoothed))
@@ -264,7 +263,7 @@ def cmd_fit(cfg: PipelineConfig) -> None:
 
 def cmd_detect(cfg: PipelineConfig) -> None:
     _require_workdir(cfg)
-    _, smoothed = _smoothed_errors(cfg)
+    smoothed = _smoothed_errors(cfg)
     _, threshold, _ = io.read_params_json(cfg.path("params"))
     detector = DetectorConfig(theta=threshold.theta, healing_frames_h=cfg.healing_h)
     alarms, decisions = run_detector_verbose(smoothed, detector)
@@ -285,42 +284,40 @@ def cmd_label(cfg: PipelineConfig, reaction_rs: list[int] | None = None) -> None
     print(f"{len(labels)} labelled windows -> {cfg.path('labels')}")
 
 
-def _default_thresholds(smoothed) -> list[float]:
-    qs = np.quantile(smoothed.values, _SWEEP_QUANTILES)
-    qs = np.unique(qs[qs > 0.0])
-    return [float(q) for q in qs]
-
-
-def _evaluate_once(cfg: PipelineConfig, labelling: LabellingConfig, smoothed, theta):
-    """Score at the fitted threshold and sweep curves; returns the filled
-    report dict for one labelling geometry."""
+def cmd_eval(cfg: PipelineConfig, reaction_rs: list[int] | None = None) -> None:
+    _require_workdir(cfg)
+    smoothed = _smoothed_errors(cfg)
+    _, threshold, _ = io.read_params_json(cfg.path("params"))
     log = io.read_misbehaviour_csv(cfg.path("misbehaviour"))
-    labels = label_windows(log, labelling)
-    detector = DetectorConfig(theta=theta, healing_frames_h=cfg.healing_h)
-    alarms, _ = run_detector_verbose(smoothed, detector)
-    report = score_windows(labels, alarms, labelling.healing_h).with_metrics()
-    thetas = cfg.thresholds if cfg.thresholds is not None else _default_thresholds(smoothed)
-    sweep = None
-    try:
-        sweep = sweep_curves(labels, smoothed, thetas, labelling.healing_h)
-    except DegenerateDataError:
-        pass  # e.g. a nominal log with no anomalous windows; report stands alone
-    if sweep is not None:
+    base_lab = cfg.labelling
+    if reaction_rs is not None and len(reaction_rs) == 1:
+        base_lab = replace(base_lab, reaction_r=reaction_rs[0])
+    # Detector output does not depend on the reaction period, so every
+    # labelling below is scored against these same alarm lists.
+    detector = DetectorConfig(theta=threshold.theta, healing_frames_h=cfg.healing_h)
+    alarms = [run_detector_verbose(smoothed, detector)[0]]
+    thetas = cfg.thresholds if cfg.thresholds is not None else threshold_grid(smoothed.values)
+    h = base_lab.healing_h
+    grid_alarms = [
+        [run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=h))]
+        for theta in thetas
+    ]
+
+    def evaluate(labelling: LabellingConfig):
+        labels = [label_windows(log, labelling)]
+        report = pooled_counts(labels, alarms, h)
+        try:
+            sweep = pooled_sweep(labels, thetas, grid_alarms, h)
+        except DegenerateDataError:
+            # e.g. a nominal log with no anomalous windows; report stands alone
+            return labels[0], report, None
         report.roc_points = sweep.roc_curve
         report.pr_points = sweep.pr_curve
         report.auc_roc = sweep.auc_roc
         report.auc_pr = sweep.auc_pr
-    return labels, report, sweep
+        return labels[0], report, sweep
 
-
-def cmd_eval(cfg: PipelineConfig, reaction_rs: list[int] | None = None) -> None:
-    _require_workdir(cfg)
-    _, smoothed = _smoothed_errors(cfg)
-    _, threshold, _ = io.read_params_json(cfg.path("params"))
-    base_lab = cfg.labelling
-    if reaction_rs is not None and len(reaction_rs) == 1:
-        base_lab = replace(base_lab, reaction_r=reaction_rs[0])
-    labels, report, sweep = _evaluate_once(cfg, base_lab, smoothed, threshold.theta)
+    labels, report, sweep = evaluate(base_lab)
     doc = report.to_json_dict()
     doc["epsilon"] = threshold.epsilon
     doc["theta"] = threshold.theta
@@ -331,13 +328,12 @@ def cmd_eval(cfg: PipelineConfig, reaction_rs: list[int] | None = None) -> None:
     if reaction_rs is not None and len(reaction_rs) > 1:
         table = []
         for r in reaction_rs:
-            lab = replace(base_lab, reaction_r=r)
-            _, r_report, r_sweep = _evaluate_once(cfg, lab, smoothed, threshold.theta)
+            _, r_report, _ = evaluate(replace(base_lab, reaction_r=r))
             table.append(
                 {
                     "reaction_r": r,
-                    "auc_roc": None if r_sweep is None else r_sweep.auc_roc,
-                    "auc_pr": None if r_sweep is None else r_sweep.auc_pr,
+                    "auc_roc": r_report.auc_roc,
+                    "auc_pr": r_report.auc_pr,
                     "counts": r_report.to_json_dict()["counts"],
                 }
             )

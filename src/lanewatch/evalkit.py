@@ -40,7 +40,10 @@ __all__ = [
     "score_windows",
     "compute_metrics",
     "anchored_curves",
+    "pooled_counts",
+    "pooled_sweep",
     "sweep_curves",
+    "threshold_grid",
 ]
 
 
@@ -269,7 +272,6 @@ class ThresholdSweep:
     roc_curve and pr_curve are the anchored polylines the areas integrate.
     """
 
-    thetas: list[float]
     roc_rows: list[tuple[float, float, float]]
     pr_rows: list[tuple[float, float, float]]
     roc_curve: list[tuple[float, float]]
@@ -278,11 +280,9 @@ class ThresholdSweep:
     auc_pr: float
 
 
-def _trapezoid_area(points: list[tuple[float, float]]) -> float:
-    pts = sorted(points)
-    xs = np.asarray([p[0] for p in pts])
-    ys = np.asarray([p[1] for p in pts])
-    return float(np.trapezoid(ys, xs))
+def _trapezoid_area(curve: list[tuple[float, float]]) -> float:
+    """Area under a polyline, integrated in the given point order."""
+    return float(np.trapezoid([p[1] for p in curve], [p[0] for p in curve]))
 
 
 def anchored_curves(
@@ -295,8 +295,9 @@ def anchored_curves(
 
     The ROC polyline is anchored at (0,0) and (1,1).  The PR polyline is
     anchored at recall 0 with the precision of the lowest-recall point and
-    at recall 1 with the label prevalence (anomalous windows over
-    anomalous plus normal windows).  Areas are trapezoidal.
+    ends at recall 1 with the label prevalence (anomalous windows over
+    anomalous plus normal windows), after any real recall-1 points.
+    Areas are trapezoidal.
     """
     roc_curve = sorted(set(roc_points) | {(0.0, 0.0), (1.0, 1.0)})
     if pr_points:
@@ -305,10 +306,69 @@ def anchored_curves(
         # No threshold produced an alarm inside a counted window; the flat
         # prevalence line is the only honest curve left.
         lowest_recall_precision = prevalence
-    pr_curve = sorted(
-        set(pr_points) | {(0.0, lowest_recall_precision), (1.0, prevalence)}
-    )
+    pr_curve = sorted(set(pr_points) | {(0.0, lowest_recall_precision)})
+    pr_curve.append((1.0, prevalence))
     return roc_curve, pr_curve, _trapezoid_area(roc_curve), _trapezoid_area(pr_curve)
+
+
+def pooled_counts(
+    labels_per_drive: list[list[WindowLabel]],
+    alarms_per_drive: list[list[int]],
+    h: int,
+) -> EvalReport:
+    """Confusion counts summed over drives, with the metrics filled in."""
+    report = EvalReport()
+    for labels, alarms in zip(labels_per_drive, alarms_per_drive, strict=True):
+        drive = score_windows(labels, alarms, h)
+        report.tp += drive.tp
+        report.fp += drive.fp
+        report.tn += drive.tn
+        report.fn += drive.fn
+    return report.with_metrics()
+
+
+def pooled_sweep(
+    labels_per_drive: list[list[WindowLabel]],
+    thetas: list[float],
+    alarms_per_theta: list[list[list[int]]],
+    h: int,
+) -> ThresholdSweep:
+    """ROC and PR curves over drives pooled per threshold.
+
+    alarms_per_theta[i][j] holds the alarms of drive j at thetas[i], so
+    one detector pass per threshold can be scored against several
+    labellings.  Rows come in ascending theta; the curves are anchored
+    and integrated by anchored_curves.
+    """
+    if not thetas:
+        raise ValueError("threshold sweep needs at least one threshold")
+    kinds = [w.kind for labels in labels_per_drive for w in labels]
+    n_anomalous = kinds.count(WindowKind.ANOMALOUS)
+    n_normal = kinds.count(WindowKind.NORMAL)
+    if n_anomalous == 0 or n_normal == 0:
+        raise DegenerateDataError(
+            "threshold sweep needs at least one anomalous and one normal window, "
+            f"got {n_anomalous} anomalous and {n_normal} normal"
+        )
+    roc_rows: list[tuple[float, float, float]] = []
+    pr_rows: list[tuple[float, float, float]] = []
+    by_theta = sorted(zip(thetas, alarms_per_theta, strict=True), key=lambda pair: pair[0])
+    for theta, alarms_per_drive in by_theta:
+        report = pooled_counts(labels_per_drive, alarms_per_drive, h)
+        # tpr and fpr are always defined here: both window kinds exist and
+        # the first alarmed normal window of each drive is never excluded.
+        roc_rows.append((theta, report.fpr, report.tpr))
+        if report.precision is not None:
+            pr_rows.append((theta, report.tpr, report.precision))
+    return ThresholdSweep(
+        roc_rows,
+        pr_rows,
+        *anchored_curves(
+            [(fpr, tpr) for _, fpr, tpr in roc_rows],
+            [(recall, precision) for _, recall, precision in pr_rows],
+            n_anomalous / (n_anomalous + n_normal),
+        ),
+    )
 
 
 def sweep_curves(
@@ -317,40 +377,21 @@ def sweep_curves(
     thetas: list[float],
     h: int = 60,
 ) -> ThresholdSweep:
-    """Run the detector at every threshold and assemble ROC and PR curves,
-    anchored and integrated by anchored_curves."""
-    if not thetas:
-        raise ValueError("threshold sweep needs at least one threshold")
-    n_anomalous = sum(1 for w in labels if w.kind is WindowKind.ANOMALOUS)
-    n_normal = sum(1 for w in labels if w.kind is WindowKind.NORMAL)
-    if n_anomalous == 0 or n_normal == 0:
-        raise DegenerateDataError(
-            "threshold sweep needs at least one anomalous and one normal window, "
-            f"got {n_anomalous} anomalous and {n_normal} normal"
-        )
-    prevalence = n_anomalous / (n_anomalous + n_normal)
-    roc_rows: list[tuple[float, float, float]] = []
-    pr_rows: list[tuple[float, float, float]] = []
-    for theta in sorted(thetas):
-        cfg = DetectorConfig(theta=theta, healing_frames_h=h)
-        alarms = run_detector(smoothed, cfg)
-        report = score_windows(labels, alarms, h).with_metrics()
-        # tpr and fpr are always defined here: both window kinds exist and
-        # the first alarmed normal window is never excluded.
-        roc_rows.append((theta, report.fpr, report.tpr))
-        if report.precision is not None:
-            pr_rows.append((theta, report.tpr, report.precision))
-    roc_curve, pr_curve, auc_roc, auc_pr = anchored_curves(
-        [(fpr, tpr) for _, fpr, tpr in roc_rows],
-        [(recall, precision) for _, recall, precision in pr_rows],
-        prevalence,
-    )
-    return ThresholdSweep(
-        thetas=sorted(thetas),
-        roc_rows=roc_rows,
-        pr_rows=pr_rows,
-        roc_curve=roc_curve,
-        pr_curve=pr_curve,
-        auc_roc=auc_roc,
-        auc_pr=auc_pr,
-    )
+    """Run the detector on one drive at every threshold and sweep the
+    curves with pooled_sweep."""
+    alarms = [
+        [run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=h))]
+        for theta in thetas
+    ]
+    return pooled_sweep([labels], thetas, alarms, h)
+
+
+def threshold_grid(values: np.ndarray, size: int = 36) -> list[float]:
+    """Sweep thresholds: distinct positive quantiles of smoothed errors.
+
+    The grid starts at the 40th percentile: below it every threshold sits
+    under the quiet-zone noise floor, where the alarm cooldown turns
+    sweeps into phase lotteries rather than sensitivity trades.
+    """
+    qs = np.quantile(values, np.linspace(0.40, 0.995, size))
+    return [float(q) for q in np.unique(qs[qs > 0.0])]

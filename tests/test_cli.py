@@ -159,15 +159,16 @@ def test_missing_workdir_exits_2(tmp_path):
     assert main(["simulate", "--config", str(config)]) == 2
 
 
-def test_null_sample_count_exits_2(pipeline_dir, tmp_path):
+def test_null_sample_count_exits_2(pipeline_dir, tmp_path, capsys):
+    # detect reads errors.csv and params.json; only params.json is bad.
     work, _ = pipeline_dir
-    for name in ("frames.frm1", "model.json"):
-        (tmp_path / name).write_bytes((work / name).read_bytes())
+    (tmp_path / "errors.csv").write_bytes((work / "errors.csv").read_bytes())
     params = json.loads((work / "params.json").read_text())
     params["sample_count"] = None
     (tmp_path / "params.json").write_text(json.dumps(params))
     config = _write_config(tmp_path, "config.json", tmp_path)
     assert main(["detect", "--config", str(config)]) == 2
+    assert "params.json" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_2():

@@ -22,8 +22,11 @@ from lanewatch.evalkit import (
     anchored_curves,
     compute_metrics,
     label_windows,
+    pooled_counts,
+    pooled_sweep,
     score_windows,
     sweep_curves,
+    threshold_grid,
 )
 from lanewatch.reconstruct import ErrorSeries
 from lanewatch.scenario import MisbehaviourLog
@@ -150,6 +153,24 @@ def test_counts_partition_scored_windows(log, alarm_frames):
     assert report.tp + report.fn == n_anom
     n_norm = sum(1 for w in labels if w.kind is WindowKind.NORMAL)
     assert report.tp + report.fp + report.tn + report.fn <= n_anom + n_norm
+
+
+@given(st.lists(
+    st.tuples(sparse_logs, st.lists(st.integers(min_value=0, max_value=499),
+                                    max_size=12, unique=True)),
+    min_size=1, max_size=3,
+))
+@settings(max_examples=40)
+def test_pooled_counts_sum_drives(drives):
+    labels = [label_windows(log) for log, _ in drives]
+    alarms = [sorted(frames) for _, frames in drives]
+    pooled = pooled_counts(labels, alarms, 60)
+    singles = [score_windows(lab, al, 60) for lab, al in zip(labels, alarms)]
+    counts = (pooled.tp, pooled.fp, pooled.tn, pooled.fn)
+    assert counts == tuple(
+        sum(getattr(r, k) for r in singles) for k in ("tp", "fp", "tn", "fn")
+    )
+    assert (pooled.tpr, pooled.fpr, pooled.precision, pooled.f1) == compute_metrics(*counts)
 
 
 # ------------------------------------------------------------------ scoring
@@ -284,7 +305,58 @@ def test_pr_curve_anchors():
     n_norm = len(_windows(labels, WindowKind.NORMAL))
     prevalence = n_anom / (n_anom + n_norm)
     assert sweep.pr_curve[0][0] == 0.0
-    assert (1.0, prevalence) in sweep.pr_curve
+    # The single threshold separates perfectly, so its real (1, 1) point
+    # comes before the prevalence anchor, which is always last.
+    assert sweep.pr_curve[-2:] == [(1.0, 1.0), (1.0, prevalence)]
+    assert sweep.auc_pr == pytest.approx(1.0, abs=1e-15)
+
+
+def test_pr_anchor_follows_real_recall_one_points():
+    # Recall 1 is reached at precision 0.8 above the 0.4 prevalence: the
+    # curve holds 1.0 to recall 0.5, falls to 0.8 at recall 1, then drops
+    # to the anchor; area 0.5 * 1.0 + 0.5 * (1.0 + 0.8) / 2 = 0.95.
+    _, pr, _, auc_pr = anchored_curves([(0.2, 1.0)], [(1.0, 0.8), (0.5, 1.0)], 0.4)
+    assert pr == [(0.0, 1.0), (0.5, 1.0), (1.0, 0.8), (1.0, 0.4)]
+    assert auc_pr == pytest.approx(0.95, abs=1e-15)
+
+
+def test_pooled_sweep_two_drives_by_hand():
+    # Each drive has one anomalous window (120-149) and six normal ones,
+    # so the pool has 2 anomalous and 12 normal windows: prevalence 1/7.
+    labels = [label_windows(_log(400, [200])), label_windows(_log(400, [200]))]
+    # Thresholds out of order, with alarms in the same order.
+    thetas = [0.9, 0.1]
+    alarms = [
+        [[130], []],          # drive 1 TP; drive 2 FN, 6 TN
+        [[130], [40, 265]],   # drive 2 adds FN and two FPs 225 frames apart
+    ]
+    sweep = pooled_sweep(labels, thetas, alarms, 60)
+    # theta 0.1: TP 1 FN 1 FP 2 TN 10; theta 0.9: TP 1 FN 1 FP 0 TN 12.
+    assert sweep.roc_rows == [(0.1, 2 / 12, 0.5), (0.9, 0.0, 0.5)]
+    assert sweep.pr_rows == [(0.1, 0.5, 1 / 3), (0.9, 0.5, 1.0)]
+    assert sweep.roc_curve == [(0.0, 0.0), (0.0, 0.5), (2 / 12, 0.5), (1.0, 1.0)]
+    assert sweep.pr_curve == [(0.0, 1 / 3), (0.5, 1 / 3), (0.5, 1.0), (1.0, 1 / 7)]
+    assert sweep.auc_roc == pytest.approx(2 / 12 * 0.5 + 10 / 12 * 0.75, abs=1e-15)
+    assert sweep.auc_pr == pytest.approx(0.5 / 3 + 0.5 * (1.0 + 1 / 7) / 2, abs=1e-15)
+
+
+def test_pooled_sweep_degenerate_only_over_the_pool():
+    eventless = label_windows(_log(200, []))
+    with pytest.raises(DegenerateDataError):
+        pooled_sweep([eventless, eventless], [0.5], [[[], []]], 60)
+    # A drive without anomalous windows is fine when another drive has one.
+    sweep = pooled_sweep([eventless, label_windows(_log(400, [200]))], [0.5],
+                         [[[], [130]]], 60)
+    assert sweep.roc_rows == [(0.5, 0.0, 1.0)]
+    with pytest.raises(ValueError):
+        pooled_sweep([eventless], [], [], 60)
+
+
+def test_threshold_grid_drops_duplicates_and_non_positive():
+    # Quantiles at 0.4, 0.598, 0.797, 0.995 of six zeros and four ones are
+    # 0, 0.385, 1, 1: the zero and the repeated 1 are dropped.
+    grid = threshold_grid(np.array([0.0] * 6 + [1.0] * 4), size=4)
+    assert grid == pytest.approx([0.385, 1.0], abs=1e-12)
 
 
 def test_anchored_curves_without_defined_precision():
