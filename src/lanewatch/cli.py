@@ -9,7 +9,6 @@ degenerate-data error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,13 +24,7 @@ from .evalkit import (
     threshold_grid,
 )
 from .gammafit import estimate_threshold, fit_gamma_mle
-from .reconstruct import (
-    Activation,
-    ReconstructorKind,
-    TrainConfig,
-    error_series,
-    train_reconstructor,
-)
+from .reconstruct import ReconstructorKind, TrainConfig, error_series, train_reconstructor
 from .scenario import ScenarioSpec, generate_scenario
 from .smoothing import ArFilterConfig, ar_filter
 
@@ -62,7 +55,6 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     epsilon: float = 0.05
     ar_k: int = 10
-    healing_h: int = 60
     labelling: LabellingConfig = field(default_factory=LabellingConfig)
     thresholds: list[float] | None = None
 
@@ -96,7 +88,6 @@ def load_config(path: str | None, overrides: argparse.Namespace) -> PipelineConf
             "train",
             "epsilon",
             "ar_k",
-            "healing_h",
             "labelling",
             "thresholds",
         },
@@ -152,9 +143,6 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
     ar_k = int(doc.get("ar_k", 10))
     if ar_k < 1:
         raise ConfigError(f"ar_k must be at least 1, got {ar_k}")
-    healing_h = int(doc.get("healing_h", 60))
-    if healing_h < 1:
-        raise ConfigError(f"healing_h must be at least 1, got {healing_h}")
     thresholds = doc.get("thresholds")
     if thresholds is not None:
         thresholds = [float(t) for t in thresholds]
@@ -168,7 +156,6 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
         train=train,
         epsilon=epsilon,
         ar_k=ar_k,
-        healing_h=healing_h,
         labelling=labelling,
         thresholds=thresholds,
     )
@@ -265,7 +252,9 @@ def cmd_detect(cfg: PipelineConfig) -> None:
     _require_workdir(cfg)
     smoothed = _smoothed_errors(cfg)
     _, threshold, _ = io.read_params_json(cfg.path("params"))
-    detector = DetectorConfig(theta=threshold.theta, healing_frames_h=cfg.healing_h)
+    detector = DetectorConfig(
+        theta=threshold.theta, healing_frames_h=cfg.labelling.healing_h
+    )
     alarms, decisions = run_detector_verbose(smoothed, detector)
     io.write_decision_csv(cfg.path("alarms"), smoothed.start_index, decisions)
     print(f"{len(alarms)} alarms over {len(decisions)} frames -> {cfg.path('alarms')}")
@@ -294,14 +283,14 @@ def cmd_eval(cfg: PipelineConfig, reaction_rs: list[int] | None = None) -> None:
         base_lab = replace(base_lab, reaction_r=reaction_rs[0])
     # Detector output does not depend on the reaction period, so every
     # labelling below is scored against these same alarm lists.
-    detector = DetectorConfig(theta=threshold.theta, healing_frames_h=cfg.healing_h)
-    alarms = [run_detector_verbose(smoothed, detector)[0]]
-    thetas = cfg.thresholds if cfg.thresholds is not None else threshold_grid(smoothed.values)
     h = base_lab.healing_h
-    grid_alarms = [
-        [run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=h))]
-        for theta in thetas
-    ]
+
+    def alarms_at(theta: float) -> list[list[int]]:
+        return [run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=h))]
+
+    alarms = alarms_at(threshold.theta)
+    thetas = cfg.thresholds if cfg.thresholds is not None else threshold_grid(smoothed.values)
+    grid_alarms = [alarms_at(theta) for theta in thetas]
 
     def evaluate(labelling: LabellingConfig):
         labels = [label_windows(log, labelling)]

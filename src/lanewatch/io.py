@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import Decision, DetectorState
+from .detector import Decision
 from .errors import FormatError
 from .evalkit import WindowLabel, WindowKind
 from .gammafit import GammaParams, ThresholdSpec
@@ -49,8 +49,6 @@ __all__ = [
     "read_params_json",
     "write_report_json",
     "write_curve_csv",
-    "write_state_json",
-    "read_state_json",
 ]
 
 FRAME_MAGIC = b"FRM1"
@@ -314,18 +312,3 @@ def write_curve_csv(
     for theta, x, y in rows:
         lines.append(f"{float(theta)!r},{float(x)!r},{float(y)!r}")
     _write_text(path, "\n".join(lines) + "\n")
-
-
-def write_state_json(path: str | Path, state: DetectorState) -> None:
-    _write_text(path, json.dumps(state.to_json_dict(), indent=1) + "\n")
-
-
-def read_state_json(path: str | Path) -> DetectorState:
-    doc = _load_json(path)
-    missing = {"frames_seen", "cooldown_remaining", "alarms"} - set(doc)
-    if missing:
-        raise FormatError(f"{path}: missing state fields {sorted(missing)}")
-    try:
-        return DetectorState.from_json_dict(doc)
-    except (ValueError, TypeError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc

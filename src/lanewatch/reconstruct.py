@@ -87,15 +87,16 @@ class FrameStream:
 @dataclass
 class ErrorSeries:
     """Reconstruction errors indexed by frame: values[i] belongs to frame
-    start_index + i."""
+    start_index + i.  Every value must be finite and non-negative."""
 
     values: np.ndarray
     start_index: int = 0
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        if self.values.size and float(self.values.min()) < 0.0:
-            raise ValueError("reconstruction errors cannot be negative")
+        # NaN fails the comparison, so this also rejects it.
+        if not np.all((self.values >= 0.0) & (self.values < np.inf)):
+            raise ValueError("reconstruction errors must be finite and non-negative")
 
     def __len__(self) -> int:
         return int(self.values.size)

@@ -1,9 +1,8 @@
-"""Autoregressive smoothing of reconstruction-error series.
+"""Smoothing of reconstruction-error series.
 
-The default configuration is a trailing moving average over the last k
-observations including the current one: intercept 0 and uniform weights
-1/k.  During warm-up, while fewer than k values exist, the output is the
-intercept plus the uniform average of the values seen so far, so no
+A trailing moving average over the last k observations including the
+current one, each weighted 1/k.  During warm-up, while fewer than k
+values exist, the output is the average of the values seen so far, so no
 undefined values are emitted.
 """
 
@@ -22,28 +21,13 @@ DEFAULT_AR_ORDER = 10
 
 @dataclass
 class ArFilterConfig:
-    """Filter order, per-lag coefficients, and intercept.
-
-    coefficients[0] weighs the current value, coefficients[i] the value i
-    frames back.  coefficients=None fills in the uniform default 1/k.
-    """
+    """Filter order: the number of most recent values averaged."""
 
     order_k: int = DEFAULT_AR_ORDER
-    coefficients: tuple[float, ...] | None = None
-    intercept: float = 0.0
 
     def __post_init__(self):
         if self.order_k < 1:
             raise ValueError(f"filter order must be at least 1, got {self.order_k}")
-        if self.coefficients is None:
-            self.coefficients = (1.0 / self.order_k,) * self.order_k
-        else:
-            self.coefficients = tuple(float(c) for c in self.coefficients)
-        if len(self.coefficients) != self.order_k:
-            raise ValueError(
-                f"expected {self.order_k} coefficients, got {len(self.coefficients)}"
-            )
-        self.intercept = float(self.intercept)
 
 
 @dataclass
@@ -58,7 +42,6 @@ class ArStream:
 
     def __post_init__(self):
         self._buffer = np.zeros(self.cfg.order_k)
-        self._kernel = np.asarray(self.cfg.coefficients)
         self._count = 0
 
     def push(self, value: float) -> float:
@@ -67,21 +50,15 @@ class ArStream:
         k = self.cfg.order_k
         self._buffer[self._count % k] = value
         self._count += 1
-        if self._count < k:
-            # Warm-up: uniform average of what exists so far.
-            return self.cfg.intercept + float(self._buffer[: self._count].mean())
-        # Gather the window newest-first to line up with the coefficients.
-        newest = (self._count - 1) % k
-        idx = (newest - np.arange(k)) % k
-        return self.cfg.intercept + float(np.dot(self._kernel, self._buffer[idx]))
+        # During warm-up this averages what exists so far.
+        return float(self._buffer[: min(self._count, k)].mean())
 
 
 def ar_filter(raw: ErrorSeries, cfg: ArFilterConfig | None = None) -> ErrorSeries:
     """Smooth an error series; output has the same length and start index.
 
-    output[t] = intercept + sum_i coefficients[i] * raw[t - i] over the
-    order_k most recent values; positions with fewer than order_k values
-    available use the warm-up average instead.
+    output[t] is the mean of raw[t - order_k + 1 .. t]; positions with
+    fewer than order_k values available use the warm-up average instead.
     """
     cfg = cfg or ArFilterConfig()
     values = raw.values
@@ -94,8 +71,5 @@ def ar_filter(raw: ErrorSeries, cfg: ArFilterConfig | None = None) -> ErrorSerie
     if warm:
         out[:warm] = np.cumsum(values[:warm]) / np.arange(1, warm + 1)
     if n >= k:
-        # np.convolve flips its kernel, which lines coefficient i up with
-        # the value i frames back, exactly the lag convention here.
-        out[k - 1 :] = np.convolve(values, np.asarray(cfg.coefficients), mode="valid")
-    out += cfg.intercept
+        out[k - 1 :] = np.convolve(values, np.full(k, 1.0 / k), mode="valid")
     return ErrorSeries(values=out, start_index=raw.start_index)

@@ -12,14 +12,30 @@ import numpy as np
 import pytest
 
 from lanewatch.cli import main
-from lanewatch.io import read_labels_csv, write_frames, write_model_json
-from lanewatch.evalkit import WindowKind
+from lanewatch.detector import DetectorConfig, run_detector
+from lanewatch.evalkit import (
+    LabellingConfig,
+    WindowKind,
+    label_windows,
+    sweep_curves,
+    threshold_grid,
+)
+from lanewatch.io import (
+    read_error_csv,
+    read_labels_csv,
+    read_misbehaviour_csv,
+    read_params_json,
+    write_curve_csv,
+    write_frames,
+    write_model_json,
+)
 from lanewatch.reconstruct import (
     Activation,
     FrameStream,
     ReconstructorKind,
     ReconstructorModel,
 )
+from lanewatch.smoothing import ar_filter
 
 ARTIFACTS = [
     "frames.frm1", "model.json", "params.json", "errors.csv",
@@ -128,6 +144,40 @@ def test_eval_explicit_thresholds(pipeline_dir, tmp_path):
     assert main(["eval", "--config", str(config)]) == 0
 
 
+def _copy_inputs(src, dst):
+    # What detect and eval read.
+    for name in ("errors.csv", "params.json", "misbehaviour.csv"):
+        (dst / name).write_bytes((src / name).read_bytes())
+
+
+def test_labelling_healing_h_drives_detect_and_eval(pipeline_dir, tmp_path):
+    # labelling.healing_h is the one cooldown: detect, eval at theta and
+    # the sweep must all run the detector with it.
+    work, _ = pipeline_dir
+    _copy_inputs(work, tmp_path)
+    doc = _config_doc(tmp_path)
+    doc["labelling"] = {"healing_h": 20}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["detect", "--config", str(config)]) == 0
+    assert main(["eval", "--config", str(config)]) == 0
+
+    smoothed = ar_filter(read_error_csv(tmp_path / "errors.csv"))
+    _, threshold, _ = read_params_json(tmp_path / "params.json")
+    theta = threshold.theta
+    expected = run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=20))
+    # At the default h = 60 this drive gives fewer alarms, so the check bites.
+    assert expected != run_detector(smoothed, DetectorConfig(theta=theta))
+    rows = [line.split(",") for line in (tmp_path / "alarms.csv").read_text().splitlines()[1:]]
+    assert [int(i) for i, decision in rows if decision == "alarm"] == expected
+
+    labels = label_windows(read_misbehaviour_csv(tmp_path / "misbehaviour.csv"),
+                           LabellingConfig(healing_h=20))
+    sweep = sweep_curves(labels, smoothed, threshold_grid(smoothed.values), h=20)
+    write_curve_csv(tmp_path / "expected_roc.csv", "threshold,fpr,tpr", sweep.roc_rows)
+    assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "expected_roc.csv").read_bytes()
+
+
 # --------------------------------------------------------------- exit codes
 
 def test_unknown_config_field_exits_2(tmp_path):
@@ -136,6 +186,16 @@ def test_unknown_config_field_exits_2(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config)]) == 2
+
+
+def test_top_level_healing_h_exits_2(tmp_path, capsys):
+    # The cooldown is set under "labelling" only.
+    doc = _config_doc(tmp_path)
+    doc["healing_h"] = 20
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["detect", "--config", str(config)]) == 2
+    assert "unknown config fields" in capsys.readouterr().err
 
 
 def test_invalid_json_config_exits_2(tmp_path):
@@ -169,6 +229,20 @@ def test_null_sample_count_exits_2(pipeline_dir, tmp_path, capsys):
     config = _write_config(tmp_path, "config.json", tmp_path)
     assert main(["detect", "--config", str(config)]) == 2
     assert "params.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_error_exits_2(pipeline_dir, tmp_path, capsys, cell):
+    work, _ = pipeline_dir
+    _copy_inputs(work, tmp_path)
+    errors = (tmp_path / "errors.csv").read_text().splitlines()
+    index, _ = errors[200].split(",")
+    errors[200] = f"{index},{cell}"
+    (tmp_path / "errors.csv").write_text("\n".join(errors) + "\n")
+    config = _write_config(tmp_path, "config.json", tmp_path)
+    for command in ("detect", "eval"):
+        assert main([command, "--config", str(config)]) == 2, command
+        assert "errors.csv" in capsys.readouterr().err, command
 
 
 def test_unknown_command_exits_2():

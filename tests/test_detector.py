@@ -1,4 +1,4 @@
-"""Online detector: worked decisions, cooldown arithmetic, state resume."""
+"""Alarm detector: worked decisions, cooldown arithmetic, per-frame reference."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from lanewatch.detector import (
     Decision,
     DetectorConfig,
-    DetectorState,
-    detector_step,
     run_detector,
     run_detector_verbose,
 )
@@ -70,19 +68,32 @@ def test_alarm_spacing_invariant(values, theta, h):
     assert all(values[a] >= theta for a in alarms)
 
 
+def _per_frame_reference(values, start_index, theta, h):
+    """One frame at a time with a cooldown counter: inside a cooldown the
+    counter ticks down and crossings are suppressed; outside it a
+    crossing alarms and arms the counter with h."""
+    alarms, decisions = [], []
+    cooldown = 0
+    for offset, value in enumerate(values):
+        crossing = value >= theta
+        if cooldown > 0:
+            cooldown -= 1
+            decisions.append(Decision.SUPPRESSED if crossing else Decision.QUIET)
+        elif crossing:
+            cooldown = h
+            alarms.append(start_index + offset)
+            decisions.append(Decision.ALARM)
+        else:
+            decisions.append(Decision.QUIET)
+    return alarms, decisions
+
+
 @given(smoothed_series, st.floats(min_value=0.05, max_value=0.95),
-       st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=100))
-def test_split_run_resumes_exactly(values, theta, h, cut):
-    # Folding the same series through a saved state must match one pass.
+       st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=500))
+def test_matches_per_frame_cooldown_loop(values, theta, h, start_index):
     cfg = DetectorConfig(theta=theta, healing_frames_h=h)
-    cut = min(cut, len(values))
-    state = DetectorState()
-    for v in values[:cut]:
-        state, _ = detector_step(state, v, cfg)
-    resumed = DetectorState.from_json_dict(state.to_json_dict())
-    for v in values[cut:]:
-        resumed, _ = detector_step(resumed, v, cfg)
-    assert list(resumed.alarms) == run_detector(ErrorSeries(values=values), cfg)
+    got = run_detector_verbose(ErrorSeries(values=values, start_index=start_index), cfg)
+    assert got == _per_frame_reference(values, start_index, theta, h)
 
 
 def test_decisions_align_with_alarms():
@@ -92,17 +103,12 @@ def test_decisions_align_with_alarms():
     assert [i for i, d in enumerate(decisions) if d is Decision.ALARM] == alarms
 
 
-def test_state_json_round_trip():
-    state = DetectorState(frames_seen=12, cooldown_remaining=3, alarms=(2, 9))
-    assert DetectorState.from_json_dict(state.to_json_dict()) == state
-
-
 def test_validation():
     with pytest.raises(ValueError):
         DetectorConfig(theta=0.0)
     with pytest.raises(ValueError):
         DetectorConfig(theta=0.5, healing_frames_h=0)
-    with pytest.raises(ValueError):
-        detector_step(DetectorState(), -0.1, DetectorConfig(theta=0.5))
-    with pytest.raises(ValueError):
-        DetectorState(frames_seen=-1)
+    # The series type refuses what the detector cannot order against theta.
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ErrorSeries(values=[0.1, bad])

@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from lanewatch.detector import Decision, DetectorState
+from lanewatch.detector import Decision
 from lanewatch.errors import FormatError
 from lanewatch.evalkit import WindowKind, WindowLabel
 from lanewatch.gammafit import GammaParams, ThresholdSpec
@@ -19,7 +19,6 @@ from lanewatch.io import (
     read_misbehaviour_csv,
     read_model_json,
     read_params_json,
-    read_state_json,
     write_curve_csv,
     write_decision_csv,
     write_error_csv,
@@ -28,7 +27,6 @@ from lanewatch.io import (
     write_misbehaviour_csv,
     write_model_json,
     write_params_json,
-    write_state_json,
 )
 from lanewatch.reconstruct import (
     ErrorSeries,
@@ -140,6 +138,14 @@ def test_error_csv_rejects_gap(tmp_path):
     path = tmp_path / "errors.csv"
     path.write_text("frame_index,error\n0,0.1\n2,0.2\n")
     with pytest.raises(FormatError):
+        read_error_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-0.1"])
+def test_error_csv_rejects_non_finite_or_negative(tmp_path, cell):
+    path = tmp_path / "errors.csv"
+    path.write_text(f"frame_index,error\n0,0.1\n1,{cell}\n")
+    with pytest.raises(FormatError, match="errors.csv"):
         read_error_csv(path)
 
 
@@ -261,17 +267,3 @@ def test_params_json_missing_field(tmp_path):
         path.write_text(doc + "\n")
         with pytest.raises(FormatError):
             read_params_json(path)
-
-
-def test_state_json_round_trip(tmp_path):
-    state = DetectorState(frames_seen=120, cooldown_remaining=14, alarms=(45, 106))
-    path = tmp_path / "state.json"
-    write_state_json(path, state)
-    assert read_state_json(path) == state
-
-
-def test_state_json_rejects_garbage(tmp_path):
-    path = tmp_path / "state.json"
-    path.write_text('{"frames_seen": -1, "cooldown_remaining": 0, "alarms": []}\n')
-    with pytest.raises(FormatError):
-        read_state_json(path)

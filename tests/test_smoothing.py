@@ -32,21 +32,6 @@ def test_k1_is_identity():
     assert list(out.values) == pytest.approx(values)
 
 
-def test_custom_coefficients_k2():
-    cfg = ArFilterConfig(order_k=2, coefficients=(0.75, 0.25))
-    out = ar_filter(ErrorSeries(values=[1.0, 2.0, 3.0]), cfg)
-    # index 0 warms up; then 0.75*current + 0.25*previous
-    assert list(out.values) == pytest.approx([1.0, 0.75 * 2 + 0.25 * 1, 0.75 * 3 + 0.25 * 2])
-
-
-def test_intercept_shifts_output():
-    base = ar_filter(ErrorSeries(values=[1.0, 1.0, 1.0]), ArFilterConfig(order_k=2))
-    lifted = ar_filter(
-        ErrorSeries(values=[1.0, 1.0, 1.0]), ArFilterConfig(order_k=2, intercept=0.1)
-    )
-    assert list(lifted.values) == pytest.approx([v + 0.1 for v in base.values])
-
-
 def test_length_and_start_index_preserved():
     raw = ErrorSeries(values=[0.1, 0.2, 0.3, 0.4], start_index=3)
     out = ar_filter(raw)
@@ -55,10 +40,11 @@ def test_length_and_start_index_preserved():
 
 
 def test_default_order_is_ten():
-    cfg = ArFilterConfig()
-    assert cfg.order_k == 10
-    assert cfg.coefficients == pytest.approx((0.1,) * 10)
-    assert cfg.intercept == 0.0
+    assert ArFilterConfig().order_k == 10
+    # Once warmed up, the default output is the mean of the last ten values.
+    values = np.arange(12.0)
+    out = ar_filter(ErrorSeries(values=values))
+    assert list(out.values[9:]) == pytest.approx([4.5, 5.5, 6.5])
 
 
 def test_constant_series_is_fixed_point():
@@ -96,8 +82,6 @@ def test_output_within_input_hull(values):
 def test_config_validation():
     with pytest.raises(ValueError):
         ArFilterConfig(order_k=0)
-    with pytest.raises(ValueError):
-        ArFilterConfig(order_k=3, coefficients=(0.5, 0.5))
 
 
 def test_empty_series_rejected():
