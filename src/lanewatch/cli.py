@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from . import io
 from .detector import DetectorConfig, run_detector, run_detector_verbose
@@ -26,7 +27,7 @@ from .evalkit import (
 from .gammafit import estimate_threshold, fit_gamma_mle
 from .reconstruct import ReconstructorKind, TrainConfig, error_series, train_reconstructor
 from .scenario import ScenarioSpec, generate_scenario
-from .smoothing import ArFilterConfig, ar_filter
+from .smoothing import DEFAULT_AR_ORDER, ArFilterConfig, ar_filter
 
 _DEFAULT_FILES = {
     "frames": "frames.frm1",
@@ -54,134 +55,85 @@ class PipelineConfig:
     train_kind: ReconstructorKind = ReconstructorKind.SAE
     train: TrainConfig = field(default_factory=TrainConfig)
     epsilon: float = 0.05
-    ar_k: int = 10
+    ar: ArFilterConfig = field(default_factory=ArFilterConfig)
     labelling: LabellingConfig = field(default_factory=LabellingConfig)
     thresholds: list[float] | None = None
 
     def path(self, name: str) -> Path:
         return self.workdir / self.files[name]
 
-    @property
-    def ar(self) -> ArFilterConfig:
-        return ArFilterConfig(order_k=self.ar_k)
+
+_SECTIONS = ("paths", "scenario", "train", "labelling")
+_TOP_LEVEL_KEYS = {"seed", "workdir", "epsilon", "ar_k", "thresholds", *_SECTIONS}
 
 
-def _take(section: dict, known: set[str], where: str) -> None:
-    unknown = set(section) - known
+def _take(section: dict, known, where: str) -> None:
+    unknown = set(section) - set(known)
     if unknown:
         raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
 
 
-def load_config(path: str | None, overrides: argparse.Namespace) -> PipelineConfig:
-    """Build the pipeline config from an optional JSON file plus flag
-    overrides; flags win over file values, file values over defaults."""
-    doc: dict = {}
-    if path is not None:
-        doc = io._load_json(path)
-    _take(
-        doc,
-        {
-            "seed",
-            "workdir",
-            "paths",
-            "scenario",
-            "train",
-            "epsilon",
-            "ar_k",
-            "labelling",
-            "thresholds",
-        },
-        "config",
-    )
+def _section(cls, section: dict, where: str):
+    """Build one config section: its keys are the field names of cls, and
+    fields annotated int or float are cast, so 2.0 epochs train 2."""
+    _take(section, [f.name for f in fields(cls)], where)
+    hints = get_type_hints(cls)
+    return cls(**{
+        k: hints[k](v) if hints[k] in (int, float) else v for k, v in section.items()
+    })
+
+
+def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
+    """Build the pipeline config in one pass: merge the flags into the JSON
+    document (flags win over the file), then parse the document (the file
+    wins over the defaults)."""
+    doc = io._load_json(path) if path is not None else {}
+    _take(doc, _TOP_LEVEL_KEYS, "config")
+    for name in _SECTIONS:
+        if not isinstance(doc.setdefault(name, {}), dict):
+            raise ConfigError(f"{name} must be a JSON object")
+    flags = {
+        k: getattr(args, k)
+        for k in ("seed", "epsilon", "ar_k", "thresholds")
+        if getattr(args, k, None) is not None
+    }
+    if "thresholds" in flags:
+        flags["thresholds"] = [t for t in flags["thresholds"].split(",") if t]
+    doc.update(flags)
+    # The top-level seed fills in the scenario and training seeds the file
+    # leaves out; --seed sets all three.
+    for name, key in (("scenario", "track_seed"), ("train", "seed")):
+        if "seed" in flags or key not in doc[name]:
+            doc[name][key] = doc.get("seed", 0)
     try:
-        cfg = _config_from_doc(doc)
+        return _config_from_doc(doc)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return _apply_overrides(cfg, overrides)
 
 
 def _config_from_doc(doc: dict) -> PipelineConfig:
-    seed = int(doc.get("seed", 0))
-    workdir = Path(doc.get("workdir", "."))
-    files = dict(_DEFAULT_FILES)
-    paths_doc = doc.get("paths", {})
-    _take(paths_doc, set(_DEFAULT_FILES), "paths")
-    files.update({k: str(v) for k, v in paths_doc.items()})
-
-    scenario_doc = dict(doc.get("scenario", {}))
-    scenario_doc.setdefault("track_seed", seed)
-    scenario = ScenarioSpec.from_json_dict(scenario_doc)
-
-    train_doc = dict(doc.get("train", {}))
-    _take(
-        train_doc,
-        {
-            "kind",
-            "hidden_sizes",
-            "learning_rate",
-            "epochs",
-            "batch_size",
-            "seed",
-            "history_k",
-            "activation",
-        },
-        "train",
-    )
-    train_kind = ReconstructorKind(train_doc.pop("kind", "sae"))
-    train_doc.setdefault("seed", seed)
-    if train_doc.get("hidden_sizes") is not None:
-        train_doc["hidden_sizes"] = tuple(train_doc["hidden_sizes"])
-    train = TrainConfig(**train_doc)
-
-    labelling_doc = dict(doc.get("labelling", {}))
-    _take(labelling_doc, {"window_a", "window_b", "reaction_r", "healing_h"}, "labelling")
-    labelling = LabellingConfig(**{k: int(v) for k, v in labelling_doc.items()})
-
+    _take(doc["paths"], _DEFAULT_FILES, "paths")
+    train_kind = ReconstructorKind(doc["train"].pop("kind", "sae"))
     epsilon = float(doc.get("epsilon", 0.05))
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-    ar_k = int(doc.get("ar_k", 10))
-    if ar_k < 1:
-        raise ConfigError(f"ar_k must be at least 1, got {ar_k}")
     thresholds = doc.get("thresholds")
     if thresholds is not None:
         thresholds = [float(t) for t in thresholds]
-
+        if not thresholds:
+            raise ConfigError("threshold list is empty")
     return PipelineConfig(
-        seed=seed,
-        workdir=workdir,
-        files=files,
-        scenario=scenario,
+        seed=int(doc.get("seed", 0)),
+        workdir=Path(doc.get("workdir", ".")),
+        files={**_DEFAULT_FILES, **{k: str(v) for k, v in doc["paths"].items()}},
+        scenario=_section(ScenarioSpec, doc["scenario"], "scenario"),
         train_kind=train_kind,
-        train=train,
+        train=_section(TrainConfig, doc["train"], "train"),
         epsilon=epsilon,
-        ar_k=ar_k,
-        labelling=labelling,
+        ar=ArFilterConfig(order_k=int(doc.get("ar_k", DEFAULT_AR_ORDER))),
+        labelling=_section(LabellingConfig, doc["labelling"], "labelling"),
         thresholds=thresholds,
     )
-
-
-def _apply_overrides(cfg: PipelineConfig, args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-        cfg.scenario = replace(cfg.scenario, track_seed=args.seed)
-        cfg.train.seed = args.seed
-    if getattr(args, "epsilon", None) is not None:
-        if not 0.0 < args.epsilon < 1.0:
-            raise ConfigError(f"epsilon must lie in (0, 1), got {args.epsilon}")
-        cfg.epsilon = args.epsilon
-    if getattr(args, "ar_k", None) is not None:
-        if args.ar_k < 1:
-            raise ConfigError(f"ar_k must be at least 1, got {args.ar_k}")
-        cfg.ar_k = args.ar_k
-    if getattr(args, "thresholds", None) is not None:
-        try:
-            cfg.thresholds = [float(t) for t in args.thresholds.split(",") if t]
-        except ValueError as exc:
-            raise ConfigError(f"bad threshold list '{args.thresholds}'") from exc
-        if not cfg.thresholds:
-            raise ConfigError("threshold list is empty")
-    return cfg
 
 
 def _reaction_overrides(args: argparse.Namespace) -> list[int] | None:

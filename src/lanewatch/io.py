@@ -105,9 +105,16 @@ def _write_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text", byte_offset=exc.start) from exc
+
+
 def _read_rows(path: str | Path, header: str) -> list[tuple[int, list[str]]]:
     """CSV rows as (line_number, cells); verifies the header line."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise FormatError(f"{path}: empty file, expected header '{header}'")
     if lines[0] != header:
@@ -218,13 +225,12 @@ def read_labels_csv(path: str | Path) -> list[WindowLabel]:
             kind = WindowKind(cells[2])
         except ValueError as exc:
             raise FormatError(f"{path}: line {line_no}: unknown kind '{cells[2]}'") from exc
-        labels.append(
-            WindowLabel(
-                start=_parse_int(path, line_no, cells[0]),
-                length=_parse_int(path, line_no, cells[1]),
-                kind=kind,
-            )
-        )
+        start = _parse_int(path, line_no, cells[0])
+        length = _parse_int(path, line_no, cells[1])
+        try:
+            labels.append(WindowLabel(start=start, length=length, kind=kind))
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {line_no}: {exc}") from exc
     return labels
 
 
@@ -241,7 +247,7 @@ def write_model_json(path: str | Path, model: ReconstructorModel) -> None:
 
 
 def _load_json(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -257,11 +263,16 @@ def read_model_json(path: str | Path) -> ReconstructorModel:
     if missing:
         raise FormatError(f"{path}: missing model fields {sorted(missing)}")
     try:
+        weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
+        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
+        # json.loads accepts the NaN and Infinity tokens.
+        if not all(np.isfinite(a).all() for a in (*weights, *biases)):
+            raise ValueError("weights and biases must be finite")
         return ReconstructorModel(
             kind=ReconstructorKind(doc["kind"]),
             layer_sizes=[int(s) for s in doc["layer_sizes"]],
-            weights=[np.asarray(w, dtype=np.float64) for w in doc["weights"]],
-            biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
+            weights=weights,
+            biases=biases,
             activation=Activation(doc["activation"]),
             history_k=None if doc["history_k"] is None else int(doc["history_k"]),
         )

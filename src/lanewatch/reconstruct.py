@@ -119,14 +119,13 @@ class TrainConfig:
 
     hidden_sizes=None selects a per-kind default; for the deep autoencoder
     it must name exactly three sizes (encoder, bottleneck, decoder), for
-    the shallow one exactly one.  learning_rate=None also resolves per
-    kind: the sequence predictor's affine map sees the full concatenated
-    pixel vector and diverges at the step size the autoencoders want.
+    the shallow one exactly one.  The learning rate is fixed per kind:
+    the sequence predictor's affine map sees the full concatenated pixel
+    vector and diverges at the step size the autoencoders want.
     history_k only applies to the sequence predictor.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
-    learning_rate: float | None = None
     epochs: int = 150
     batch_size: int = 32
     seed: int = 0
@@ -138,8 +137,6 @@ class TrainConfig:
             self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
             if any(h <= 0 for h in self.hidden_sizes):
                 raise ConfigError(f"hidden sizes must be positive, got {self.hidden_sizes}")
-        if self.learning_rate is not None and not self.learning_rate > 0.0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size <= 0:
@@ -319,11 +316,7 @@ def train_reconstructor(
     history_k = hyper.history_k if kind is ReconstructorKind.SEQ else None
     in_size = n_pixels * (history_k if history_k else 1)
     layer_sizes = [in_size, *hidden, n_pixels]
-    learning_rate = (
-        hyper.learning_rate
-        if hyper.learning_rate is not None
-        else _DEFAULT_LEARNING_RATE[kind]
-    )
+    learning_rate = _DEFAULT_LEARNING_RATE[kind]
 
     rng = np.random.default_rng(hyper.seed)
     weights: list[np.ndarray] = []

@@ -151,33 +151,6 @@ class ScenarioSpec:
     def is_nominal(self) -> bool:
         return self.conditions == frozenset({Condition.NOMINAL})
 
-    def to_json_dict(self) -> dict:
-        return {
-            "track_seed": self.track_seed,
-            "n_frames": self.n_frames,
-            "frame_rate_hz": self.frame_rate_hz,
-            "conditions": sorted(c.value for c in self.conditions),
-            "cycle_period_s": self.cycle_period_s,
-            "intensity_max": self.intensity_max,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ScenarioSpec":
-        known = {
-            "track_seed": int,
-            "n_frames": int,
-            "frame_rate_hz": float,
-            "cycle_period_s": float,
-            "intensity_max": float,
-        }
-        kwargs = {k: cast(d[k]) for k, cast in known.items() if k in d}
-        if "conditions" in d:
-            kwargs["conditions"] = frozenset(Condition(c) for c in d["conditions"])
-        unknown = set(d) - set(known) - {"conditions"}
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
-        return cls(**kwargs)
-
 
 @dataclass
 class MisbehaviourLog:

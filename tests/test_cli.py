@@ -1,4 +1,5 @@
-"""End-to-end CLI runs: artifact determinism, exit codes, overrides.
+"""End-to-end CLI runs: artifact determinism, exit codes, overrides, and
+the config builder.
 
 Everything drives main(argv) in-process; stdout/stderr go through pytest's
 capture so the tests stay quiet.
@@ -6,12 +7,14 @@ capture so the tests stay quiet.
 
 from __future__ import annotations
 
+import argparse
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lanewatch.cli import main
+from lanewatch.cli import PipelineConfig, load_config, main
 from lanewatch.detector import DetectorConfig, run_detector
 from lanewatch.evalkit import (
     LabellingConfig,
@@ -34,8 +37,10 @@ from lanewatch.reconstruct import (
     FrameStream,
     ReconstructorKind,
     ReconstructorModel,
+    TrainConfig,
 )
-from lanewatch.smoothing import ar_filter
+from lanewatch.scenario import ScenarioSpec
+from lanewatch.smoothing import ArFilterConfig, ar_filter
 
 ARTIFACTS = [
     "frames.frm1", "model.json", "params.json", "errors.csv",
@@ -176,6 +181,110 @@ def test_labelling_healing_h_drives_detect_and_eval(pipeline_dir, tmp_path):
     sweep = sweep_curves(labels, smoothed, threshold_grid(smoothed.values), h=20)
     write_curve_csv(tmp_path / "expected_roc.csv", "threshold,fpr,tpr", sweep.roc_rows)
     assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "expected_roc.csv").read_bytes()
+
+
+# ----------------------------------------------------------- config builder
+
+def test_config_document_and_flags_build_one_config(tmp_path):
+    doc = {
+        "seed": 3,
+        "workdir": "out",
+        "paths": {"model": "m.json"},
+        "scenario": {"n_frames": 50.0, "frame_rate_hz": 20, "conditions": ["rain"]},
+        "train": {"kind": "dae", "hidden_sizes": [8, 4, 8], "epochs": 2.0},
+        "epsilon": 0.2,
+        "ar_k": 4,
+        "labelling": {"window_a": 10.0},
+        "thresholds": [1, 0.5],
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    expected = PipelineConfig(
+        seed=3,
+        workdir=Path("out"),
+        files={**PipelineConfig().files, "model": "m.json"},
+        scenario=ScenarioSpec(track_seed=3, n_frames=50, frame_rate_hz=20.0,
+                              conditions=frozenset({"rain"})),
+        train_kind=ReconstructorKind.DAE,
+        train=TrainConfig(hidden_sizes=(8, 4, 8), epochs=2, seed=3),
+        epsilon=0.2,
+        ar=ArFilterConfig(order_k=4),
+        labelling=LabellingConfig(window_a=10),
+        thresholds=[1.0, 0.5],
+    )
+    cfg = load_config(str(config), argparse.Namespace())
+    assert cfg == expected
+    assert type(cfg.train.epochs) is int
+    # Flags win over the file.
+    flags = argparse.Namespace(epsilon=0.1, ar_k=2, thresholds="0.3,")
+    flagged = load_config(str(config), flags)
+    assert (flagged.epsilon, flagged.ar, flagged.thresholds) == (
+        0.1, ArFilterConfig(order_k=2), [0.3]
+    )
+    assert load_config(None, argparse.Namespace()) == PipelineConfig()
+
+
+def test_seed_flag_sets_every_seed(tmp_path):
+    # --seed overrides the top-level seed and the two seeds it fills in,
+    # even where the file sets them.
+    doc = _config_doc(tmp_path)
+    doc["scenario"].update(track_seed=5, n_frames=30)
+    doc["train"]["seed"] = 5
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    cfg = load_config(str(config), argparse.Namespace(seed=7))
+    assert (cfg.seed, cfg.scenario.track_seed, cfg.train.seed) == (7, 7, 7)
+
+    assert main(["simulate", "--config", str(config), "--seed", "7"]) == 0
+    flagged = (tmp_path / "frames.frm1").read_bytes()
+    for track_seed in (7, 5):
+        doc["scenario"]["track_seed"] = track_seed
+        config.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(config)]) == 0
+        same = (tmp_path / "frames.frm1").read_bytes() == flagged
+        assert same is (track_seed == 7), track_seed
+
+
+def test_float_train_fields_are_cast(tmp_path):
+    doc = _config_doc(tmp_path)
+    doc["scenario"]["n_frames"] = 30
+    doc["train"].update(epochs=2.0, batch_size=8.0, seed=1.0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == 0
+    assert main(["train", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        pytest.param("scenario", {"bogus": 1}, "unknown scenario fields: ['bogus']",
+                     id="unknown-scenario-field"),
+        pytest.param("train", {"learning_rate": 1.0},
+                     "unknown train fields: ['learning_rate']", id="learning-rate"),
+        pytest.param("labelling", {"healing": 1}, "unknown labelling fields: ['healing']",
+                     id="unknown-labelling-field"),
+        pytest.param("paths", {"alarm": "a.csv"}, "unknown paths fields: ['alarm']",
+                     id="unknown-path"),
+        pytest.param("paths", [], "paths must be a JSON object", id="paths-list"),
+        pytest.param("train", 5, "train must be a JSON object", id="train-number"),
+        pytest.param("scenario", None, "scenario must be a JSON object", id="scenario-null"),
+        pytest.param("labelling", "healing_h=20", "labelling must be a JSON object",
+                     id="labelling-string"),
+        pytest.param("train", {"epochs": None}, "error: ", id="epochs-null"),
+        pytest.param("epsilon", 1.0, "epsilon must lie in (0, 1)", id="epsilon-range"),
+        pytest.param("ar_k", 0, "filter order must be at least 1", id="ar-k-range"),
+        pytest.param("thresholds", [], "threshold list is empty", id="thresholds-empty"),
+        pytest.param("seed", "x", "error: ", id="seed-string"),
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, key, value, message):
+    doc = _config_doc(tmp_path)
+    doc[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- exit codes

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+import json
 import struct
 
 import numpy as np
 import pytest
 
+from lanewatch.cli import load_config
 from lanewatch.detector import Decision
 from lanewatch.errors import FormatError
 from lanewatch.evalkit import WindowKind, WindowLabel
@@ -194,6 +197,15 @@ def test_labels_csv_rejects_unknown_kind(tmp_path):
         read_labels_csv(path)
 
 
+@pytest.mark.parametrize("row", ["-1,5,normal", "1,0,normal"])
+def test_labels_csv_rejects_bad_window(tmp_path, row):
+    # A negative start or an empty window names the line it is on.
+    path = tmp_path / "labels.csv"
+    path.write_text(f"start,length,kind\n0,30,normal\n{row}\n")
+    with pytest.raises(FormatError, match="line 3"):
+        read_labels_csv(path)
+
+
 def test_decision_csv_layout(tmp_path):
     path = tmp_path / "alarms.csv"
     write_decision_csv(path, 3, [Decision.QUIET, Decision.ALARM, Decision.SUPPRESSED])
@@ -242,6 +254,22 @@ def test_model_json_invalid_json(tmp_path):
         read_model_json(path)
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["weights", "biases"])
+def test_model_json_rejects_non_finite(tmp_path, token, where):
+    model = train_reconstructor(
+        _stream(n=12, w=2, h=2), ReconstructorKind.SAE, TrainConfig(hidden_sizes=(2,), epochs=1)
+    )
+    path = tmp_path / "model.json"
+    write_model_json(path, model)
+    doc = json.loads(path.read_text())
+    row = doc[where][0][0] if where == "weights" else doc[where][0]
+    row[0] = "TOKEN"
+    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+    with pytest.raises(FormatError, match="model.json"):
+        read_model_json(path)
+
+
 def test_params_json_round_trip_exact(tmp_path):
     params = GammaParams(shape_alpha=2.5530000000000013, rate_beta=1234.567890123456)
     threshold = ThresholdSpec(epsilon=0.05, theta=0.0028251111111111117)
@@ -267,3 +295,30 @@ def test_params_json_missing_field(tmp_path):
         path.write_text(doc + "\n")
         with pytest.raises(FormatError):
             read_params_json(path)
+
+
+# ------------------------------------------------------------ text decoding
+
+def _load_config(path):
+    return load_config(str(path), argparse.Namespace())
+
+
+@pytest.mark.parametrize(
+    "reader, text",
+    [
+        (read_error_csv, "frame_index,error\n0,0.5\xff\n"),
+        (read_misbehaviour_csv, "frame_index,misbehaviour\n0,\xff\n"),
+        (read_labels_csv, "start,length,kind\n0,30,\xff\n"),
+        (read_params_json, '{"alpha": "\xff"}\n'),
+        (read_model_json, '{"kind": "\xff"}\n'),
+        (_load_config, '{"seed": "\xff"}\n'),
+    ],
+    ids=["errors.csv", "misbehaviour.csv", "labels.csv", "params.json", "model.json",
+         "config"],
+)
+def test_reader_rejects_non_utf8(tmp_path, reader, text):
+    # The \xff byte is never valid UTF-8.
+    path = tmp_path / "input"
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(FormatError, match="not UTF-8"):
+        reader(path)

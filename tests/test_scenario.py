@@ -155,18 +155,6 @@ def test_reconstruction_errors_separate_nominal_from_worst_case(
 
 # ---------------------------------------------------------------- spec API
 
-def test_spec_json_round_trip():
-    spec = _combined_spec(17, n_frames=250, intensity_max=0.8)
-    assert ScenarioSpec.from_json_dict(spec.to_json_dict()) == spec
-
-
-def test_spec_rejects_unknown_json_field():
-    doc = _combined_spec(0).to_json_dict()
-    doc["wind_speed"] = 3
-    with pytest.raises(ValueError):
-        ScenarioSpec.from_json_dict(doc)
-
-
 def test_spec_rejects_nominal_mixed_with_conditions():
     with pytest.raises(ValueError):
         ScenarioSpec(
