@@ -12,11 +12,7 @@ import argparse
 
 import numpy as np
 
-from lanewatch.scenario import Condition, ScenarioSpec, generate_scenario
-
-DEGRADED = frozenset(
-    {Condition.DAY_NIGHT_CYCLE, Condition.RAIN, Condition.SNOW, Condition.FOG}
-)
+from lanewatch.experiment import departures_per_drive
 
 
 def parse_args(argv=None):
@@ -37,17 +33,9 @@ def main(argv=None) -> int:
 
     print(f"{'peak':>6} {'mean/drive':>11} {'min':>4} {'max':>4}")
     for intensity_max in intensities:
-        counts = []
-        for seed in range(4000, 4000 + args.seeds):
-            spec = ScenarioSpec(
-                track_seed=seed,
-                n_frames=args.frames,
-                conditions=DEGRADED,
-                cycle_period_s=args.cycle_period_s,
-                intensity_max=intensity_max,
-            )
-            _, log, _ = generate_scenario(spec)
-            counts.append(log.count)
+        counts = departures_per_drive(
+            intensity_max, args.seeds, args.frames, args.cycle_period_s
+        )
         print(
             f"{intensity_max:>6.2f} {np.mean(counts):>11.2f} "
             f"{min(counts):>4} {max(counts):>4}"

@@ -48,7 +48,6 @@ _DEFAULT_FILES = {
 class PipelineConfig:
     """Everything the subcommands need, with spec-mirroring defaults."""
 
-    seed: int = 0
     workdir: Path = Path(".")
     files: dict = field(default_factory=lambda: dict(_DEFAULT_FILES))
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
@@ -58,13 +57,16 @@ class PipelineConfig:
     ar: ArFilterConfig = field(default_factory=ArFilterConfig)
     labelling: LabellingConfig = field(default_factory=LabellingConfig)
     thresholds: list[float] | None = None
+    reaction_sweep: list[int] | None = None
 
     def path(self, name: str) -> Path:
         return self.workdir / self.files[name]
 
 
 _SECTIONS = ("paths", "scenario", "train", "labelling")
-_TOP_LEVEL_KEYS = {"seed", "workdir", "epsilon", "ar_k", "thresholds", *_SECTIONS}
+_TOP_LEVEL_KEYS = {
+    "seed", "workdir", "epsilon", "ar_k", "thresholds", "reaction_sweep", *_SECTIONS
+}
 
 
 def _take(section: dict, known, where: str) -> None:
@@ -94,18 +96,21 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
             raise ConfigError(f"{name} must be a JSON object")
     flags = {
         k: getattr(args, k)
-        for k in ("seed", "epsilon", "ar_k", "thresholds")
+        for k in ("seed", "epsilon", "ar_k", "thresholds", "reaction_r")
         if getattr(args, k, None) is not None
     }
     if "thresholds" in flags:
         flags["thresholds"] = [t for t in flags["thresholds"].split(",") if t]
+    if "reaction_r" in flags:
+        flags["reaction_sweep"] = flags.pop("reaction_r").split(",")
     doc.update(flags)
-    # The top-level seed fills in the scenario and training seeds the file
-    # leaves out; --seed sets all three.
-    for name, key in (("scenario", "track_seed"), ("train", "seed")):
-        if "seed" in flags or key not in doc[name]:
-            doc[name][key] = doc.get("seed", 0)
     try:
+        # The top-level seed fills in the scenario and training seeds the
+        # file leaves out; --seed sets both.
+        seed = int(doc.get("seed", 0))
+        for name, key in (("scenario", "track_seed"), ("train", "seed")):
+            if "seed" in flags or key not in doc[name]:
+                doc[name][key] = seed
         return _config_from_doc(doc)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -122,8 +127,21 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
         thresholds = [float(t) for t in thresholds]
         if not thresholds:
             raise ConfigError("threshold list is empty")
+    reaction_sweep = doc.get("reaction_sweep")
+    if reaction_sweep is not None:
+        listed = ",".join(str(r) for r in reaction_sweep)
+        try:
+            # Empty items come from stray commas in --reaction-r.
+            reaction_sweep = [int(r) for r in reaction_sweep if r != ""]
+        except ValueError as exc:
+            raise ConfigError(f"bad reaction period list '{listed}'") from exc
+        if not reaction_sweep or min(reaction_sweep) < 1:
+            raise ConfigError(f"reaction periods must be positive integers, got '{listed}'")
+        # A sweep of one reaction period is that period.
+        if len(reaction_sweep) == 1:
+            doc["labelling"]["reaction_r"] = reaction_sweep.pop()
+            reaction_sweep = None
     return PipelineConfig(
-        seed=int(doc.get("seed", 0)),
         workdir=Path(doc.get("workdir", ".")),
         files={**_DEFAULT_FILES, **{k: str(v) for k, v in doc["paths"].items()}},
         scenario=_section(ScenarioSpec, doc["scenario"], "scenario"),
@@ -133,20 +151,8 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
         ar=ArFilterConfig(order_k=int(doc.get("ar_k", DEFAULT_AR_ORDER))),
         labelling=_section(LabellingConfig, doc["labelling"], "labelling"),
         thresholds=thresholds,
+        reaction_sweep=reaction_sweep,
     )
-
-
-def _reaction_overrides(args: argparse.Namespace) -> list[int] | None:
-    raw = getattr(args, "reaction_r", None)
-    if raw is None:
-        return None
-    try:
-        values = [int(r) for r in str(raw).split(",") if r]
-    except ValueError as exc:
-        raise ConfigError(f"bad reaction period list '{raw}'") from exc
-    if not values or any(r < 1 for r in values):
-        raise ConfigError(f"reaction periods must be positive integers, got '{raw}'")
-    return values
 
 
 def _require_workdir(cfg: PipelineConfig) -> None:
@@ -212,30 +218,24 @@ def cmd_detect(cfg: PipelineConfig) -> None:
     print(f"{len(alarms)} alarms over {len(decisions)} frames -> {cfg.path('alarms')}")
 
 
-def cmd_label(cfg: PipelineConfig, reaction_rs: list[int] | None = None) -> None:
+def cmd_label(cfg: PipelineConfig) -> None:
     _require_workdir(cfg)
-    lab = cfg.labelling
-    if reaction_rs is not None:
-        if len(reaction_rs) != 1:
-            raise ConfigError("label takes a single --reaction-r value")
-        lab = replace(lab, reaction_r=reaction_rs[0])
+    if cfg.reaction_sweep is not None:
+        raise ConfigError("label takes a single --reaction-r value")
     log = io.read_misbehaviour_csv(cfg.path("misbehaviour"))
-    labels = label_windows(log, lab)
+    labels = label_windows(log, cfg.labelling)
     io.write_labels_csv(cfg.path("labels"), labels)
     print(f"{len(labels)} labelled windows -> {cfg.path('labels')}")
 
 
-def cmd_eval(cfg: PipelineConfig, reaction_rs: list[int] | None = None) -> None:
+def cmd_eval(cfg: PipelineConfig) -> None:
     _require_workdir(cfg)
     smoothed = _smoothed_errors(cfg)
     _, threshold, _ = io.read_params_json(cfg.path("params"))
     log = io.read_misbehaviour_csv(cfg.path("misbehaviour"))
-    base_lab = cfg.labelling
-    if reaction_rs is not None and len(reaction_rs) == 1:
-        base_lab = replace(base_lab, reaction_r=reaction_rs[0])
     # Detector output does not depend on the reaction period, so every
     # labelling below is scored against these same alarm lists.
-    h = base_lab.healing_h
+    h = cfg.labelling.healing_h
 
     def alarms_at(theta: float) -> list[list[int]]:
         return [run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=h))]
@@ -258,18 +258,18 @@ def cmd_eval(cfg: PipelineConfig, reaction_rs: list[int] | None = None) -> None:
         report.auc_pr = sweep.auc_pr
         return labels[0], report, sweep
 
-    labels, report, sweep = evaluate(base_lab)
+    labels, report, sweep = evaluate(cfg.labelling)
     doc = report.to_json_dict()
     doc["epsilon"] = threshold.epsilon
     doc["theta"] = threshold.theta
-    doc["reaction_r"] = base_lab.reaction_r
+    doc["reaction_r"] = cfg.labelling.reaction_r
     if sweep is not None:
         io.write_curve_csv(cfg.path("roc"), "threshold,fpr,tpr", sweep.roc_rows)
         io.write_curve_csv(cfg.path("pr"), "threshold,recall,precision", sweep.pr_rows)
-    if reaction_rs is not None and len(reaction_rs) > 1:
+    if cfg.reaction_sweep is not None:
         table = []
-        for r in reaction_rs:
-            _, r_report, _ = evaluate(replace(base_lab, reaction_r=r))
+        for r in cfg.reaction_sweep:
+            _, r_report, _ = evaluate(replace(cfg.labelling, reaction_r=r))
             table.append(
                 {
                     "reaction_r": r,
@@ -355,9 +355,9 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "detect":
             cmd_detect(cfg)
         elif args.command == "label":
-            cmd_label(cfg, _reaction_overrides(args))
+            cmd_label(cfg)
         elif args.command == "eval":
-            cmd_eval(cfg, _reaction_overrides(args))
+            cmd_eval(cfg)
         elif args.command == "pipeline":
             cmd_pipeline(cfg)
         return 0

@@ -4,7 +4,7 @@ named by its track seed, so every step is deterministic."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,14 @@ from .reconstruct import (
 from .scenario import Condition, MisbehaviourLog, ScenarioSpec, generate_scenario
 from .smoothing import ar_filter
 
-__all__ = ["ScoredDrive", "train_nominal", "calibrate", "worst_case_spec", "score_drive"]
+__all__ = [
+    "ScoredDrive",
+    "train_nominal",
+    "calibrate",
+    "worst_case_spec",
+    "score_drive",
+    "departures_per_drive",
+]
 
 
 @dataclass(frozen=True)
@@ -73,3 +80,21 @@ def score_drive(model: ReconstructorModel, spec: ScenarioSpec) -> ScoredDrive:
     stream, log, _ = generate_scenario(spec)
     raw = error_series(model, stream)
     return ScoredDrive(log=log, raw=raw, smoothed=ar_filter(raw))
+
+
+def departures_per_drive(
+    intensity_max: float, n_drives: int, n_frames: int, cycle_period_s: float = 10.0
+) -> list[int]:
+    """Lane departures in each of n_drives all-conditions drives peaking at
+    intensity_max, at track seeds 4000 onward (disjoint from the seeds the
+    tests train, calibrate and evaluate on)."""
+    return [
+        generate_scenario(
+            replace(
+                worst_case_spec(seed, n_frames),
+                intensity_max=intensity_max,
+                cycle_period_s=cycle_period_s,
+            )
+        )[1].count
+        for seed in range(4000, 4000 + n_drives)
+    ]

@@ -16,8 +16,14 @@ steadily sideways while the controller faithfully follows it.  Lapses
 end in a lane departure unless the estimator happens to re-lock first,
 so misbehaviours cluster where the visual input is least nominal, and
 each departure is preceded by seconds of visibly worsening tracking.
-Everything is drawn from one generator seeded by track_seed, which makes
-generation bit-reproducible.
+
+Generation runs in two parts.  A state loop steps the road, the lapse
+logic and the vehicle frame by frame and draws each frame's noise
+blocks into per-chunk buffers; after every chunk of frames, whole-array
+operations render the chunk.  Everything is drawn from one generator
+seeded by track_seed, in a fixed per-frame order, and the rendering
+repeats the per-frame arithmetic elementwise, so generation is
+bit-reproducible and does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -110,6 +116,11 @@ FOG_BLEND_GAIN = 0.03
 FOG_WHITE_LEVEL = 0.85
 FOG_CELLS = 8  # fog field resolution before upsampling
 
+# Frames are rendered this many at a time. Every noise buffer of a chunk
+# holds 8 KB per frame, so a larger chunk costs peak memory, and it gains
+# nothing: past 16 frames the state loop's noise draws set the pace.
+RENDER_CHUNK_FRAMES = 16
+
 
 class Condition(str, Enum):
     NOMINAL = "nominal"
@@ -182,24 +193,78 @@ def condition_intensity(t_frames: int, spec: ScenarioSpec) -> float:
     return spec.intensity_max * (1.0 - math.cos(phase)) / 2.0
 
 
-def _fog_field(rng: np.random.Generator) -> np.ndarray:
-    """Smooth per-frame haze pattern in (0, 1), upsampled from a coarse grid."""
-    coarse = rng.standard_normal((FOG_CELLS, FOG_CELLS))
-    coarse = 0.5 + 0.5 * np.tanh(coarse / 1.5)
-    reps = (FRAME_HEIGHT // FOG_CELLS, FRAME_WIDTH // FOG_CELLS)
-    return np.kron(coarse, np.ones(reps))
+class _Chunk:
+    """The per-frame state and noise of up to RENDER_CHUNK_FRAMES frames:
+    the state loop fills slot k of every array, render() draws the frames."""
 
+    def __init__(self, size: int, active: frozenset[Condition]):
+        shape = (size, FRAME_HEIGHT, FRAME_WIDTH)
+        self.offset = np.empty(size)
+        self.pos = np.empty(size)
+        self.sensor_std = np.empty(size)
+        self.shaking = np.zeros(size, dtype=bool)
+        self.shake_std = np.zeros(size)
+        self.severity = np.empty(size)
+        self.sensor = np.empty(shape)
+        self.shake = np.empty(shape)
+        self.rain = np.empty(shape) if Condition.RAIN in active else None
+        self.snow = np.empty(shape) if Condition.SNOW in active else None
+        fog_shape = (size, FOG_CELLS, FOG_CELLS)
+        self.fog = np.empty(fog_shape) if Condition.FOG in active else None
+        self.darken = Condition.DAY_NIGHT_CYCLE in active
 
-def _rain_streaks(rng: np.random.Generator) -> np.ndarray:
-    """Vertically smeared noise, the streak texture of rain on a lens."""
-    noise = rng.standard_normal((FRAME_HEIGHT, FRAME_WIDTH))
-    smeared = (
-        noise
-        + np.roll(noise, 1, axis=0)
-        + np.roll(noise, 2, axis=0)
-        + np.roll(noise, 3, axis=0)
-    ) / 2.0
-    return smeared
+    def render(self, out: np.ndarray) -> None:
+        """Draw the first len(out) frames into out, shape (m, H, W).  Each
+        step repeats the per-frame arithmetic elementwise in the same order,
+        so a frame's bytes do not depend on the chunk it falls in."""
+        m = len(out)
+        xs = np.arange(FRAME_WIDTH, dtype=np.float64)
+        center_px = 0.5 * (FRAME_WIDTH - 1)
+        band_center = center_px - PIXELS_PER_UNIT * self.offset[:m, None]
+        side_center = (
+            center_px + SIDE_WORLD_OFFSET_PX - PIXELS_PER_UNIT * self.pos[:m, None]
+        )
+        band = (BAND_PEAK_LEVEL - BACKGROUND_LEVEL) * np.exp(
+            -((xs - band_center) ** 2) / (2.0 * BAND_SIGMA_PX**2)
+        )
+        side = (SIDE_LEVEL - BACKGROUND_LEVEL) * np.exp(
+            -((xs - side_center) ** 2) / (2.0 * SIDE_SIGMA_PX**2)
+        )
+        row = BACKGROUND_LEVEL + np.maximum(band, side)
+        sensor = self.sensor[:m]
+        sensor *= self.sensor_std[:m, None, None]
+        np.add(row[:, None, :], sensor, out=out)
+        # Camera-mast ringing after a hard restart: broadband image noise on
+        # top of the sensor floor, on the shaking frames only.
+        shaking = np.flatnonzero(self.shaking[:m])
+        if shaking.size:
+            out[shaking] += self.shake_std[shaking, None, None] * self.shake[shaking]
+
+        s = self.severity[:m, None, None]
+        if self.darken:
+            out *= 1.0 - DARKNESS_FACTOR * s
+        if self.rain is not None:
+            # Vertically smeared noise, the streak texture of rain on a lens.
+            rain = self.rain[:m]
+            streaks = rain + np.roll(rain, 1, axis=1)
+            streaks += np.roll(rain, 2, axis=1)
+            streaks += np.roll(rain, 3, axis=1)
+            streaks /= 2.0
+            streaks *= RAIN_NOISE_STD * s
+            out += streaks
+        if self.snow is not None:
+            out += SNOW_NOISE_GAIN * s * (self.snow[:m] < SNOW_SPECKLE_RATE)
+        if self.fog is not None:
+            # A smooth haze pattern in (0, 1), upsampled from a coarse grid.
+            coarse = 0.5 + 0.5 * np.tanh(self.fog[:m] / 1.5)
+            field = coarse.repeat(FRAME_HEIGHT // FOG_CELLS, axis=1).repeat(
+                FRAME_WIDTH // FOG_CELLS, axis=2
+            )
+            blend = FOG_BLEND_GAIN * s * field
+            out *= 1.0 - blend
+            blend *= FOG_WHITE_LEVEL
+            out += blend
+        np.clip(out, 0.0, 1.0, out=out)
 
 
 def generate_scenario(
@@ -208,10 +273,8 @@ def generate_scenario(
     """Simulate one drive; returns frames, misbehaviour flags, and the
     per-frame condition intensity trace."""
     rng = np.random.default_rng(spec.track_seed)
-    active = spec.conditions - {Condition.NOMINAL}
     n = spec.n_frames
-    xs = np.arange(FRAME_WIDTH, dtype=np.float64)
-    center_px = 0.5 * (FRAME_WIDTH - 1)
+    chunk = _Chunk(min(n, RENDER_CHUNK_FRAMES), spec.conditions - {Condition.NOMINAL})
 
     road = 0.0
     pos = 0.0
@@ -227,11 +290,12 @@ def generate_scenario(
     intensities = np.empty(n, dtype=np.float64)
 
     for t in range(n):
+        k = t % RENDER_CHUNK_FRAMES
         i_t = condition_intensity(t, spec)
         intensities[t] = i_t
 
         road = ROAD_PULL * road + ROAD_STEP_STD * rng.standard_normal()
-        road = float(np.clip(road, -ROAD_MAX_OFFSET, ROAD_MAX_OFFSET))
+        road = min(max(road, -ROAD_MAX_OFFSET), ROAD_MAX_OFFSET)
 
         if lapse_v != 0.0:
             if rng.random() < LAPSE_ABORT_HAZARD:
@@ -251,39 +315,27 @@ def generate_scenario(
         pos += CONTROL_GAIN * (road + bias - pos) + vehicle_noise * rng.standard_normal()
         offset = pos - road
 
-        # Render before any reset: the camera sees the excursion happen.
-        band_center = center_px - PIXELS_PER_UNIT * offset
-        side_center = center_px + SIDE_WORLD_OFFSET_PX - PIXELS_PER_UNIT * pos
-        band = (BAND_PEAK_LEVEL - BACKGROUND_LEVEL) * np.exp(
-            -((xs - band_center) ** 2) / (2.0 * BAND_SIGMA_PX**2)
-        )
-        side = (SIDE_LEVEL - BACKGROUND_LEVEL) * np.exp(
-            -((xs - side_center) ** 2) / (2.0 * SIDE_SIGMA_PX**2)
-        )
-        row = BACKGROUND_LEVEL + np.maximum(band, side)
-        img = np.tile(row, (FRAME_HEIGHT, 1))
+        # Record the frame before any reset: the camera sees the excursion.
+        chunk.offset[k] = offset
+        chunk.pos[k] = pos
         breathe_log = (
             SENSOR_BREATHE_PULL * breathe_log + breathe_kick * rng.standard_normal()
         )
-        sensor_std = SENSOR_NOISE_STD * math.exp(breathe_log)
-        img += sensor_std * rng.standard_normal((FRAME_HEIGHT, FRAME_WIDTH))
+        chunk.sensor_std[k] = SENSOR_NOISE_STD * math.exp(breathe_log)
+        rng.standard_normal(out=chunk.sensor[k])
+        chunk.shaking[k] = shake_left > 0
         if shake_left > 0:
-            # Camera-mast ringing after a hard restart: broadband image noise
-            # on top of the sensor floor, flat until it stops.
-            img += shake_std * rng.standard_normal((FRAME_HEIGHT, FRAME_WIDTH))
+            chunk.shake_std[k] = shake_std
+            rng.standard_normal(out=chunk.shake[k])
             shake_left -= 1
-        s_t = i_t**SEVERITY_EXPONENT
-        if Condition.DAY_NIGHT_CYCLE in active:
-            img *= 1.0 - DARKNESS_FACTOR * s_t
-        if Condition.RAIN in active:
-            img += RAIN_NOISE_STD * s_t * _rain_streaks(rng)
-        if Condition.SNOW in active:
-            speckles = (rng.random((FRAME_HEIGHT, FRAME_WIDTH)) < SNOW_SPECKLE_RATE)
-            img += SNOW_NOISE_GAIN * s_t * speckles
-        if Condition.FOG in active:
-            blend = FOG_BLEND_GAIN * s_t * _fog_field(rng)
-            img = img * (1.0 - blend) + FOG_WHITE_LEVEL * blend
-        np.clip(img, 0.0, 1.0, out=frames[t, :, :, 0])
+        # Python float power: numpy's array ** 3.0 can differ in the last bit.
+        chunk.severity[k] = i_t**SEVERITY_EXPONENT
+        if chunk.rain is not None:
+            rng.standard_normal(out=chunk.rain[k])
+        if chunk.snow is not None:
+            rng.random(out=chunk.snow[k])
+        if chunk.fog is not None:
+            rng.standard_normal(out=chunk.fog[k])
 
         if abs(offset) > LANE_HALF_WIDTH:
             flags[t] = True
@@ -296,6 +348,9 @@ def generate_scenario(
             lapse_v = 0.0
             hold_left = RESET_HOLD_FRAMES
             shake_left = SHAKE_FRAMES
+
+        if k == RENDER_CHUNK_FRAMES - 1 or t == n - 1:
+            chunk.render(frames[t - k : t + 1, :, :, 0])
 
     stream = FrameStream(frames=frames, frame_rate_hz=spec.frame_rate_hz)
     return stream, MisbehaviourLog(flags=flags), intensities

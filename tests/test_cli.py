@@ -200,7 +200,6 @@ def test_config_document_and_flags_build_one_config(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     expected = PipelineConfig(
-        seed=3,
         workdir=Path("out"),
         files={**PipelineConfig().files, "model": "m.json"},
         scenario=ScenarioSpec(track_seed=3, n_frames=50, frame_rate_hz=20.0,
@@ -225,15 +224,15 @@ def test_config_document_and_flags_build_one_config(tmp_path):
 
 
 def test_seed_flag_sets_every_seed(tmp_path):
-    # --seed overrides the top-level seed and the two seeds it fills in,
-    # even where the file sets them.
+    # --seed sets the two seeds the top-level seed fills in, even where the
+    # file sets them.
     doc = _config_doc(tmp_path)
     doc["scenario"].update(track_seed=5, n_frames=30)
     doc["train"]["seed"] = 5
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     cfg = load_config(str(config), argparse.Namespace(seed=7))
-    assert (cfg.seed, cfg.scenario.track_seed, cfg.train.seed) == (7, 7, 7)
+    assert (cfg.scenario.track_seed, cfg.train.seed) == (7, 7)
 
     assert main(["simulate", "--config", str(config), "--seed", "7"]) == 0
     flagged = (tmp_path / "frames.frm1").read_bytes()
@@ -243,6 +242,43 @@ def test_seed_flag_sets_every_seed(tmp_path):
         assert main(["simulate", "--config", str(config)]) == 0
         same = (tmp_path / "frames.frm1").read_bytes() == flagged
         assert same is (track_seed == 7), track_seed
+
+
+def test_unused_top_level_seed_is_still_checked(tmp_path):
+    # Both seeds it would fill in are set, but a malformed seed is an error.
+    doc = {"seed": "x", "scenario": {"track_seed": 1}, "train": {"seed": 1}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == 2
+
+
+def test_reaction_flag_merges_into_the_document(tmp_path):
+    # One period overrides the labelling; a list is eval's sweep, and the
+    # file can name the same sweep.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"labelling": {"reaction_r": 30}}))
+    single = load_config(str(config), argparse.Namespace(reaction_r="25"))
+    assert (single.labelling.reaction_r, single.reaction_sweep) == (25, None)
+    swept = load_config(str(config), argparse.Namespace(reaction_r="10,70,"))
+    assert (swept.labelling.reaction_r, swept.reaction_sweep) == (30, [10, 70])
+    config.write_text(json.dumps({"reaction_sweep": [10, 70]}))
+    assert load_config(str(config), argparse.Namespace()).reaction_sweep == [10, 70]
+
+
+@pytest.mark.parametrize(
+    "command, raw, message",
+    [
+        ("eval", "10,x", "bad reaction period list '10,x'"),
+        ("eval", "10,0", "reaction periods must be positive integers, got '10,0'"),
+        ("label", ",", "reaction periods must be positive integers, got ','"),
+        ("label", "-5", "reaction periods must be positive integers, got '-5'"),
+        ("label", "10,30", "label takes a single --reaction-r value"),
+    ],
+)
+def test_bad_reaction_list_exits_2(tmp_path, capsys, command, raw, message):
+    config = _write_config(tmp_path, "config.json", tmp_path)
+    assert main([command, "--config", str(config), "--reaction-r", raw]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_float_train_fields_are_cast(tmp_path):

@@ -8,6 +8,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lanewatch.cli import load_config
 from lanewatch.detector import Decision
@@ -295,6 +297,87 @@ def test_params_json_missing_field(tmp_path):
         path.write_text(doc + "\n")
         with pytest.raises(FormatError):
             read_params_json(path)
+
+
+# ----------------------------------------------------------------- fuzzing
+#
+# Each reader gets a valid file that a strategy then damages: cut short,
+# a byte flipped, the magic or header replaced, a cell made NaN or Inf.
+# Whatever the damage, the reader returns a valid object or raises
+# FormatError, never another exception.
+
+@st.composite
+def _damaged(draw, data: bytes, header_size: int) -> bytes:
+    kind = draw(st.sampled_from(["intact", "truncate", "flip", "header", "append"]))
+    if kind == "truncate":
+        return data[: draw(st.integers(0, max(len(data) - 1, 0)))]
+    if kind == "flip" and data:
+        i = draw(st.integers(0, len(data) - 1))
+        return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255))]) + data[i + 1 :]
+    if kind == "header":
+        return draw(st.binary(max_size=2 * header_size)) + data[header_size:]
+    if kind == "append":
+        return data + draw(st.binary(min_size=1, max_size=16))
+    return data
+
+
+_cells = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.5, 1.5, np.float32(1e-45)]),
+)
+
+
+@st.composite
+def _frame_files(draw) -> bytes:
+    n, h, w, c = (draw(st.integers(lo, 3)) for lo in (0, 1, 1, 1))
+    cells = draw(st.lists(_cells, min_size=n * h * w * c, max_size=n * h * w * c))
+    body = np.asarray(cells, dtype="<f4").tobytes()
+    data = FRAME_MAGIC + struct.pack("<IIII", n, w, h, c) + body
+    return draw(_damaged(data, 4 + 16))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_frame_files())
+def test_read_frames_fuzz_raises_only_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "frames.frm1"
+    path.write_bytes(data)
+    try:
+        stream = read_frames(path)
+    except FormatError:
+        return
+    n, w, h, c = struct.unpack_from("<IIII", data, 4)
+    assert stream.frames.shape == (n, h, w, c)
+    assert len(data) == 4 + 16 + stream.frames.size * 4
+
+
+_error_cells = st.one_of(
+    st.floats(0.0, 10.0).map(repr),
+    st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity", "1e999", "-0.1", "", "x",
+                     "0x1p-3", "1_0", " 0.5", "0.5,0.5"]),
+)
+
+
+@st.composite
+def _error_files(draw) -> bytes:
+    start = draw(st.integers(-3, 3))
+    cells = draw(st.lists(_error_cells, max_size=6))
+    header = draw(st.sampled_from(["frame_index,error", "frame_index,err", ""]))
+    lines = [header] + [f"{start + i},{cell}" for i, cell in enumerate(cells)]
+    data = ("\n".join(lines) + "\n").encode()
+    return draw(_damaged(data, len(header)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_error_files())
+def test_read_error_csv_fuzz_raises_only_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "errors.csv"
+    path.write_bytes(data)
+    try:
+        series = read_error_csv(path)
+    except FormatError:
+        return
+    assert len(series) >= 1
+    assert np.all(np.isfinite(series.values)) and np.all(series.values >= 0.0)
 
 
 # ------------------------------------------------------------ text decoding

@@ -8,12 +8,15 @@ import math
 import numpy as np
 import pytest
 
+from lanewatch.experiment import departures_per_drive, worst_case_spec
 from lanewatch.scenario import (
+    RENDER_CHUNK_FRAMES,
     Condition,
     ScenarioSpec,
     condition_intensity,
     generate_scenario,
 )
+from scenario_reference import reference_scenario
 
 ALL_CONDITIONS = frozenset(
     {Condition.DAY_NIGHT_CYCLE, Condition.RAIN, Condition.SNOW, Condition.FOG}
@@ -40,6 +43,50 @@ def test_same_spec_same_output():
     np.testing.assert_array_equal(stream_a.frames, stream_b.frames)
     np.testing.assert_array_equal(log_a.flags, log_b.flags)
     np.testing.assert_array_equal(trace_a, trace_b)
+
+
+def _single_condition_spec(condition):
+    return ScenarioSpec(
+        track_seed=7, n_frames=600, conditions={condition}, cycle_period_s=10.0
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(ScenarioSpec(track_seed=5, n_frames=600), id="nominal"),
+        *[
+            pytest.param(_single_condition_spec(c), id=c.value)
+            for c in sorted(ALL_CONDITIONS)
+        ],
+        pytest.param(_combined_spec(8, n_frames=600, intensity_max=0.3), id="all-0.3"),
+        pytest.param(_combined_spec(8, n_frames=600, intensity_max=1.0), id="all-1.0"),
+        *[
+            pytest.param(worst_case_spec(11, n), id=f"frames-{n}")
+            for n in (1, 33, 257)
+        ],
+        *[
+            pytest.param(worst_case_spec(seed, 2000), id=f"seed-{seed}")
+            for seed in (10, 3000, 3001)
+        ],
+    ],
+)
+def test_chunked_renderer_matches_per_frame_reference(spec):
+    # The chunked renderer must reproduce the per-frame loop bit for bit:
+    # same draws, same arithmetic, whatever chunk a frame falls in.
+    stream, log, trace = generate_scenario(spec)
+    frames, flags, intensities = reference_scenario(spec)
+    assert stream.frames.tobytes() == frames.tobytes()
+    assert log.flags.tobytes() == flags.tobytes()
+    assert trace.tobytes() == intensities.tobytes()
+
+
+def test_reference_specs_cover_chunk_tails_and_restarts():
+    # The equality test above only means something if its specs hit a
+    # partial last chunk and the shaky restart after a departure.
+    assert 33 % RENDER_CHUNK_FRAMES and 257 % RENDER_CHUNK_FRAMES
+    for spec in (_combined_spec(8, 600, 0.3), *map(_single_condition_spec, ALL_CONDITIONS)):
+        assert generate_scenario(spec)[1].count > 0
 
 
 def test_different_seeds_differ():
@@ -102,20 +149,11 @@ def test_intensity_rejects_negative_frame():
 def test_misbehaviour_rate_monotone_in_intensity():
     # Harsher conditions must produce more lane departures; a flat or
     # inverted dose-response would make the evaluation meaningless.
-    rates = {}
-    for intensity_max in (0.0, 0.3, 1.0):
-        counts = []
-        for seed in range(4000, 4020):
-            spec = ScenarioSpec(
-                track_seed=seed,
-                n_frames=1000,
-                conditions=ALL_CONDITIONS,
-                cycle_period_s=10.0,
-                intensity_max=intensity_max,
-            )
-            _, log, _ = generate_scenario(spec)
-            counts.append(log.count)
-        rates[intensity_max] = float(np.mean(counts))
+    # Twenty drives per intensity, at track seeds 4000 to 4019.
+    rates = {
+        intensity_max: float(np.mean(departures_per_drive(intensity_max, 20, 1000)))
+        for intensity_max in (0.0, 0.3, 1.0)
+    }
     assert rates[0.0] == 0.0
     assert 0.0 < rates[0.3] < rates[1.0]
     # Demand a real gap, not a statistical tie.
