@@ -64,9 +64,7 @@ class PipelineConfig:
 
 
 _SECTIONS = ("paths", "scenario", "train", "labelling")
-_TOP_LEVEL_KEYS = {
-    "seed", "workdir", "epsilon", "ar_k", "thresholds", "reaction_sweep", *_SECTIONS
-}
+_TOP_LEVEL_KEYS = {"seed", "workdir", "epsilon", "ar_k", "thresholds", *_SECTIONS}
 
 
 def _take(section: dict, known, where: str) -> None:
@@ -129,9 +127,10 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
             raise ConfigError("threshold list is empty")
     reaction_sweep = doc.get("reaction_sweep")
     if reaction_sweep is not None:
-        listed = ",".join(str(r) for r in reaction_sweep)
+        # Only --reaction-r sets this key, so its items are strings; empty
+        # ones come from stray commas.
+        listed = ",".join(reaction_sweep)
         try:
-            # Empty items come from stray commas in --reaction-r.
             reaction_sweep = [int(r) for r in reaction_sweep if r != ""]
         except ValueError as exc:
             raise ConfigError(f"bad reaction period list '{listed}'") from exc

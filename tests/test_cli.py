@@ -253,16 +253,13 @@ def test_unused_top_level_seed_is_still_checked(tmp_path):
 
 
 def test_reaction_flag_merges_into_the_document(tmp_path):
-    # One period overrides the labelling; a list is eval's sweep, and the
-    # file can name the same sweep.
+    # One period overrides the labelling; a list is eval's sweep.
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"labelling": {"reaction_r": 30}}))
     single = load_config(str(config), argparse.Namespace(reaction_r="25"))
     assert (single.labelling.reaction_r, single.reaction_sweep) == (25, None)
     swept = load_config(str(config), argparse.Namespace(reaction_r="10,70,"))
     assert (swept.labelling.reaction_r, swept.reaction_sweep) == (30, [10, 70])
-    config.write_text(json.dumps({"reaction_sweep": [10, 70]}))
-    assert load_config(str(config), argparse.Namespace()).reaction_sweep == [10, 70]
 
 
 @pytest.mark.parametrize(
@@ -312,6 +309,9 @@ def test_float_train_fields_are_cast(tmp_path):
         pytest.param("ar_k", 0, "filter order must be at least 1", id="ar-k-range"),
         pytest.param("thresholds", [], "threshold list is empty", id="thresholds-empty"),
         pytest.param("seed", "x", "error: ", id="seed-string"),
+        # The sweep comes from --reaction-r only; the file sets labelling.reaction_r.
+        pytest.param("reaction_sweep", [25], "unknown config fields: ['reaction_sweep']",
+                     id="reaction-sweep-key"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, key, value, message):
