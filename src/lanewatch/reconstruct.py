@@ -222,18 +222,45 @@ class ReconstructorModel:
         return self.history_k if self.kind is ReconstructorKind.SEQ else 1
 
 
-def _activate(z: np.ndarray, activation: Activation) -> np.ndarray:
+def _activate(z: np.ndarray, activation: Activation, out: np.ndarray | None = None) -> np.ndarray:
     if activation is Activation.RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     # tanh form of the sigmoid avoids exp overflow for large |z|
-    return 0.5 * (np.tanh(0.5 * z) + 1.0)
+    a = np.multiply(z, 0.5, out=out)
+    np.tanh(a, out=a)
+    a += 1.0
+    a *= 0.5
+    return a
 
 
-def _activate_grad(z: np.ndarray, activation: Activation) -> np.ndarray:
+def _activate_grad(
+    z: np.ndarray, a: np.ndarray, activation: Activation, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Derivative of the activation at pre-activation z, whose activation is a."""
     if activation is Activation.RELU:
-        return (z > 0.0).astype(np.float64)
-    s = 0.5 * (np.tanh(0.5 * z) + 1.0)
-    return s * (1.0 - s)
+        return np.greater(z, 0.0, out=out)
+    g = np.subtract(1.0, a, out=out)
+    g *= a
+    return g
+
+
+class _Workspace:
+    """Buffers for one SGD step of up to `rows` examples, allocated once.
+
+    A step on m <= rows examples writes into the first m rows of each
+    batch-shaped buffer, so a short last batch needs no new arrays.
+    """
+
+    def __init__(self, layer_sizes: list[int], rows: int, dtype):
+        outs = layer_sizes[1:]
+        self.pre = [np.empty((rows, n), dtype) for n in outs]
+        # Hidden layers only: the output layer is the identity.
+        self.post = [np.empty((rows, n), dtype) for n in outs[:-1]]
+        self.act_grad = [np.empty((rows, n), dtype) for n in outs[:-1]]
+        self.delta = [np.empty((rows, n), dtype) for n in outs]
+        self.square = np.empty((rows, outs[-1]), dtype)
+        self.grad_w = [np.empty((n_out, n_in), dtype) for n_in, n_out in zip(layer_sizes, outs)]
+        self.grad_b = [np.empty(n, dtype) for n in outs]
 
 
 def _forward(
@@ -241,16 +268,22 @@ def _forward(
     biases: list[np.ndarray],
     activation: Activation,
     x: np.ndarray,
+    ws: _Workspace | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return (pre-activations, post-activations); post[0] is the input."""
+    """Return (pre-activations, post-activations); post[0] is the input.
+
+    With a workspace the layers are written into its buffers, otherwise
+    into fresh arrays."""
+    m = len(x)
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = [x]
     a = x
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        z = a @ w.T + b
+        z = np.matmul(a, w.T, out=None if ws is None else ws.pre[l][:m])
+        z += b
         pre.append(z)
-        a = z if l == last else _activate(z, activation)
+        a = z if l == last else _activate(z, activation, None if ws is None else ws.post[l][:m])
         post.append(a)
     return pre, post
 
@@ -261,22 +294,31 @@ def _loss_and_grads(
     activation: Activation,
     x: np.ndarray,
     target: np.ndarray,
+    ws: _Workspace | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Batch loss (mean over examples of per-pixel mean squared error) and
-    its gradients with respect to every weight and bias."""
-    pre, post = _forward(weights, biases, activation, x)
-    diff = post[-1] - target
-    loss = float(np.mean(diff * diff))
-    delta = (2.0 / diff.size) * diff
-    n_links = len(weights)
-    grad_w: list[np.ndarray] = [np.empty(0)] * n_links
-    grad_b: list[np.ndarray] = [np.empty(0)] * n_links
-    for l in range(n_links - 1, -1, -1):
-        grad_w[l] = delta.T @ post[l]
-        grad_b[l] = delta.sum(axis=0)
+    its gradients with respect to every weight and bias.
+
+    The arithmetic runs in the dtype of the inputs.  Without a workspace
+    the step allocates a fresh one; with one, the returned gradient lists
+    are the workspace's own buffers, overwritten by its next step.
+    """
+    if ws is None:
+        sizes = [x.shape[1], *(len(b) for b in biases)]
+        ws = _Workspace(sizes, len(x), np.result_type(x, *weights))
+    m = len(x)
+    pre, post = _forward(weights, biases, activation, x, ws)
+    delta = np.subtract(post[-1], target, out=ws.delta[-1][:m])
+    loss = float(np.mean(np.multiply(delta, delta, out=ws.square[:m])))
+    delta *= 2.0 / delta.size
+    for l in range(len(weights) - 1, -1, -1):
+        np.matmul(delta.T, post[l], out=ws.grad_w[l])
+        np.sum(delta, axis=0, out=ws.grad_b[l])
         if l > 0:
-            delta = (delta @ weights[l]) * _activate_grad(pre[l - 1], activation)
-    return loss, grad_w, grad_b
+            grad = _activate_grad(pre[l - 1], post[l], activation, ws.act_grad[l - 1][:m])
+            delta = np.matmul(delta, weights[l], out=ws.delta[l - 1][:m])
+            delta *= grad
+    return loss, ws.grad_w, ws.grad_b
 
 
 def _inputs_and_targets(
@@ -328,19 +370,29 @@ def train_reconstructor(
 
     inputs, targets = _inputs_and_targets(stream, history_k)
     n_samples = inputs.shape[0]
+    rows = min(hyper.batch_size, n_samples)
+    ws = _Workspace(layer_sizes, rows, np.float64)
+    x_rows = np.empty((rows, in_size))
+    # An autoencoder's target batch is its input batch.
+    t_rows = x_rows if targets is inputs else np.empty((rows, n_pixels))
     epoch_losses: list[float] = []
     for _ in range(hyper.epochs):
         order = rng.permutation(n_samples)
         batch_losses: list[float] = []
         for start in range(0, n_samples, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
+            m = len(idx)
+            x = np.take(inputs, idx, axis=0, out=x_rows[:m])
+            target = x if t_rows is x_rows else np.take(targets, idx, axis=0, out=t_rows[:m])
             loss, grad_w, grad_b = _loss_and_grads(
-                weights, biases, hyper.activation, inputs[idx], targets[idx]
+                weights, biases, hyper.activation, x, target, ws
             )
             batch_losses.append(loss)
             for l in range(len(weights)):
-                weights[l] -= learning_rate * grad_w[l]
-                biases[l] -= learning_rate * grad_b[l]
+                grad_w[l] *= learning_rate
+                weights[l] -= grad_w[l]
+                grad_b[l] *= learning_rate
+                biases[l] -= grad_b[l]
         epoch_losses.append(float(np.mean(batch_losses)))
 
     return ReconstructorModel(
