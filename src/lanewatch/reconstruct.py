@@ -9,7 +9,10 @@ reconstruction.
 
 Training is deterministic given the seed: weight initialization and the
 per-epoch batch shuffle both draw from one seeded generator, so two runs
-with identical inputs produce bit-identical weights.
+with identical inputs produce bit-identical weights.  The SGD steps run
+in float32, each one inside buffers allocated once per training call;
+the trained model holds float64 arrays (float32-exact values), and
+scoring runs in float64.
 """
 
 from __future__ import annotations
@@ -122,7 +125,8 @@ class TrainConfig:
     the shallow one exactly one.  The learning rate is fixed per kind:
     the sequence predictor's affine map sees the full concatenated pixel
     vector and diverges at the step size the autoencoders want.
-    history_k only applies to the sequence predictor.
+    history_k only applies to the sequence predictor.  Training computes
+    in float32; the returned model and all scoring stay float64.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
@@ -151,6 +155,10 @@ _DEFAULT_HIDDEN = {
     ReconstructorKind.DAE: (64, 16, 64),
     ReconstructorKind.SEQ: (),
 }
+
+# SGD runs in float32: half the memory traffic of float64, and the
+# gradient noise of a 32-sample batch is far above float32 rounding.
+_TRAIN_DTYPE = np.float32
 
 _DEFAULT_LEARNING_RATE = {
     ReconstructorKind.SAE: 10.0,
@@ -344,7 +352,7 @@ def train_reconstructor(
     kind: ReconstructorKind | str,
     hyper: TrainConfig | None = None,
 ) -> ReconstructorModel:
-    """Fit a reconstructor to a nominal stream with mini-batch SGD."""
+    """Fit a reconstructor to a nominal stream with mini-batch SGD in float32."""
     kind = ReconstructorKind(kind)
     hyper = hyper or TrainConfig()
     if len(stream) == 0:
@@ -365,16 +373,20 @@ def train_reconstructor(
     biases: list[np.ndarray] = []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = 1.0 / math.sqrt(n_in)
-        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
-        biases.append(np.zeros(n_out))
+        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)).astype(_TRAIN_DTYPE))
+        biases.append(np.zeros(n_out, _TRAIN_DTYPE))
 
     inputs, targets = _inputs_and_targets(stream, history_k)
     n_samples = inputs.shape[0]
     rows = min(hyper.batch_size, n_samples)
-    ws = _Workspace(layer_sizes, rows, np.float64)
-    x_rows = np.empty((rows, in_size))
+    ws = _Workspace(layer_sizes, rows, _TRAIN_DTYPE)
+    # Each batch is gathered in float64 and then cast, so the samples are
+    # never held a second time in the training dtype.
+    x64, x_rows = np.empty((rows, in_size)), np.empty((rows, in_size), _TRAIN_DTYPE)
     # An autoencoder's target batch is its input batch.
-    t_rows = x_rows if targets is inputs else np.empty((rows, n_pixels))
+    same = targets is inputs
+    t64 = x64 if same else np.empty((rows, n_pixels))
+    t_rows = x_rows if same else np.empty((rows, n_pixels), _TRAIN_DTYPE)
     epoch_losses: list[float] = []
     for _ in range(hyper.epochs):
         order = rng.permutation(n_samples)
@@ -382,8 +394,10 @@ def train_reconstructor(
         for start in range(0, n_samples, hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
             m = len(idx)
-            x = np.take(inputs, idx, axis=0, out=x_rows[:m])
-            target = x if t_rows is x_rows else np.take(targets, idx, axis=0, out=t_rows[:m])
+            x, target = x_rows[:m], t_rows[:m]
+            x[...] = np.take(inputs, idx, axis=0, out=x64[:m])
+            if not same:
+                target[...] = np.take(targets, idx, axis=0, out=t64[:m])
             loss, grad_w, grad_b = _loss_and_grads(
                 weights, biases, hyper.activation, x, target, ws
             )
@@ -398,8 +412,8 @@ def train_reconstructor(
     return ReconstructorModel(
         kind=kind,
         layer_sizes=layer_sizes,
-        weights=weights,
-        biases=biases,
+        weights=[w.astype(np.float64) for w in weights],
+        biases=[b.astype(np.float64) for b in biases],
         activation=hyper.activation,
         history_k=history_k,
         epoch_losses=epoch_losses,
