@@ -73,14 +73,27 @@ def _take(section: dict, known, where: str) -> None:
         raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
 
 
+def _int(value, name: str) -> int:
+    """An integer config value: 2 and 2.0 pass, 2.5 is rejected rather
+    than truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _section(cls, section: dict, where: str):
     """Build one config section: its keys are the field names of cls, and
-    fields annotated int or float are cast, so 2.0 epochs train 2."""
+    fields annotated int or float are cast, so 2.0 epochs train 2 and
+    2.5 epochs are rejected."""
     _take(section, [f.name for f in fields(cls)], where)
     hints = get_type_hints(cls)
-    return cls(**{
-        k: hints[k](v) if hints[k] in (int, float) else v for k, v in section.items()
-    })
+
+    def cast(key, value):
+        if hints[key] is int:
+            return _int(value, f"{where}.{key}")
+        return float(value) if hints[key] is float else value
+
+    return cls(**{k: cast(k, v) for k, v in section.items()})
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
@@ -105,7 +118,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
     try:
         # The top-level seed fills in the scenario and training seeds the
         # file leaves out; --seed sets both.
-        seed = int(doc.get("seed", 0))
+        seed = _int(doc.get("seed", 0), "seed")
         for name, key in (("scenario", "track_seed"), ("train", "seed")):
             if "seed" in flags or key not in doc[name]:
                 doc[name][key] = seed
@@ -147,7 +160,7 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
         train_kind=train_kind,
         train=_section(TrainConfig, doc["train"], "train"),
         epsilon=epsilon,
-        ar=ArFilterConfig(order_k=int(doc.get("ar_k", DEFAULT_AR_ORDER))),
+        ar=ArFilterConfig(order_k=_int(doc.get("ar_k", DEFAULT_AR_ORDER), "ar_k")),
         labelling=_section(LabellingConfig, doc["labelling"], "labelling"),
         thresholds=thresholds,
         reaction_sweep=reaction_sweep,

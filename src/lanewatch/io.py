@@ -14,6 +14,7 @@ round-trips even for consumers with naive parsers.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -242,6 +243,7 @@ def write_model_json(path: str | Path, model: ReconstructorModel) -> None:
         "activation": model.activation.value,
         "weights": [w.tolist() for w in model.weights],
         "biases": [b.tolist() for b in model.biases],
+        "epoch_losses": model.epoch_losses,
     }
     _write_text(path, json.dumps(doc, indent=1) + "\n")
 
@@ -258,6 +260,7 @@ def _load_json(path: str | Path) -> dict:
 
 
 def read_model_json(path: str | Path) -> ReconstructorModel:
+    """Load a model; the epoch_losses training curve is optional."""
     doc = _load_json(path)
     missing = {"kind", "layer_sizes", "history_k", "activation", "weights", "biases"} - set(doc)
     if missing:
@@ -268,6 +271,11 @@ def read_model_json(path: str | Path) -> ReconstructorModel:
         # json.loads accepts the NaN and Infinity tokens.
         if not all(np.isfinite(a).all() for a in (*weights, *biases)):
             raise ValueError("weights and biases must be finite")
+        losses = doc.get("epoch_losses", [])
+        if not isinstance(losses, list) or not all(
+            type(x) in (int, float) and math.isfinite(x) for x in losses
+        ):
+            raise ValueError("epoch_losses must be a list of finite numbers")
         return ReconstructorModel(
             kind=ReconstructorKind(doc["kind"]),
             layer_sizes=[int(s) for s in doc["layer_sizes"]],
@@ -275,8 +283,9 @@ def read_model_json(path: str | Path) -> ReconstructorModel:
             biases=biases,
             activation=Activation(doc["activation"]),
             history_k=None if doc["history_k"] is None else int(doc["history_k"]),
+            epoch_losses=[float(x) for x in losses],
         )
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -307,7 +316,7 @@ def read_params_json(path: str | Path) -> tuple[GammaParams, ThresholdSpec, int]
         params = GammaParams(shape_alpha=float(doc["alpha"]), rate_beta=float(doc["rate"]))
         threshold = ThresholdSpec(epsilon=float(doc["epsilon"]), theta=float(doc["theta"]))
         sample_count = int(doc["sample_count"])
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return params, threshold, sample_count
 

@@ -280,12 +280,35 @@ def test_bad_reaction_list_exits_2(tmp_path, capsys, command, raw, message):
 
 def test_float_train_fields_are_cast(tmp_path):
     doc = _config_doc(tmp_path)
-    doc["scenario"]["n_frames"] = 30
+    doc["scenario"]["n_frames"] = 30.0
     doc["train"].update(epochs=2.0, batch_size=8.0, seed=1.0)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert main(["simulate", "--config", str(config)]) == 0
     assert main(["train", "--config", str(config)]) == 0
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("train", "epochs", 2.5),
+        ("train", "batch_size", 8.5),
+        ("scenario", "n_frames", 99.9),
+        ("labelling", "reaction_r", 25.5),
+        (None, "seed", 1.5),
+        (None, "ar_k", 10.5),
+    ],
+)
+def test_fractional_int_field_exits_2(tmp_path, capsys, section, key, value):
+    # Truncating would silently train 2 epochs for 2.5 or simulate 99
+    # frames for 99.9.
+    doc = _config_doc(tmp_path)
+    (doc if section is None else doc.setdefault(section, {}))[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert main(["simulate", "--config", str(config)]) == 2
+    name = key if section is None else f"{section}.{key}"
+    assert f"{name} must be an integer, got {value!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

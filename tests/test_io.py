@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import json
+import math
 import struct
 
 import numpy as np
@@ -240,6 +242,40 @@ def test_model_json_round_trip_exact(tmp_path):
         np.testing.assert_array_equal(w0, w1)
     for b0, b1 in zip(model.biases, back.biases):
         np.testing.assert_array_equal(b0, b1)
+    assert len(model.epoch_losses) == 3
+    assert back.epoch_losses == model.epoch_losses
+
+
+def test_model_json_without_epoch_losses_still_reads(tmp_path):
+    model = train_reconstructor(
+        _stream(n=12, w=2, h=2), ReconstructorKind.SAE, TrainConfig(hidden_sizes=(2,), epochs=2)
+    )
+    path = tmp_path / "model.json"
+    write_model_json(path, model)
+    doc = json.loads(path.read_text())
+    del doc["epoch_losses"]
+    path.write_text(json.dumps(doc))
+    back = read_model_json(path)
+    assert back.epoch_losses == []
+    np.testing.assert_array_equal(back.weights[0], model.weights[0])
+
+
+@pytest.mark.parametrize(
+    "losses", ["0.5", {"0": 0.5}, None, ["NaN"], ["Infinity"], [0.5, "x"], [[0.5]]],
+    ids=["string", "object", "null", "nan", "inf", "string-entry", "nested"],
+)
+def test_model_json_rejects_bad_epoch_losses(tmp_path, losses):
+    model = train_reconstructor(
+        _stream(n=12, w=2, h=2), ReconstructorKind.SAE, TrainConfig(hidden_sizes=(2,), epochs=1)
+    )
+    path = tmp_path / "model.json"
+    write_model_json(path, model)
+    doc = json.loads(path.read_text())
+    doc["epoch_losses"] = "TOKEN"
+    token = json.dumps(losses).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
+    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
+    with pytest.raises(FormatError, match="epoch_losses"):
+        read_model_json(path)
 
 
 def test_model_json_missing_field(tmp_path):
@@ -378,6 +414,80 @@ def test_read_error_csv_fuzz_raises_only_format_error(tmp_path_factory, data):
         return
     assert len(series) >= 1
     assert np.all(np.isfinite(series.values)) and np.all(series.values >= 0.0)
+
+
+# A JSON artifact is damaged twice: one value anywhere in the document is
+# replaced by an odd one or its key deleted, then the bytes are damaged.
+
+_odd_values = st.sampled_from(
+    [None, True, "x", "0.5", [], {}, [[]], -1, 0, 2.5, 10**400, math.inf, -math.inf, math.nan]
+)
+
+
+def _json_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
+        node, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, (*prefix, key))
+
+
+@st.composite
+def _json_files(draw, doc: dict) -> bytes:
+    doc = copy.deepcopy(doc)
+    path = draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    edit = draw(st.sampled_from(["keep", "replace", "delete"]))
+    if edit == "replace":
+        parent[path[-1]] = draw(_odd_values)
+    elif edit == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    return draw(_damaged(json.dumps(doc).encode(), 16))
+
+
+def _model_doc() -> dict:
+    model = train_reconstructor(
+        _stream(n=6, w=2, h=1), ReconstructorKind.SAE, TrainConfig(hidden_sizes=(1,), epochs=2)
+    )
+    return {
+        "kind": "sae",
+        "layer_sizes": model.layer_sizes,
+        "history_k": None,
+        "activation": "relu",
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+        "epoch_losses": model.epoch_losses,
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_read_model_json_fuzz_raises_only_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+    path.write_bytes(data.draw(_json_files(_model_doc())))
+    try:
+        model = read_model_json(path)
+    except FormatError:
+        return
+    assert all(np.isfinite(a).all() for a in (*model.weights, *model.biases))
+    assert all(math.isfinite(x) for x in model.epoch_losses)
+
+
+_PARAMS_DOC = {"alpha": 2.5, "rate": 40.0, "epsilon": 0.05, "theta": 0.11, "sample_count": 400}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_files(_PARAMS_DOC))
+def test_read_params_json_fuzz_raises_only_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "params.json"
+    path.write_bytes(data)
+    try:
+        params, threshold, _ = read_params_json(path)
+    except FormatError:
+        return
+    assert math.isfinite(params.shape_alpha) and 0.0 < threshold.epsilon < 1.0
 
 
 # ------------------------------------------------------------ text decoding

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ from lanewatch.reconstruct import (
     reconstruction_error,
     train_reconstructor,
 )
-from lanewatch.reconstruct import _loss_and_grads
+from lanewatch.reconstruct import _DEFAULT_LEARNING_RATE, _Workspace, _loss_and_grads
 
 
 def _frame(pixels: np.ndarray, w: int = 4, h: int = 4) -> np.ndarray:
@@ -60,6 +63,96 @@ def test_gradients_match_finite_differences():
             lo, _, _ = _loss_and_grads(weights, b_lo, act, x, x)
             numeric = (hi - lo) / (2.0 * eps)
             assert grad_b[l][0] == pytest.approx(numeric, rel=1e-4, abs=1e-9)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("act", [Activation.RELU, Activation.SIGMOID])
+def test_reused_workspace_matches_fresh_buffers(dtype, act):
+    rng = np.random.default_rng(1)
+    sizes = [8, 5, 3, 5, 8]
+    weights = [rng.standard_normal((o, i)).astype(dtype) for i, o in zip(sizes, sizes[1:])]
+    biases = [rng.standard_normal(o).astype(dtype) for o in sizes[1:]]
+    ws = _Workspace(sizes, 6, dtype)
+    # A full batch, then a short one written into the first rows.
+    for rows in (6, 4):
+        x = rng.random((rows, 8)).astype(dtype)
+        target = rng.random((rows, 8)).astype(dtype)
+        fresh = _loss_and_grads(weights, biases, act, x, target)
+        reused = _loss_and_grads(weights, biases, act, x, target, ws)
+        assert reused[0] == fresh[0]
+        for a, b in zip(reused[1] + reused[2], fresh[1] + fresh[2]):
+            assert a.dtype == dtype
+            np.testing.assert_array_equal(a, b)
+        # The returned gradients are the workspace's own buffers.
+        assert reused[1][0] is ws.grad_w[0]
+
+
+def _reference_sgd(stream, kind, cfg):
+    """Float64 SGD with train_reconstructor's draws and batches: the same
+    seeded initialization and per-epoch permutations, fresh buffers."""
+    rng = np.random.default_rng(cfg.seed)
+    data = stream.as_matrix()
+    sizes = [data.shape[1], *cfg.hidden_sizes, data.shape[1]]
+    weights, biases = [], []
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        bound = 1.0 / math.sqrt(n_in)
+        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
+        biases.append(np.zeros(n_out))
+    rate = _DEFAULT_LEARNING_RATE[ReconstructorKind(kind)]
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(data))
+        batch_losses = []
+        for start in range(0, len(data), cfg.batch_size):
+            x = data[order[start : start + cfg.batch_size]]
+            loss, grad_w, grad_b = _loss_and_grads(weights, biases, cfg.activation, x, x)
+            batch_losses.append(loss)
+            for l in range(len(weights)):
+                weights[l] -= rate * grad_w[l]
+                biases[l] -= rate * grad_b[l]
+        losses.append(float(np.mean(batch_losses)))
+    return weights, biases, losses
+
+
+@pytest.mark.parametrize(
+    "kind, cfg",
+    [
+        ("sae", TrainConfig(hidden_sizes=(6,), epochs=12, batch_size=8, seed=3)),
+        ("dae", TrainConfig(hidden_sizes=(8, 4, 8), epochs=12, batch_size=8, seed=4,
+                            activation=Activation.SIGMOID)),
+    ],
+)
+def test_float32_training_tracks_float64_reference(kind, cfg):
+    # 45 frames in batches of 8 end each epoch with a short batch of 5.
+    stream = _noise_stream(14, 45)
+    model = train_reconstructor(stream, kind, cfg)
+    weights, biases, losses = _reference_sgd(stream, kind, cfg)
+    for got, want in zip(model.weights + model.biases, weights + biases):
+        assert got.dtype == np.float64
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
+    np.testing.assert_allclose(model.epoch_losses, losses, rtol=1e-4)
+    assert model.epoch_losses[-1] < model.epoch_losses[0]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are read on Linux")
+def test_training_steps_do_not_churn_allocations():
+    # A 32x32 frame makes each batch-shaped float64 array 256 KB, large
+    # enough that allocating one per step costs fresh pages.
+    import resource
+
+    stream = FrameStream(
+        frames=np.random.default_rng(15).random((200, 32, 32, 1)), frame_rate_hz=10.0
+    )
+
+    def minor_faults(epochs: int) -> int:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train_reconstructor(stream, "sae", TrainConfig(epochs=epochs, seed=0))
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+    one, eleven = minor_faults(1), minor_faults(11)
+    extra_steps = 10 * math.ceil(200 / TrainConfig().batch_size)
+    assert (eleven - one) / extra_steps < 5.0
 
 
 # ----------------------------------------------------------------- training
