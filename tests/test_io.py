@@ -425,9 +425,14 @@ _odd_values = st.sampled_from(
 
 
 def _json_paths(node, prefix=()):
+    """Every path into a JSON document, the root's first."""
     yield prefix
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(
-        node, list) else ()
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
     for key, child in items:
         yield from _json_paths(child, (*prefix, key))
 
