@@ -87,6 +87,8 @@ def test_reused_workspace_matches_fresh_buffers(dtype, act):
         assert reused[1][0] is ws.grad_w[0]
 
 
+# ----------------------------------------------------------------- training
+
 def _reference_sgd(stream, kind, cfg):
     """Float64 SGD with train_reconstructor's draws and batches: the same
     seeded initialization and per-epoch permutations, fresh buffers."""
@@ -154,8 +156,6 @@ def test_training_steps_do_not_churn_allocations():
     extra_steps = 10 * math.ceil(200 / TrainConfig().batch_size)
     assert (eleven - one) / extra_steps < 5.0
 
-
-# ----------------------------------------------------------------- training
 
 def test_shallow_autoencoder_memorizes_constant_frame():
     frame = _frame(np.full(16, 0.3))
