@@ -58,13 +58,17 @@ _HEADER = struct.Struct("<IIII")
 
 def write_frames(path: str | Path, stream: FrameStream) -> None:
     count, height, width, channels = stream.frames.shape
-    header = FRAME_MAGIC + _HEADER.pack(count, width, height, channels)
-    Path(path).write_bytes(header + stream.frames.astype("<f4").tobytes())
+    with open(path, "wb") as f:
+        f.write(FRAME_MAGIC + _HEADER.pack(count, width, height, channels))
+        # The stream's float32 frames are the body; "<f4" copies only on a
+        # big-endian host.
+        f.write(np.ascontiguousarray(stream.frames, dtype="<f4").data)
 
 
 def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
     """Load an FRM1 file; frame_rate_hz is caller-supplied metadata, the
-    format itself does not store it."""
+    format itself does not store it.  The stream's frames are a read-only
+    view of the file's bytes, not a copy."""
     data = Path(path).read_bytes()
     if len(data) < 4:
         raise FormatError(f"{path}: truncated before magic", byte_offset=len(data))
@@ -89,16 +93,17 @@ def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
         )
     per_frame = width * height * channels
     raw = np.frombuffer(data, dtype="<f4", offset=body_offset)
-    # NaN fails both comparisons, so this also catches non-finite cells.
-    bad = np.flatnonzero(~((raw >= 0.0) & (raw <= 1.0)))
-    if bad.size:
-        i = int(bad[0]) // per_frame
+    # NaN fails both comparisons, so this also catches non-finite cells;
+    # only a failed check looks for the first bad cell.
+    if raw.size and not (raw.min() >= 0.0 and raw.max() <= 1.0):
+        first = int(np.flatnonzero(~((raw >= 0.0) & (raw <= 1.0)))[0])
+        i = first // per_frame
         raise FormatError(
             f"{path}: frame {i}: pixel values must be finite and lie in [0, 1], "
-            f"found {raw[bad[0]]}",
+            f"found {raw[first]}",
             byte_offset=body_offset + i * per_frame * 4,
         )
-    frames = raw.astype(np.float64).reshape(count, height, width, channels)
+    frames = raw.reshape(count, height, width, channels)
     return FrameStream(frames=frames, frame_rate_hz=frame_rate_hz)
 
 
@@ -315,7 +320,13 @@ def read_params_json(path: str | Path) -> tuple[GammaParams, ThresholdSpec, int]
     try:
         params = GammaParams(shape_alpha=float(doc["alpha"]), rate_beta=float(doc["rate"]))
         threshold = ThresholdSpec(epsilon=float(doc["epsilon"]), theta=float(doc["theta"]))
-        sample_count = int(doc["sample_count"])
+        sample_count = doc["sample_count"]
+        # 400 and 400.0 pass; a fractional, boolean or string count does not.
+        if type(sample_count) not in (int, float) or (
+            isinstance(sample_count, float) and not sample_count.is_integer()
+        ):
+            raise ValueError(f"sample_count must be an integer, got {sample_count!r}")
+        sample_count = int(sample_count)
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return params, threshold, sample_count

@@ -9,10 +9,12 @@ reconstruction.
 
 Training is deterministic given the seed: weight initialization and the
 per-epoch batch shuffle both draw from one seeded generator, so two runs
-with identical inputs produce bit-identical weights.  The SGD steps run
-in float32, each one inside buffers allocated once per training call;
-the trained model holds float64 arrays (float32-exact values), and
-scoring runs in float64.
+with identical inputs produce bit-identical weights.  Frames are float32
+from the generator to the trainer, and the SGD steps run in float32,
+each one inside buffers allocated once per training call; the trained
+model holds float64 arrays (float32-exact values).  Scoring runs in
+float64, SCORE_BLOCK_ROWS samples at a time, so its memory does not grow
+with the stream.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ class Activation(str, Enum):
 class FrameStream:
     """Ordered frames sharing one shape; index i is discrete time t = i.
 
-    frames is one C-contiguous float64 array of shape (n_frames, height,
-    width, channels): frame-major, row-major, channel last, the same layout
-    as the FRM1 body.  It is validated once, as a whole: every value must
+    frames is one C-contiguous float32 array of shape (n_frames, height,
+    width, channels): frame-major, row-major, channel last, the same dtype
+    and layout as the FRM1 body.  Other input is rounded to float32 once,
+    here, and the result is validated once, as a whole: every value must
     be finite and lie in [0, 1].
     """
 
@@ -66,7 +69,7 @@ class FrameStream:
     def __post_init__(self):
         if not self.frame_rate_hz > 0.0:
             raise ValueError(f"frame rate must be positive, got {self.frame_rate_hz}")
-        self.frames = np.ascontiguousarray(self.frames, dtype=np.float64)
+        self.frames = np.ascontiguousarray(self.frames, dtype=np.float32)
         if self.frames.ndim != 4 or min(self.frames.shape[1:]) <= 0:
             raise ValueError(
                 "frames must have shape (n_frames, height, width, channels) with "
@@ -125,8 +128,9 @@ class TrainConfig:
     the shallow one exactly one.  The learning rate is fixed per kind:
     the sequence predictor's affine map sees the full concatenated pixel
     vector and diverges at the step size the autoencoders want.
-    history_k only applies to the sequence predictor.  Training computes
-    in float32; the returned model and all scoring stay float64.
+    history_k only applies to the sequence predictor.  Training reads the
+    stream's float32 frames and computes in float32; the returned model
+    and all scoring stay float64.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
@@ -159,6 +163,11 @@ _DEFAULT_HIDDEN = {
 # SGD runs in float32: half the memory traffic of float64, and the
 # gradient noise of a 32-sample batch is far above float32 rounding.
 _TRAIN_DTYPE = np.float32
+
+# Scoring upcasts this many samples at a time to float64 (one more in a
+# last block that would otherwise hold a single sample), so its
+# temporaries stay the same size whatever the length of the stream.
+SCORE_BLOCK_ROWS = 256
 
 _DEFAULT_LEARNING_RATE = {
     ReconstructorKind.SAE: 10.0,
@@ -330,22 +339,20 @@ def _loss_and_grads(
     return loss, ws.grad_w, ws.grad_b
 
 
-def _inputs_and_targets(
-    stream: FrameStream, history_k: int | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Input/target matrices: identity pairs for autoencoders (history_k
-    None); for the sequence predictor, row i of the inputs holds frames
-    i ... i+k-1 (oldest first) and its target is frame i+k."""
+def _samples(stream: FrameStream, history_k: int | None) -> tuple[np.ndarray, int]:
+    """The (n_frames, n_pixels) frame matrix and the number of samples it
+    holds.  An autoencoder (history_k None) has one sample per frame, its
+    own target; sample i of the sequence predictor reads frames i ...
+    i+k-1 (oldest first) and targets frame i+k."""
     frames = stream.as_matrix()
-    if history_k is None:
-        return frames, frames
     n = frames.shape[0]
+    if history_k is None:
+        return frames, n
     if n <= history_k:
         raise ValueError(
             f"sequence predictor needs more than history_k={history_k} frames, got {n}"
         )
-    lags = [frames[j : n - history_k + j] for j in range(history_k)]
-    return np.concatenate(lags, axis=1), frames[history_k:]
+    return frames, n - history_k
 
 
 def train_reconstructor(
@@ -358,15 +365,16 @@ def train_reconstructor(
     hyper = hyper or TrainConfig()
     if len(stream) == 0:
         raise ValueError("cannot train on an empty stream")
-    n_pixels = stream.as_matrix().shape[1]
+    history_k = hyper.history_k if kind is ReconstructorKind.SEQ else None
+    frames, n_samples = _samples(stream, history_k)
+    n_pixels = frames.shape[1]
+    window = history_k or 1  # frames per input row
     hidden = hyper.hidden_sizes if hyper.hidden_sizes is not None else _DEFAULT_HIDDEN[kind]
     if kind is ReconstructorKind.SAE and len(hidden) != 1:
         raise ConfigError(f"shallow autoencoder takes one hidden size, got {hidden}")
     if kind is ReconstructorKind.DAE and len(hidden) != 3:
         raise ConfigError(f"deep autoencoder takes three hidden sizes, got {hidden}")
-    history_k = hyper.history_k if kind is ReconstructorKind.SEQ else None
-    in_size = n_pixels * (history_k if history_k else 1)
-    layer_sizes = [in_size, *hidden, n_pixels]
+    layer_sizes = [window * n_pixels, *hidden, n_pixels]
     learning_rate = _DEFAULT_LEARNING_RATE[kind]
 
     rng = np.random.default_rng(hyper.seed)
@@ -383,17 +391,13 @@ def train_reconstructor(
     weights = [w.astype(_TRAIN_DTYPE) for w in weights64]
     biases = [b.astype(_TRAIN_DTYPE) for b in biases64]
 
-    inputs, targets = _inputs_and_targets(stream, history_k)
-    n_samples = inputs.shape[0]
     rows = min(hyper.batch_size, n_samples)
     ws = _Workspace(layer_sizes, rows, _TRAIN_DTYPE)
-    # Each batch is gathered in float64 and then cast, so the samples are
-    # never held a second time in the training dtype.
-    x64, x_rows = np.empty((rows, in_size)), np.empty((rows, in_size), _TRAIN_DTYPE)
-    # An autoencoder's target batch is its input batch.
-    same = targets is inputs
-    t64 = x64 if same else np.empty((rows, n_pixels))
-    t_rows = x_rows if same else np.empty((rows, n_pixels), _TRAIN_DTYPE)
+    # Each batch is gathered from the float32 frame matrix straight into
+    # these buffers; an autoencoder's target batch is its input batch.
+    x_rows = np.empty((rows, layer_sizes[0]), _TRAIN_DTYPE)
+    t_rows = x_rows if history_k is None else np.empty((rows, n_pixels), _TRAIN_DTYPE)
+    lags = np.arange(window)
     epoch_losses: list[float] = []
     for _ in range(hyper.epochs):
         order = rng.permutation(n_samples)
@@ -402,9 +406,12 @@ def train_reconstructor(
             idx = order[start : start + hyper.batch_size]
             m = len(idx)
             x, target = x_rows[:m], t_rows[:m]
-            x[...] = np.take(inputs, idx, axis=0, out=x64[:m])
-            if not same:
-                target[...] = np.take(targets, idx, axis=0, out=t64[:m])
+            # The indices are all in range; mode="clip" lets take write into
+            # out directly, where the default mode would buffer a copy.
+            np.take(frames, idx[:, None] + lags, axis=0,
+                    out=x.reshape(m, window, n_pixels), mode="clip")
+            if history_k is not None:
+                np.take(frames, idx + history_k, axis=0, out=target, mode="clip")
             loss, grad_w, grad_b = _loss_and_grads(
                 weights, biases, hyper.activation, x, target, ws
             )
@@ -431,7 +438,7 @@ def train_reconstructor(
 
 def _forward_clamped(model: ReconstructorModel, inputs: np.ndarray) -> np.ndarray:
     _, post = _forward(model.weights, model.biases, model.activation, inputs)
-    return np.clip(post[-1], 0.0, 1.0)
+    return np.clip(post[-1], 0.0, 1.0, out=post[-1])
 
 
 def reconstruct(model: ReconstructorModel, history: np.ndarray) -> np.ndarray:
@@ -457,16 +464,42 @@ def reconstruct(model: ReconstructorModel, history: np.ndarray) -> np.ndarray:
     return _forward_clamped(model, flat)[0].reshape(history.shape[1:])
 
 
+def _block_errors(
+    model: ReconstructorModel, inputs: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Float64 errors of one block of float32 samples; its temporaries are
+    freed before the next block allocates."""
+    diff = _forward_clamped(model, inputs.astype(np.float64))
+    np.subtract(targets, diff, out=diff)
+    diff *= diff
+    return np.mean(diff, axis=1)
+
+
 def error_series(model: ReconstructorModel, stream: FrameStream) -> ErrorSeries:
-    """Per-frame reconstruction errors over a stream.
+    """Per-frame reconstruction errors over a stream, computed in float64.
 
     Autoencoders score every frame (start_index 0); the sequence predictor
     has no prediction for the first history_k frames, so its series starts
-    at index history_k.
+    at index history_k.  The samples are upcast and scored SCORE_BLOCK_ROWS
+    at a time; each error depends only on its own sample, so the values
+    are those of scoring the whole stream at once.
     """
     if len(stream) == 0:
         raise ValueError("cannot score an empty stream")
     k = model.history_k if model.kind is ReconstructorKind.SEQ else None
-    inputs, targets = _inputs_and_targets(stream, k)
-    diffs = targets - _forward_clamped(model, inputs)
-    return ErrorSeries(values=np.mean(diffs * diffs, axis=1), start_index=k or 0)
+    frames, n_samples = _samples(stream, k)
+    n_pixels = frames.shape[1]
+    # Row i of the inputs holds sample i's frames, oldest first: a strided
+    # view of the frame matrix, not a copy.
+    row = model.input_window * n_pixels
+    inputs = np.lib.stride_tricks.sliding_window_view(frames.reshape(-1), row)[::n_pixels]
+    targets = frames[k or 0 :]
+    # numpy multiplies a one-row block on its matrix-vector path, which can
+    # round differently from the matrix-matrix path, so a lone last sample
+    # joins the block before it.
+    starts = range(0, max(n_samples - 1, 1), SCORE_BLOCK_ROWS)
+    blocks = [
+        _block_errors(model, inputs[a:b], targets[a:b])
+        for a, b in zip(starts, [*starts[1:], n_samples])
+    ]
+    return ErrorSeries(values=np.concatenate(blocks), start_index=k or 0)

@@ -195,10 +195,13 @@ def condition_intensity(t_frames: int, spec: ScenarioSpec) -> float:
 
 class _Chunk:
     """The per-frame state and noise of up to RENDER_CHUNK_FRAMES frames:
-    the state loop fills slot k of every array, render() draws the frames."""
+    the state loop fills slot k of every array, render() draws the frames.
+    They are drawn on a float64 canvas and rounded to float32 once, as they
+    are stored; rounding each step would change the frames."""
 
     def __init__(self, size: int, active: frozenset[Condition]):
         shape = (size, FRAME_HEIGHT, FRAME_WIDTH)
+        self.canvas = np.empty(shape)
         self.offset = np.empty(size)
         self.pos = np.empty(size)
         self.sensor_std = np.empty(size)
@@ -214,10 +217,11 @@ class _Chunk:
         self.darken = Condition.DAY_NIGHT_CYCLE in active
 
     def render(self, out: np.ndarray) -> None:
-        """Draw the first len(out) frames into out, shape (m, H, W).  Each
+        """Draw the first len(out) frames into out, float32 (m, H, W).  Each
         step repeats the per-frame arithmetic elementwise in the same order,
         so a frame's bytes do not depend on the chunk it falls in."""
         m = len(out)
+        canvas = self.canvas[:m]
         xs = np.arange(FRAME_WIDTH, dtype=np.float64)
         center_px = 0.5 * (FRAME_WIDTH - 1)
         band_center = center_px - PIXELS_PER_UNIT * self.offset[:m, None]
@@ -233,16 +237,16 @@ class _Chunk:
         row = BACKGROUND_LEVEL + np.maximum(band, side)
         sensor = self.sensor[:m]
         sensor *= self.sensor_std[:m, None, None]
-        np.add(row[:, None, :], sensor, out=out)
+        np.add(row[:, None, :], sensor, out=canvas)
         # Camera-mast ringing after a hard restart: broadband image noise on
         # top of the sensor floor, on the shaking frames only.
         shaking = np.flatnonzero(self.shaking[:m])
         if shaking.size:
-            out[shaking] += self.shake_std[shaking, None, None] * self.shake[shaking]
+            canvas[shaking] += self.shake_std[shaking, None, None] * self.shake[shaking]
 
         s = self.severity[:m, None, None]
         if self.darken:
-            out *= 1.0 - DARKNESS_FACTOR * s
+            canvas *= 1.0 - DARKNESS_FACTOR * s
         if self.rain is not None:
             # Vertically smeared noise, the streak texture of rain on a lens.
             rain = self.rain[:m]
@@ -251,9 +255,9 @@ class _Chunk:
             streaks += np.roll(rain, 3, axis=1)
             streaks /= 2.0
             streaks *= RAIN_NOISE_STD * s
-            out += streaks
+            canvas += streaks
         if self.snow is not None:
-            out += SNOW_NOISE_GAIN * s * (self.snow[:m] < SNOW_SPECKLE_RATE)
+            canvas += SNOW_NOISE_GAIN * s * (self.snow[:m] < SNOW_SPECKLE_RATE)
         if self.fog is not None:
             # A smooth haze pattern in (0, 1), upsampled from a coarse grid.
             coarse = 0.5 + 0.5 * np.tanh(self.fog[:m] / 1.5)
@@ -261,10 +265,11 @@ class _Chunk:
                 FRAME_WIDTH // FOG_CELLS, axis=2
             )
             blend = FOG_BLEND_GAIN * s * field
-            out *= 1.0 - blend
+            canvas *= 1.0 - blend
             blend *= FOG_WHITE_LEVEL
-            out += blend
-        np.clip(out, 0.0, 1.0, out=out)
+            canvas += blend
+        # Clipped in float64, rounded to float32 as it is stored.
+        np.clip(canvas, 0.0, 1.0, out=out)
 
 
 def generate_scenario(
@@ -285,7 +290,7 @@ def generate_scenario(
     shake_std = 0.0  # transient amplitude, fixed at the causing lapse's onset
     breathe_log = 0.0  # log of the slow sensor-gain factor
     breathe_kick = SENSOR_BREATHE_LOG_STD * math.sqrt(1.0 - SENSOR_BREATHE_PULL**2)
-    frames = np.empty((n, FRAME_HEIGHT, FRAME_WIDTH, 1))
+    frames = np.empty((n, FRAME_HEIGHT, FRAME_WIDTH, 1), np.float32)
     flags = np.zeros(n, dtype=bool)
     intensities = np.empty(n, dtype=np.float64)
 

@@ -27,6 +27,7 @@ from lanewatch.io import (
     read_error_csv,
     read_labels_csv,
     read_misbehaviour_csv,
+    read_model_json,
     read_params_json,
     write_curve_csv,
     write_frames,
@@ -38,8 +39,9 @@ from lanewatch.reconstruct import (
     ReconstructorKind,
     ReconstructorModel,
     TrainConfig,
+    error_series,
 )
-from lanewatch.scenario import ScenarioSpec
+from lanewatch.scenario import ScenarioSpec, generate_scenario
 from lanewatch.smoothing import ArFilterConfig, ar_filter
 
 ARTIFACTS = [
@@ -111,6 +113,21 @@ def test_stepwise_matches_pipeline(pipeline_dir, tmp_path):
         assert main([command, "--config", str(config)]) == 0, command
     for name in ARTIFACTS:
         assert (work_a / name).read_bytes() == (work_c / name).read_bytes(), name
+
+
+def test_cli_and_library_score_alike(tmp_path):
+    # FRM1 and the library's frames are both float32, so the CLI's errors
+    # equal the library's for the same drive, to the last bit.
+    work = tmp_path / "out"
+    work.mkdir()
+    config = _write_config(tmp_path, "config.json", work)
+    for command in ("simulate", "train", "fit"):
+        assert main([command, "--config", str(config)]) == 0, command
+    spec = load_config(str(config), argparse.Namespace()).scenario
+    cli = read_error_csv(work / "errors.csv")
+    library = error_series(read_model_json(work / "model.json"), generate_scenario(spec)[0])
+    assert cli.start_index == library.start_index
+    np.testing.assert_array_equal(cli.values, library.values)
 
 
 def test_label_reaction_override(pipeline_dir):

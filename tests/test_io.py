@@ -59,10 +59,17 @@ def test_frames_round_trip_exact(tmp_path):
     back = read_frames(path, frame_rate_hz=10.0)
     assert len(back) == 5
     assert back.frames.shape == (5, 3, 4, 1)
-    # Storage is f32, so the round trip is exact only at f32 precision.
-    np.testing.assert_array_equal(
-        stream.frames.astype(np.float32), back.frames.astype(np.float32)
-    )
+    # Streams and FRM1 both hold float32, so the round trip is exact.
+    np.testing.assert_array_equal(back.frames, stream.frames)
+
+
+def test_read_frames_is_a_float32_view_of_the_body(tmp_path):
+    path = tmp_path / "frames.frm1"
+    write_frames(path, _stream())
+    frames = read_frames(path).frames
+    assert frames.dtype == np.float32
+    assert frames.flags.c_contiguous
+    assert not frames.flags.owndata
 
 
 def test_frames_rewrite_is_byte_identical(tmp_path):
@@ -335,6 +342,25 @@ def test_params_json_missing_field(tmp_path):
             read_params_json(path)
 
 
+@pytest.mark.parametrize(
+    "token, expected",
+    [("400", 400), ("2.0", 2), ("2.5", None), ("true", None), ("false", None),
+     ('"400"', None), ("1e999", None)],
+    ids=["int", "integral-float", "fractional", "true", "false", "string", "infinite"],
+)
+def test_params_json_sample_count_must_be_integral(tmp_path, token, expected):
+    path = tmp_path / "params.json"
+    path.write_text(
+        '{"alpha": 2.0, "rate": 3.0, "epsilon": 0.05, "theta": 0.01, '
+        f'"sample_count": {token}}}\n'
+    )
+    if expected is None:
+        with pytest.raises(FormatError, match="sample_count"):
+            read_params_json(path)
+    else:
+        assert read_params_json(path)[2] == expected
+
+
 # ----------------------------------------------------------------- fuzzing
 #
 # Each reader gets a valid file that a strategy then damages: cut short,
@@ -414,6 +440,56 @@ def test_read_error_csv_fuzz_raises_only_format_error(tmp_path_factory, data):
         return
     assert len(series) >= 1
     assert np.all(np.isfinite(series.values)) and np.all(series.values >= 0.0)
+
+
+_odd_cells = st.sampled_from(["", "x", "-1", "2", "1.0", "1e3", " 1", "0x1", "9" * 5000, "normal"])
+
+
+@st.composite
+def _misbehaviour_files(draw) -> bytes:
+    header = "frame_index,misbehaviour"
+    cells = draw(st.lists(st.one_of(st.sampled_from(["0", "1"]), _odd_cells), max_size=6))
+    lines = [header] + [f"{i},{cell}" for i, cell in enumerate(cells)]
+    return draw(_damaged(("\n".join(lines) + "\n").encode(), len(header)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_misbehaviour_files())
+def test_read_misbehaviour_csv_fuzz_raises_only_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "misbehaviour.csv"
+    path.write_bytes(data)
+    try:
+        log = read_misbehaviour_csv(path)
+    except FormatError:
+        return
+    assert log.flags.dtype == bool
+
+
+_label_rows = st.tuples(
+    st.one_of(st.integers(0, 500).map(str), _odd_cells),
+    st.one_of(st.integers(1, 60).map(str), _odd_cells),
+    st.one_of(st.sampled_from([k.value for k in WindowKind]), _odd_cells),
+)
+
+
+@st.composite
+def _label_files(draw) -> bytes:
+    header = "start,length,kind"
+    rows = draw(st.lists(_label_rows, max_size=6))
+    lines = [header] + [",".join(row) for row in rows]
+    return draw(_damaged(("\n".join(lines) + "\n").encode(), len(header)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_label_files())
+def test_read_labels_csv_fuzz_raises_only_format_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("fuzz") / "labels.csv"
+    path.write_bytes(data)
+    try:
+        labels = read_labels_csv(path)
+    except FormatError:
+        return
+    assert all(w.start >= 0 and w.length >= 1 for w in labels)
 
 
 # A JSON artifact is damaged twice: one value anywhere in the document is

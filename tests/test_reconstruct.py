@@ -21,7 +21,12 @@ from lanewatch.reconstruct import (
     reconstruction_error,
     train_reconstructor,
 )
-from lanewatch.reconstruct import _DEFAULT_LEARNING_RATE, _Workspace, _loss_and_grads
+from lanewatch.reconstruct import (
+    _DEFAULT_LEARNING_RATE,
+    SCORE_BLOCK_ROWS,
+    _Workspace,
+    _loss_and_grads,
+)
 
 
 def _frame(pixels: np.ndarray, w: int = 4, h: int = 4) -> np.ndarray:
@@ -139,7 +144,7 @@ def test_float32_training_tracks_float64_reference(kind, cfg):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are read on Linux")
 def test_training_steps_do_not_churn_allocations():
-    # A 32x32 frame makes each batch-shaped float64 array 256 KB, large
+    # A 32x32 frame makes each 32-row float32 batch array 128 KB, large
     # enough that allocating one per step costs fresh pages.
     import resource
 
@@ -223,6 +228,62 @@ def test_sequence_scoring_skips_history():
         assert errors.values[i] == pytest.approx(by_hand, rel=1e-12)
 
 
+def _whole_stream_errors(model, stream):
+    """Float64 errors of every sample at once: the lagged inputs built by
+    concatenation, one forward pass over all of them."""
+    frames = stream.as_matrix().astype(np.float64)
+    k = model.history_k if model.kind is ReconstructorKind.SEQ else 0
+    n = len(frames)
+    inputs = np.concatenate([frames[j : n - k + j] for j in range(k)], axis=1) if k else frames
+    relu = model.activation is Activation.RELU
+    a = inputs
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w.T + b
+        if l < len(model.weights) - 1:
+            # The sigmoid in the tanh form the model computes.
+            a = np.maximum(a, 0.0) if relu else (np.tanh(a * 0.5) + 1.0) * 0.5
+    diffs = frames[k:] - np.clip(a, 0.0, 1.0)
+    return np.mean(diffs * diffs, axis=1)
+
+
+@pytest.mark.parametrize(
+    "kind, activation",
+    [("sae", Activation.RELU), ("dae", Activation.SIGMOID), ("seq", Activation.RELU)],
+)
+@pytest.mark.parametrize(
+    "n_samples",
+    [1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 1],
+)
+def test_blocked_error_series_matches_whole_stream(kind, activation, n_samples):
+    # For seq, one sample is a stream of history_k + 1 frames.
+    cfg = TrainConfig(epochs=2, seed=5, history_k=3, activation=activation)
+    model = train_reconstructor(_noise_stream(16, 40, w=8, h=8), kind, cfg)
+    shift = cfg.history_k if kind == "seq" else 0
+    stream = _noise_stream(17, n_samples + shift, w=8, h=8)
+    errors = error_series(model, stream)
+    assert errors.start_index == shift
+    np.testing.assert_array_equal(errors.values, _whole_stream_errors(model, stream))
+
+
+@pytest.mark.parametrize("kind", ["sae", "dae", "seq"])
+def test_error_series_memory_does_not_grow_with_the_stream(kind):
+    import tracemalloc
+
+    stream = FrameStream(
+        frames=np.random.default_rng(18).random((2000, 32, 32, 1)), frame_rate_hz=10.0
+    )
+    model = train_reconstructor(stream, kind, TrainConfig(epochs=0))
+    tracemalloc.start()
+    try:
+        error_series(model, stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One float64 copy of the stream is 16.4 MB; whole-stream scoring
+    # peaked at two to five such copies.
+    assert peak < 0.6 * stream.frames.size * 8
+
+
 def test_reconstruct_checks_history_length():
     stream = _noise_stream(10, 10)
     model = train_reconstructor(stream, "sae", TrainConfig(hidden_sizes=(6,), epochs=1))
@@ -269,7 +330,7 @@ def test_frame_stream_from_list_of_frames():
     # The form a stream built by extending a list of per-frame arrays takes.
     stream = _noise_stream(13, 6, w=3, h=2)
     rebuilt = FrameStream(frames=list(stream.frames), frame_rate_hz=stream.frame_rate_hz)
-    assert rebuilt.frames.dtype == np.float64
+    assert rebuilt.frames.dtype == np.float32
     assert rebuilt.frames.flags.c_contiguous
     np.testing.assert_array_equal(rebuilt.frames, stream.frames)
     assert rebuilt.frame_rate_hz == stream.frame_rate_hz
