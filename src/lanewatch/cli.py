@@ -19,6 +19,7 @@ from .detector import DetectorConfig, run_detector, run_detector_verbose
 from .errors import ConfigError, ConvergenceError, DegenerateDataError, FormatError
 from .evalkit import (
     LabellingConfig,
+    WindowKind,
     label_windows,
     pooled_counts,
     pooled_sweep,
@@ -294,8 +295,12 @@ def cmd_eval(cfg: PipelineConfig) -> None:
     io.write_report_json(cfg.path("report"), doc)
     tpr = "n.a." if report.tpr is None else f"{report.tpr:.3f}"
     fpr = "n.a." if report.fpr is None else f"{report.fpr:.3f}"
+    # Only anomalous and normal windows are scored; a normal window can
+    # still be excluded, so TP + FP + TN + FN may fall short of this count.
+    scored = sum(w.kind in (WindowKind.ANOMALOUS, WindowKind.NORMAL) for w in labels)
     print(
-        f"eval: {len(labels)} windows, TP {report.tp} FP {report.fp} "
+        f"eval: {scored} scored (anomalous + normal) of {len(labels)} labelled windows, "
+        f"TP {report.tp} FP {report.fp} "
         f"TN {report.tn} FN {report.fn}, TPR {tpr} FPR {fpr} -> {cfg.path('report')}"
     )
 

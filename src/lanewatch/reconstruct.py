@@ -12,9 +12,14 @@ per-epoch batch shuffle both draw from one seeded generator, so two runs
 with identical inputs produce bit-identical weights.  Frames are float32
 from the generator to the trainer, and the SGD steps run in float32,
 each one inside buffers allocated once per training call; the trained
-model holds float64 arrays (float32-exact values).  Scoring runs in
-float64, SCORE_BLOCK_ROWS samples at a time, so its memory does not grow
-with the stream.
+model holds float64 arrays (float32-exact values).  A training layer
+whose input and output sizes both exceed the batch (seq's one layer,
+dae's two 1024-wide ones) is multiplied as w @ a.T: OpenBLAS is faster at
+these shapes and sums every entry in the same order as a @ w.T, so the
+trained bits do not change.  Scoring runs in float64, every layer as
+a @ w.T whatever its width, so errors.csv does not depend on that choice,
+and SCORE_BLOCK_ROWS samples at a time, so its memory does not grow with
+the stream.
 """
 
 from __future__ import annotations
@@ -267,11 +272,25 @@ class _Workspace:
 
     A step on m <= rows examples writes into the first m rows of each
     batch-shaped buffer, so a short last batch needs no new arrays.
+
+    A layer whose input and output sizes both exceed `rows` is wide: its
+    pre-activation buffer is feature-major, (n_out, rows), and _forward
+    fills its first m columns as w @ a.T.  At these shapes OpenBLAS
+    computes that product faster than a @ w.T and sums every entry in the
+    same order, so the results are bit-identical.  With the defaults this
+    is seq's one layer and dae's 1024-64 and 64-1024 layers, but neither
+    sae layer: its 32-wide side is no wider than a batch, and there the
+    feature-major product and the strided reads after it are slower.
+    Scoring uses no workspace and keeps a @ w.T (see _forward).
     """
 
     def __init__(self, layer_sizes: list[int], rows: int, dtype):
         outs = layer_sizes[1:]
-        self.pre = [np.empty((rows, n), dtype) for n in outs]
+        self.wide = [min(n_in, n_out) > rows for n_in, n_out in zip(layer_sizes, outs)]
+        self.pre = [
+            np.empty((n, rows) if wide else (rows, n), dtype)
+            for n, wide in zip(outs, self.wide)
+        ]
         # Hidden layers only: the output layer is the identity.
         self.post = [np.empty((rows, n), dtype) for n in outs[:-1]]
         self.act_grad = [np.empty((rows, n), dtype) for n in outs[:-1]]
@@ -290,15 +309,24 @@ def _forward(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Return (pre-activations, post-activations); post[0] is the input.
 
-    With a workspace the layers are written into its buffers, otherwise
-    into fresh arrays."""
+    Every returned array is batch-major, (m, n).  With a workspace the
+    layers are written into its buffers, a wide layer's pre-activation as
+    w @ a.T into its feature-major buffer and returned as the transposed
+    view (see _Workspace).  Without one, as when scoring, every layer is
+    a @ w.T into fresh arrays, so scores (errors.csv) do not depend on the
+    workspace's choice."""
     m = len(x)
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = [x]
     a = x
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        z = np.matmul(a, w.T, out=None if ws is None else ws.pre[l][:m])
+        if ws is None:
+            z = np.matmul(a, w.T)
+        elif ws.wide[l]:
+            z = np.matmul(w, a.T, out=ws.pre[l][:, :m]).T
+        else:
+            z = np.matmul(a, w.T, out=ws.pre[l][:m])
         z += b
         pre.append(z)
         a = z if l == last else _activate(z, activation, None if ws is None else ws.post[l][:m])
@@ -318,14 +346,17 @@ def _loss_and_grads(
     its gradients with respect to every weight and bias.
 
     The arithmetic runs in the dtype of the inputs.  Without a workspace
-    the step allocates a fresh one; with one, the returned gradient lists
-    are the workspace's own buffers, overwritten by its next step.
+    the forward pass runs every layer as a @ w.T into fresh arrays and the
+    backward pass uses a fresh workspace; with one, the returned gradient
+    lists are the workspace's own buffers, overwritten by its next step.
     """
     if ws is None:
         sizes = [x.shape[1], *(len(b) for b in biases)]
+        pre, post = _forward(weights, biases, activation, x)
         ws = _Workspace(sizes, len(x), np.result_type(x, *weights))
+    else:
+        pre, post = _forward(weights, biases, activation, x, ws)
     m = len(x)
-    pre, post = _forward(weights, biases, activation, x, ws)
     delta = np.subtract(post[-1], target, out=ws.delta[-1][:m])
     loss = float(np.mean(np.multiply(delta, delta, out=ws.square[:m])))
     delta *= 2.0 / delta.size

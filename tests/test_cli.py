@@ -200,6 +200,26 @@ def test_labelling_healing_h_drives_detect_and_eval(pipeline_dir, tmp_path):
     assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "expected_roc.csv").read_bytes()
 
 
+def test_eval_line_counts_scored_windows(pipeline_dir, capsys):
+    # Reaction, healing and unlabelled windows are labelled but never
+    # scored, so the line reports both totals.
+    work, config = pipeline_dir
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config)]) == 0
+    labelling = load_config(str(config), argparse.Namespace()).labelling
+    kinds = [w.kind for w in label_windows(read_misbehaviour_csv(work / "misbehaviour.csv"),
+                                           labelling)]
+    scored = kinds.count(WindowKind.ANOMALOUS) + kinds.count(WindowKind.NORMAL)
+    assert 0 < scored < len(kinds)
+    counts = json.loads((work / "report.json").read_text())["counts"]
+    assert sum(counts.values()) <= scored
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith(
+        f"eval: {scored} scored (anomalous + normal) of {len(kinds)} labelled windows, "
+        f"TP {counts['tp']} FP {counts['fp']} TN {counts['tn']} FN {counts['fn']}, "
+    )
+
+
 # ----------------------------------------------------------- config builder
 
 def test_config_document_and_flags_build_one_config(tmp_path):

@@ -74,22 +74,31 @@ def test_gradients_match_finite_differences():
 @pytest.mark.parametrize("act", [Activation.RELU, Activation.SIGMOID])
 def test_reused_workspace_matches_fresh_buffers(dtype, act):
     rng = np.random.default_rng(1)
-    sizes = [8, 5, 3, 5, 8]
-    weights = [rng.standard_normal((o, i)).astype(dtype) for i, o in zip(sizes, sizes[1:])]
-    biases = [rng.standard_normal(o).astype(dtype) for o in sizes[1:]]
-    ws = _Workspace(sizes, 6, dtype)
-    # A full batch, then a short one written into the first rows.
-    for rows in (6, 4):
-        x = rng.random((rows, 8)).astype(dtype)
-        target = rng.random((rows, 8)).astype(dtype)
-        fresh = _loss_and_grads(weights, biases, act, x, target)
-        reused = _loss_and_grads(weights, biases, act, x, target, ws)
-        assert reused[0] == fresh[0]
-        for a, b in zip(reused[1] + reused[2], fresh[1] + fresh[2]):
-            assert a.dtype == dtype
-            np.testing.assert_array_equal(a, b)
-        # The returned gradients are the workspace's own buffers.
-        assert reused[1][0] is ws.grad_w[0]
+    # At 6 rows a layer is wide when both its sizes exceed 6: the workspace
+    # then computes it as w @ a.T, while the fresh step runs a @ w.T.
+    cases = [
+        ([8, 5, 3, 5, 8], [False, False, False, False]),
+        ([40, 12, 40], [True, True]),
+        ([48, 16], [True]),
+    ]
+    for sizes, wide in cases:
+        weights = [rng.standard_normal((o, i)).astype(dtype) for i, o in zip(sizes, sizes[1:])]
+        biases = [rng.standard_normal(o).astype(dtype) for o in sizes[1:]]
+        ws = _Workspace(sizes, 6, dtype)
+        assert ws.wide == wide
+        # A full batch, then a short one written into the first rows (the
+        # first columns of a wide layer's buffer).
+        for rows in (6, 4):
+            x = rng.random((rows, sizes[0])).astype(dtype)
+            target = rng.random((rows, sizes[-1])).astype(dtype)
+            fresh = _loss_and_grads(weights, biases, act, x, target)
+            reused = _loss_and_grads(weights, biases, act, x, target, ws)
+            assert reused[0] == fresh[0]
+            for a, b in zip(reused[1] + reused[2], fresh[1] + fresh[2]):
+                assert a.dtype == dtype
+                np.testing.assert_array_equal(a, b)
+            # The returned gradients are the workspace's own buffers.
+            assert reused[1][0] is ws.grad_w[0]
 
 
 # ----------------------------------------------------------------- training
@@ -143,9 +152,12 @@ def test_float32_training_tracks_float64_reference(kind, cfg):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are read on Linux")
-def test_training_steps_do_not_churn_allocations():
+@pytest.mark.parametrize("kind", ["sae", "dae"])
+def test_training_steps_do_not_churn_allocations(kind):
     # A 32x32 frame makes each 32-row float32 batch array 128 KB, large
-    # enough that allocating one per step costs fresh pages.
+    # enough that allocating one per step costs fresh pages.  dae's two
+    # wide layers write the short last batch (200 = 6 * 32 + 8) into a
+    # column slice of their feature-major buffers.
     import resource
 
     stream = FrameStream(
@@ -154,7 +166,7 @@ def test_training_steps_do_not_churn_allocations():
 
     def minor_faults(epochs: int) -> int:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train_reconstructor(stream, "sae", TrainConfig(epochs=epochs, seed=0))
+        train_reconstructor(stream, kind, TrainConfig(epochs=epochs, seed=0))
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
     one, eleven = minor_faults(1), minor_faults(11)
