@@ -250,7 +250,9 @@ def write_model_json(path: str | Path, model: ReconstructorModel) -> None:
         "biases": [b.tolist() for b in model.biases],
         "epoch_losses": model.epoch_losses,
     }
-    _write_text(path, json.dumps(doc, indent=1) + "\n")
+    # No indent: with one, json falls back to its pure-Python encoder, which
+    # takes about twice as long on the quick-start model.
+    _write_text(path, json.dumps(doc) + "\n")
 
 
 def _load_json(path: str | Path) -> dict:

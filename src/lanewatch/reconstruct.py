@@ -12,14 +12,16 @@ per-epoch batch shuffle both draw from one seeded generator, so two runs
 with identical inputs produce bit-identical weights.  Frames are float32
 from the generator to the trainer, and the SGD steps run in float32,
 each one inside buffers allocated once per training call; the trained
-model holds float64 arrays (float32-exact values).  A training layer
-whose input and output sizes both exceed the batch (seq's one layer,
-dae's two 1024-wide ones) is multiplied as w @ a.T: OpenBLAS is faster at
-these shapes and sums every entry in the same order as a @ w.T, so the
-trained bits do not change.  Scoring runs in float64, every layer as
-a @ w.T whatever its width, so errors.csv does not depend on that choice,
-and SCORE_BLOCK_ROWS samples at a time, so its memory does not grow with
-the stream.
+model holds float64 arrays (float32-exact values).  Each training layer
+takes one of three forms, chosen from its sizes and the batch rows (see
+_Workspace): an input-major first layer whose output is narrow (sae's
+1024-32, dae's 1024-64) holds its weights as (n_in, n_out) and multiplies
+a @ W; a wide layer, both sizes above the batch (seq's one layer, dae's
+64-1024), multiplies w @ a.T; every other layer a @ w.T.  The batch loss
+is one float32 dot of the output delta with itself.  Scoring runs in
+float64, every layer as a @ w.T whatever its form in training, so
+errors.csv does not depend on that choice, and SCORE_BLOCK_ROWS samples
+at a time, so its memory does not grow with the stream.
 """
 
 from __future__ import annotations
@@ -273,20 +275,38 @@ class _Workspace:
     A step on m <= rows examples writes into the first m rows of each
     batch-shaped buffer, so a short last batch needs no new arrays.
 
-    A layer whose input and output sizes both exceed `rows` is wide: its
-    pre-activation buffer is feature-major, (n_out, rows), and _forward
-    fills its first m columns as w @ a.T.  At these shapes OpenBLAS
-    computes that product faster than a @ w.T and sums every entry in the
-    same order, so the results are bit-identical.  With the defaults this
-    is seq's one layer and dae's 1024-64 and 64-1024 layers, but neither
-    sae layer: its 32-wide side is no wider than a batch, and there the
-    feature-major product and the strided reads after it are slower.
-    Scoring uses no workspace and keeps a @ w.T (see _forward).
+    Each layer takes one of three forms, chosen from its sizes and `rows`:
+
+    - input-major: the first layer, when its output is narrow
+      (n_out <= 4 * rows).  Its training weights are held as W, shape
+      (n_in, n_out); _forward computes a @ W and the gradient is a.T @ delta
+      into an (n_in, n_out) buffer.  OpenBLAS multiplies these faster than
+      a @ w.T and delta.T @ a at this shape, and the first layer
+      propagates no delta, which would be the slow delta @ W.T.  With the
+      defaults this is sae's 1024-32 and dae's 1024-64 layer (the
+      crossover lies between 256 and 512 outputs at 32 rows).  Unlike
+      the wide form, a @ W can round differently from a @ w.T on a short
+      batch, so a stream whose last batch is short may train weights that
+      differ in float32 rounding from the a @ w.T ones.
+    - wide: both sizes exceed `rows`.  The pre-activation buffer is
+      feature-major, (n_out, rows), and _forward fills its first m columns
+      as w @ a.T, which OpenBLAS computes faster than a @ w.T at these
+      shapes and sums in the same order.  With the defaults this is seq's
+      one layer and dae's 64-1024 layer.
+    - batch-major: every other layer, a @ w.T.
+
+    standard=True keeps every layer batch-major with (n_out, n_in)
+    weights and gradients, for the step that takes no workspace.  Scoring
+    uses no workspace and keeps a @ w.T (see _forward).
     """
 
-    def __init__(self, layer_sizes: list[int], rows: int, dtype):
+    def __init__(self, layer_sizes: list[int], rows: int, dtype, standard: bool = False):
         outs = layer_sizes[1:]
-        self.wide = [min(n_in, n_out) > rows for n_in, n_out in zip(layer_sizes, outs)]
+        self.input_major = not standard and outs[0] <= 4 * rows
+        self.wide = [
+            not standard and min(n_in, n_out) > rows and not (l == 0 and self.input_major)
+            for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))
+        ]
         self.pre = [
             np.empty((n, rows) if wide else (rows, n), dtype)
             for n, wide in zip(outs, self.wide)
@@ -295,8 +315,10 @@ class _Workspace:
         self.post = [np.empty((rows, n), dtype) for n in outs[:-1]]
         self.act_grad = [np.empty((rows, n), dtype) for n in outs[:-1]]
         self.delta = [np.empty((rows, n), dtype) for n in outs]
-        self.square = np.empty((rows, outs[-1]), dtype)
-        self.grad_w = [np.empty((n_out, n_in), dtype) for n_in, n_out in zip(layer_sizes, outs)]
+        self.grad_w = [
+            np.empty((n_in, n_out) if l == 0 and self.input_major else (n_out, n_in), dtype)
+            for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))
+        ]
         self.grad_b = [np.empty(n, dtype) for n in outs]
 
 
@@ -310,9 +332,11 @@ def _forward(
     """Return (pre-activations, post-activations); post[0] is the input.
 
     Every returned array is batch-major, (m, n).  With a workspace the
-    layers are written into its buffers, a wide layer's pre-activation as
-    w @ a.T into its feature-major buffer and returned as the transposed
-    view (see _Workspace).  Without one, as when scoring, every layer is
+    layers are written into its buffers in the form it chose for each
+    (see _Workspace): an input-major first layer as a @ W, where
+    weights[0] is W, shape (n_in, n_out); a wide layer as w @ a.T into its
+    feature-major buffer, returned as the transposed view; every other
+    layer as a @ w.T.  Without one, as when scoring, every layer is
     a @ w.T into fresh arrays, so scores (errors.csv) do not depend on the
     workspace's choice."""
     m = len(x)
@@ -323,6 +347,8 @@ def _forward(
     for l, (w, b) in enumerate(zip(weights, biases)):
         if ws is None:
             z = np.matmul(a, w.T)
+        elif l == 0 and ws.input_major:
+            z = np.matmul(a, w, out=ws.pre[0][:m])
         elif ws.wide[l]:
             z = np.matmul(w, a.T, out=ws.pre[l][:, :m]).T
         else:
@@ -345,23 +371,32 @@ def _loss_and_grads(
     """Batch loss (mean over examples of per-pixel mean squared error) and
     its gradients with respect to every weight and bias.
 
-    The arithmetic runs in the dtype of the inputs.  Without a workspace
-    the forward pass runs every layer as a @ w.T into fresh arrays and the
-    backward pass uses a fresh workspace; with one, the returned gradient
-    lists are the workspace's own buffers, overwritten by its next step.
+    The arithmetic runs in the dtype of the inputs; the loss is one dot of
+    the flat output delta with itself, divided by its size.  Without a
+    workspace every weight and gradient is (n_out, n_in): the forward pass
+    runs every layer as a @ w.T into fresh arrays and the backward pass
+    uses a fresh standard workspace.  With one, each layer takes the
+    workspace's form (see _Workspace): an input-major first layer takes W,
+    shape (n_in, n_out), and returns its gradient a.T @ delta in that
+    shape; the returned gradient lists are the workspace's own buffers,
+    overwritten by its next step.
     """
     if ws is None:
         sizes = [x.shape[1], *(len(b) for b in biases)]
         pre, post = _forward(weights, biases, activation, x)
-        ws = _Workspace(sizes, len(x), np.result_type(x, *weights))
+        ws = _Workspace(sizes, len(x), np.result_type(x, *weights), standard=True)
     else:
         pre, post = _forward(weights, biases, activation, x, ws)
     m = len(x)
     delta = np.subtract(post[-1], target, out=ws.delta[-1][:m])
-    loss = float(np.mean(np.multiply(delta, delta, out=ws.square[:m])))
+    flat = delta.reshape(-1)
+    loss = float(np.dot(flat, flat)) / flat.size
     delta *= 2.0 / delta.size
     for l in range(len(weights) - 1, -1, -1):
-        np.matmul(delta.T, post[l], out=ws.grad_w[l])
+        if l == 0 and ws.input_major:
+            np.matmul(post[0].T, delta, out=ws.grad_w[0])
+        else:
+            np.matmul(delta.T, post[l], out=ws.grad_w[l])
         np.sum(delta, axis=0, out=ws.grad_b[l])
         if l > 0:
             grad = _activate_grad(pre[l - 1], post[l], activation, ws.act_grad[l - 1][:m])
@@ -419,11 +454,15 @@ def train_reconstructor(
         bound = 1.0 / math.sqrt(n_in)
         weights64.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
         biases64.append(np.zeros(n_out))
-    weights = [w.astype(_TRAIN_DTYPE) for w in weights64]
     biases = [b.astype(_TRAIN_DTYPE) for b in biases64]
 
     rows = min(hyper.batch_size, n_samples)
     ws = _Workspace(layer_sizes, rows, _TRAIN_DTYPE)
+    # An input-major first layer trains as W = w.T (see _Workspace).
+    weights = [
+        np.ascontiguousarray(w.T if l == 0 and ws.input_major else w, _TRAIN_DTYPE)
+        for l, w in enumerate(weights64)
+    ]
     # Each batch is gathered from the float32 frame matrix straight into
     # these buffers; an autoencoder's target batch is its input batch.
     x_rows = np.empty((rows, layer_sizes[0]), _TRAIN_DTYPE)
@@ -454,6 +493,8 @@ def train_reconstructor(
                 biases[l] -= grad_b[l]
         epoch_losses.append(float(np.mean(batch_losses)))
 
+    if ws.input_major:
+        weights[0] = weights[0].T
     for out, trained in zip(weights64 + biases64, weights + biases):
         out[...] = trained
     return ReconstructorModel(

@@ -25,6 +25,7 @@ from lanewatch.reconstruct import (
     _DEFAULT_LEARNING_RATE,
     SCORE_BLOCK_ROWS,
     _Workspace,
+    _forward,
     _loss_and_grads,
 )
 
@@ -70,35 +71,77 @@ def test_gradients_match_finite_differences():
             assert grad_b[l][0] == pytest.approx(numeric, rel=1e-4, abs=1e-9)
 
 
+def _layer0_as(ws, arrays):
+    """Layer 0 of a weight or gradient list in the workspace's layout:
+    transposed when the workspace holds it input-major."""
+    return [a.T if l == 0 and ws.input_major else a for l, a in enumerate(arrays)]
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("act", [Activation.RELU, Activation.SIGMOID])
 def test_reused_workspace_matches_fresh_buffers(dtype, act):
     rng = np.random.default_rng(1)
-    # At 6 rows a layer is wide when both its sizes exceed 6: the workspace
-    # then computes it as w @ a.T, while the fresh step runs a @ w.T.
+    # At 6 rows the first layer is input-major when its output is at most
+    # 4 * 6 = 24 wide, and any other layer is wide when both its sizes
+    # exceed 6; every remaining layer is batch-major.
     cases = [
-        ([8, 5, 3, 5, 8], [False, False, False, False]),
-        ([40, 12, 40], [True, True]),
-        ([48, 16], [True]),
+        ([8, 5, 3, 5, 8], True, [False, False, False, False]),
+        ([40, 12, 40], True, [False, True]),
+        ([48, 16], True, [False]),
+        ([48, 32, 48], False, [True, True]),
+        ([4, 30, 4], False, [False, False]),
     ]
-    for sizes, wide in cases:
+    rtol = 1e-5 if dtype == np.float32 else 1e-12
+    for sizes, input_major, wide in cases:
         weights = [rng.standard_normal((o, i)).astype(dtype) for i, o in zip(sizes, sizes[1:])]
         biases = [rng.standard_normal(o).astype(dtype) for o in sizes[1:]]
         ws = _Workspace(sizes, 6, dtype)
-        assert ws.wide == wide
-        # A full batch, then a short one written into the first rows (the
-        # first columns of a wide layer's buffer).
-        for rows in (6, 4):
+        assert (ws.input_major, ws.wide) == (input_major, wide)
+        held = [np.ascontiguousarray(w) for w in _layer0_as(ws, weights)]
+        # A full batch, then a short one and a single row written into the
+        # first rows (the first columns of a wide layer's buffer).
+        for rows in (6, 4, 1):
             x = rng.random((rows, sizes[0])).astype(dtype)
             target = rng.random((rows, sizes[-1])).astype(dtype)
-            fresh = _loss_and_grads(weights, biases, act, x, target)
-            reused = _loss_and_grads(weights, biases, act, x, target, ws)
+            fresh = _loss_and_grads(held, biases, act, x, target, _Workspace(sizes, 6, dtype))
+            reused = _loss_and_grads(held, biases, act, x, target, ws)
             assert reused[0] == fresh[0]
             for a, b in zip(reused[1] + reused[2], fresh[1] + fresh[2]):
                 assert a.dtype == dtype
                 np.testing.assert_array_equal(a, b)
             # The returned gradients are the workspace's own buffers.
             assert reused[1][0] is ws.grad_w[0]
+            # The input-major product a @ W rounds differently from a @ w.T
+            # on some short batches, so the standard five-argument step
+            # agrees to a tolerance set by the dtype.
+            plain = _loss_and_grads(weights, biases, act, x, target)
+            assert reused[0] == pytest.approx(plain[0], rel=rtol)
+            for got, want in zip(_layer0_as(ws, reused[1]) + reused[2], plain[1] + plain[2]):
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+@pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+def test_loss_is_mean_squared_residual(dtype, rtol):
+    # sae's default shape; the float32 loss is one float32 dot per batch.
+    rng = np.random.default_rng(2)
+    sizes = [1024, 32, 1024]
+    weights = [
+        rng.uniform(-1.0, 1.0, (o, i)).astype(dtype) / math.sqrt(i)
+        for i, o in zip(sizes, sizes[1:])
+    ]
+    biases = [np.zeros(o, dtype) for o in sizes[1:]]
+    ws = _Workspace(sizes, 32, dtype)
+    held = [np.ascontiguousarray(w) for w in _layer0_as(ws, weights)]
+    for rows in (32, 13):
+        x = rng.random((rows, sizes[0])).astype(dtype)
+        target = rng.random((rows, sizes[-1])).astype(dtype)
+        out = _forward(weights, biases, Activation.RELU, x)[1][-1]
+        want = float(np.mean((out.astype(np.float64) - target.astype(np.float64)) ** 2))
+        plain = _loss_and_grads(weights, biases, Activation.RELU, x, target)[0]
+        stepped = _loss_and_grads(held, biases, Activation.RELU, x, target, ws)[0]
+        assert plain == pytest.approx(want, rel=rtol)
+        assert stepped == pytest.approx(want, rel=rtol)
 
 
 # ----------------------------------------------------------------- training
