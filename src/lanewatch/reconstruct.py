@@ -14,10 +14,11 @@ from the generator to the trainer, and the SGD steps run in float32,
 each one inside buffers allocated once per training call; the trained
 model holds float64 arrays (float32-exact values).  Each training layer
 takes one of three forms, chosen from its sizes and the batch rows (see
-_Workspace): an input-major first layer whose output is narrow (sae's
-1024-32, dae's 1024-64) holds its weights as (n_in, n_out) and multiplies
-a @ W; a wide layer, both sizes above the batch (seq's one layer, dae's
-64-1024), multiplies w @ a.T; every other layer a @ w.T.  The batch loss
+_Workspace): an input-major first layer whose output is at most 64
+wide (sae's 1024-32, dae's 1024-64) holds its weights as (n_in, n_out)
+and multiplies a @ W; a wide layer, both sizes above the batch (seq's
+one layer, dae's 64-1024), multiplies w @ a.T; every other layer
+a @ w.T.  The batch loss
 is one float32 dot of the output delta with itself.  Scoring runs in
 float64, every layer as a @ w.T whatever its form in training, so
 errors.csv does not depend on that choice, and SCORE_BLOCK_ROWS samples
@@ -171,6 +172,13 @@ _DEFAULT_HIDDEN = {
 # gradient noise of a 32-sample batch is far above float32 rounding.
 _TRAIN_DTYPE = np.float32
 
+# A first layer with at most this many outputs trains input-major (see
+# _Workspace).  Measured with one BLAS thread at batches of 1 to 1024
+# rows, a @ W plus a.T @ delta is as fast as or faster than the other
+# forms at 1024- and 3072-wide inputs up to 64 outputs; at 128 outputs
+# it wins at 128 rows or fewer but not reliably at 256 and 512.
+_INPUT_MAJOR_MAX_OUT = 64
+
 # Scoring upcasts this many samples at a time to float64 (one more in a
 # last block that would otherwise hold a single sample), so its
 # temporaries stay the same size whatever the length of the stream.
@@ -278,16 +286,17 @@ class _Workspace:
     Each layer takes one of three forms, chosen from its sizes and `rows`:
 
     - input-major: the first layer, when its output is narrow
-      (n_out <= 4 * rows).  Its training weights are held as W, shape
-      (n_in, n_out); _forward computes a @ W and the gradient is a.T @ delta
-      into an (n_in, n_out) buffer.  OpenBLAS multiplies these faster than
-      a @ w.T and delta.T @ a at this shape, and the first layer
-      propagates no delta, which would be the slow delta @ W.T.  With the
-      defaults this is sae's 1024-32 and dae's 1024-64 layer (the
-      crossover lies between 256 and 512 outputs at 32 rows).  Unlike
-      the wide form, a @ W can round differently from a @ w.T on a short
-      batch, so a stream whose last batch is short may train weights that
-      differ in float32 rounding from the a @ w.T ones.
+      (n_out <= _INPUT_MAJOR_MAX_OUT, whatever `rows`).  Its training
+      weights are held as W, shape (n_in, n_out); _forward computes a @ W
+      and the gradient is a.T @ delta into an (n_in, n_out) buffer.
+      OpenBLAS multiplies these as fast as or faster than a @ w.T and
+      delta.T @ a at these shapes, and the first layer propagates no
+      delta, which would be the slow delta @ W.T.  With the defaults this
+      is sae's 1024-32 and dae's 1024-64 layer; seq's 3072-1024 layer
+      stays wide at any batch size.  Unlike the wide form, a @ W can
+      round differently from a @ w.T on a short batch, so a stream whose
+      last batch is short may train weights that differ in float32
+      rounding from the a @ w.T ones.
     - wide: both sizes exceed `rows`.  The pre-activation buffer is
       feature-major, (n_out, rows), and _forward fills its first m columns
       as w @ a.T, which OpenBLAS computes faster than a @ w.T at these
@@ -302,7 +311,7 @@ class _Workspace:
 
     def __init__(self, layer_sizes: list[int], rows: int, dtype, standard: bool = False):
         outs = layer_sizes[1:]
-        self.input_major = not standard and outs[0] <= 4 * rows
+        self.input_major = not standard and outs[0] <= _INPUT_MAJOR_MAX_OUT
         self.wide = [
             not standard and min(n_in, n_out) > rows and not (l == 0 and self.input_major)
             for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))

@@ -81,15 +81,18 @@ def _layer0_as(ws, arrays):
 @pytest.mark.parametrize("act", [Activation.RELU, Activation.SIGMOID])
 def test_reused_workspace_matches_fresh_buffers(dtype, act):
     rng = np.random.default_rng(1)
-    # At 6 rows the first layer is input-major when its output is at most
-    # 4 * 6 = 24 wide, and any other layer is wide when both its sizes
-    # exceed 6; every remaining layer is batch-major.
+    # The first layer is input-major when its output is at most
+    # _INPUT_MAJOR_MAX_OUT = 64 wide, whatever the rows; at 6 rows any other
+    # layer is wide when both its sizes exceed 6; every remaining layer is
+    # batch-major.
     cases = [
         ([8, 5, 3, 5, 8], True, [False, False, False, False]),
         ([40, 12, 40], True, [False, True]),
+        ([20, 64, 20], True, [False, True]),
         ([48, 16], True, [False]),
-        ([48, 32, 48], False, [True, True]),
-        ([4, 30, 4], False, [False, False]),
+        ([20, 65], False, [True]),
+        ([8, 70, 8], False, [True, True]),
+        ([4, 70, 4], False, [False, False]),
     ]
     rtol = 1e-5 if dtype == np.float32 else 1e-12
     for sizes, input_major, wide in cases:
@@ -111,12 +114,20 @@ def test_reused_workspace_matches_fresh_buffers(dtype, act):
                 np.testing.assert_array_equal(a, b)
             # The returned gradients are the workspace's own buffers.
             assert reused[1][0] is ws.grad_w[0]
-            # The input-major product a @ W rounds differently from a @ w.T
-            # on some short batches, so the standard five-argument step
-            # agrees to a tolerance set by the dtype.
+            # Against the standard five-argument step: a wide layer's
+            # w @ a.T sums in the same order as a @ w.T, so without an
+            # input-major layer the step is bit-identical; the input-major
+            # a @ W rounds differently on some short batches, so with one
+            # the step agrees to a tolerance set by the dtype.
             plain = _loss_and_grads(weights, biases, act, x, target)
+            got_grads = _layer0_as(ws, reused[1]) + reused[2]
+            if not input_major:
+                assert reused[0] == plain[0]
+                for got, want in zip(got_grads, plain[1] + plain[2]):
+                    np.testing.assert_array_equal(got, want)
+                continue
             assert reused[0] == pytest.approx(plain[0], rel=rtol)
-            for got, want in zip(_layer0_as(ws, reused[1]) + reused[2], plain[1] + plain[2]):
+            for got, want in zip(got_grads, plain[1] + plain[2]):
                 assert got.shape == want.shape
                 np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
 
@@ -198,9 +209,9 @@ def test_float32_training_tracks_float64_reference(kind, cfg):
 @pytest.mark.parametrize("kind", ["sae", "dae"])
 def test_training_steps_do_not_churn_allocations(kind):
     # A 32x32 frame makes each 32-row float32 batch array 128 KB, large
-    # enough that allocating one per step costs fresh pages.  dae's two
-    # wide layers write the short last batch (200 = 6 * 32 + 8) into a
-    # column slice of their feature-major buffers.
+    # enough that allocating one per step costs fresh pages.  dae's one
+    # wide layer (64-1024) writes the short last batch (200 = 6 * 32 + 8)
+    # into a column slice of its feature-major buffer.
     import resource
 
     stream = FrameStream(
