@@ -10,19 +10,19 @@ reconstruction.
 Training is deterministic given the seed: weight initialization and the
 per-epoch batch shuffle both draw from one seeded generator, so two runs
 with identical inputs produce bit-identical weights.  Frames are float32
-from the generator to the trainer, and the SGD steps run in float32,
-each one inside buffers allocated once per training call; the trained
-model holds float64 arrays (float32-exact values).  Each training layer
-takes one of three forms, chosen from its sizes and the batch rows (see
-_Workspace): an input-major first layer whose output is at most 64
-wide (sae's 1024-32, dae's 1024-64) holds its weights as (n_in, n_out)
-and multiplies a @ W; a wide layer, both sizes above the batch (seq's
-one layer, dae's 64-1024), multiplies w @ a.T; every other layer
-a @ w.T.  The batch loss
-is one float32 dot of the output delta with itself.  Scoring runs in
-float64, every layer as a @ w.T whatever its form in training, so
-errors.csv does not depend on that choice, and SCORE_BLOCK_ROWS samples
-at a time, so its memory does not grow with the stream.
+from the generator to the trainer, and the SGD steps run in float32
+inside buffers allocated once per training call; the trained model holds
+float64 arrays (float32-exact values).  Each training layer takes one of
+three forms, chosen from its sizes and the batch rows (see _Workspace):
+an input-major first layer at most 64 wide (sae's 1024-32, dae's
+1024-64) multiplies a @ W with W = w.T; a wide layer, both sizes above
+the batch (seq's one layer, dae's 64-1024), w @ a.T; every other layer
+a @ w.T.  A layer whose gradient exceeds _GRAD_BLOCK_BYTES (seq's) is
+updated in L2-sized row blocks, to the bits of one whole update.  The
+batch loss is one float32 dot of the output delta with itself.  Scoring
+runs in float64, every layer as a @ w.T whatever its form in training,
+so errors.csv does not depend on that choice, and SCORE_BLOCK_ROWS
+samples at a time, so its memory does not grow with the stream.
 """
 
 from __future__ import annotations
@@ -42,9 +42,7 @@ __all__ = [
     "Activation",
     "ReconstructorModel",
     "TrainConfig",
-    "reconstruction_error",
     "train_reconstructor",
-    "reconstruct",
     "error_series",
 ]
 
@@ -119,14 +117,6 @@ class ErrorSeries:
         return np.arange(self.start_index, self.start_index + self.values.size)
 
 
-def reconstruction_error(x: np.ndarray, x_prime: np.ndarray) -> float:
-    """Mean pixel-wise squared error between a frame and its reconstruction."""
-    if x.shape != x_prime.shape:
-        raise ValueError(f"frame shapes differ: {x.shape} vs {x_prime.shape}")
-    diff = x - x_prime
-    return float(np.mean(diff * diff))
-
-
 @dataclass
 class TrainConfig:
     """Hyperparameters for reconstructor training.
@@ -178,6 +168,11 @@ _TRAIN_DTYPE = np.float32
 # forms at 1024- and 3072-wide inputs up to 64 outputs; at 128 outputs
 # it wins at 128 rows or fewer but not reliably at 256 and 512.
 _INPUT_MAJOR_MAX_OUT = 64
+
+# A layer whose weight gradient is larger than this is updated in row
+# blocks of this size, each held in L2 between its product and its update
+# (see _Workspace); with the defaults only seq's, in 16 blocks of 64 rows.
+_GRAD_BLOCK_BYTES = 768 * 1024
 
 # Scoring upcasts this many samples at a time to float64 (one more in a
 # last block that would otherwise hold a single sample), so its
@@ -304,9 +299,15 @@ class _Workspace:
       one layer and dae's 64-1024 layer.
     - batch-major: every other layer, a @ w.T.
 
+    A layer whose gradient exceeds _GRAD_BLOCK_BYTES trains through
+    _apply_blocked, block_rows[l] rows (at least two; 0 for every other
+    layer) at a time into grad_w[l], which holds one block.  A block is
+    rows of the whole product, each element summed over the batch in the
+    same order, so the trained bits do not change.
+
     standard=True keeps every layer batch-major with (n_out, n_in)
-    weights and gradients, for the step that takes no workspace.  Scoring
-    uses no workspace and keeps a @ w.T (see _forward).
+    weights and full gradients, for the step that takes no workspace.
+    Scoring uses no workspace and keeps a @ w.T (see _forward).
     """
 
     def __init__(self, layer_sizes: list[int], rows: int, dtype, standard: bool = False):
@@ -324,11 +325,28 @@ class _Workspace:
         self.post = [np.empty((rows, n), dtype) for n in outs[:-1]]
         self.act_grad = [np.empty((rows, n), dtype) for n in outs[:-1]]
         self.delta = [np.empty((rows, n), dtype) for n in outs]
-        self.grad_w = [
-            np.empty((n_in, n_out) if l == 0 and self.input_major else (n_out, n_in), dtype)
+        shapes = [
+            (n_in, n_out) if l == 0 and self.input_major else (n_out, n_in)
             for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))
         ]
+        row_bytes = [n * np.dtype(dtype).itemsize for _, n in shapes]
+        self.block_rows = [
+            0 if standard or r * b <= _GRAD_BLOCK_BYTES else max(2, _GRAD_BLOCK_BYTES // b)
+            for (r, _), b in zip(shapes, row_bytes)
+        ]
+        # A blocked layer's buffer holds one block and a lone last row.
+        self.grad_w = [
+            np.empty((br + 1, s[1]) if br else s, dtype) for s, br in zip(shapes, self.block_rows)
+        ]
         self.grad_b = [np.empty(n, dtype) for n in outs]
+
+
+def _row_ranges(n: int, step: int) -> zip:
+    """(start, end) ranges of step rows covering n rows.  A lone last row
+    joins the range before it: numpy multiplies a one-row matrix on its
+    matrix-vector path, which can round differently."""
+    starts = range(0, max(n - 1, 1), step)
+    return zip(starts, [*starts[1:], n])
 
 
 def _forward(
@@ -340,13 +358,11 @@ def _forward(
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Return (pre-activations, post-activations); post[0] is the input.
 
-    Every returned array is batch-major, (m, n).  With a workspace the
-    layers are written into its buffers in the form it chose for each
-    (see _Workspace): an input-major first layer as a @ W, where
-    weights[0] is W, shape (n_in, n_out); a wide layer as w @ a.T into its
-    feature-major buffer, returned as the transposed view; every other
-    layer as a @ w.T.  Without one, as when scoring, every layer is
-    a @ w.T into fresh arrays, so scores (errors.csv) do not depend on the
+    Every returned array is batch-major, (m, n).  With a workspace each
+    layer is written into its buffers in the form it chose (see
+    _Workspace); a wide layer's feature-major buffer is returned as the
+    transposed view.  Without one, as when scoring, every layer is a @ w.T
+    into fresh arrays, so scores (errors.csv) do not depend on the
     workspace's choice."""
     m = len(x)
     pre: list[np.ndarray] = []
@@ -382,13 +398,12 @@ def _loss_and_grads(
 
     The arithmetic runs in the dtype of the inputs; the loss is one dot of
     the flat output delta with itself, divided by its size.  Without a
-    workspace every weight and gradient is (n_out, n_in): the forward pass
-    runs every layer as a @ w.T into fresh arrays and the backward pass
-    uses a fresh standard workspace.  With one, each layer takes the
-    workspace's form (see _Workspace): an input-major first layer takes W,
-    shape (n_in, n_out), and returns its gradient a.T @ delta in that
-    shape; the returned gradient lists are the workspace's own buffers,
-    overwritten by its next step.
+    workspace every weight and gradient is (n_out, n_in), in fresh arrays.
+    With one, each layer takes the workspace's form (see _Workspace): an
+    input-major first layer's weights and gradient are (n_in, n_out); the
+    returned gradient lists are the workspace's own buffers, overwritten
+    by its next step; a blocked layer's weight gradient is left to
+    _apply_blocked, which reads the layer's delta from ws.delta.
     """
     if ws is None:
         sizes = [x.shape[1], *(len(b) for b in biases)]
@@ -402,16 +417,29 @@ def _loss_and_grads(
     loss = float(np.dot(flat, flat)) / flat.size
     delta *= 2.0 / delta.size
     for l in range(len(weights) - 1, -1, -1):
-        if l == 0 and ws.input_major:
-            np.matmul(post[0].T, delta, out=ws.grad_w[0])
-        else:
-            np.matmul(delta.T, post[l], out=ws.grad_w[l])
+        # The gradient is left.T @ right; row r of it is column r of left.
+        left, right = (post[l], delta) if l == 0 and ws.input_major else (delta, post[l])
+        if not ws.block_rows[l]:
+            np.matmul(left.T, right, out=ws.grad_w[l])
         np.sum(delta, axis=0, out=ws.grad_b[l])
         if l > 0:
             grad = _activate_grad(pre[l - 1], post[l], activation, ws.act_grad[l - 1][:m])
             delta = np.matmul(delta, weights[l], out=ws.delta[l - 1][:m])
             delta *= grad
     return loss, ws.grad_w, ws.grad_b
+
+
+def _apply_blocked(l: int, w: np.ndarray, x: np.ndarray, ws: _Workspace, rate: float) -> None:
+    """SGD update of the blocked layer l's training weights w after
+    _loss_and_grads on the batch x, one row block of gradient at a time."""
+    a = x if l == 0 else ws.post[l - 1][: len(x)]
+    delta = ws.delta[l][: len(x)]
+    left, right = (a, delta) if l == 0 and ws.input_major else (delta, a)
+    for start, end in _row_ranges(len(w), ws.block_rows[l]):
+        g = ws.grad_w[l][: end - start]
+        np.matmul(left[:, start:end].T, right, out=g)
+        g *= rate
+        w[start:end] -= g
 
 
 def _samples(stream: FrameStream, history_k: int | None) -> tuple[np.ndarray, int]:
@@ -496,8 +524,11 @@ def train_reconstructor(
             )
             batch_losses.append(loss)
             for l in range(len(weights)):
-                grad_w[l] *= learning_rate
-                weights[l] -= grad_w[l]
+                if ws.block_rows[l]:
+                    _apply_blocked(l, weights[l], x, ws, learning_rate)
+                else:
+                    grad_w[l] *= learning_rate
+                    weights[l] -= grad_w[l]
                 grad_b[l] *= learning_rate
                 biases[l] -= grad_b[l]
         epoch_losses.append(float(np.mean(batch_losses)))
@@ -517,40 +548,13 @@ def train_reconstructor(
     )
 
 
-def _forward_clamped(model: ReconstructorModel, inputs: np.ndarray) -> np.ndarray:
-    _, post = _forward(model.weights, model.biases, model.activation, inputs)
-    return np.clip(post[-1], 0.0, 1.0, out=post[-1])
-
-
-def reconstruct(model: ReconstructorModel, history: np.ndarray) -> np.ndarray:
-    """Reconstruct one frame: a (k, height, width, channels) history in, an
-    (height, width, channels) frame out.
-
-    Autoencoders take the frame itself (k = 1); the sequence predictor
-    takes its previous history_k frames, oldest first.  This is the
-    single-frame reference for error_series.
-    """
-    history = np.asarray(history, dtype=np.float64)
-    needed = model.input_window
-    if history.ndim != 4 or len(history) != needed:
-        raise ValueError(
-            f"{model.kind.value} needs a ({needed}, height, width, channels) history, "
-            f"got shape {history.shape}"
-        )
-    flat = history.reshape(1, -1)
-    if flat.shape[1] != model.layer_sizes[0]:
-        raise ValueError(
-            f"input size {flat.shape[1]} does not match model input {model.layer_sizes[0]}"
-        )
-    return _forward_clamped(model, flat)[0].reshape(history.shape[1:])
-
-
 def _block_errors(
     model: ReconstructorModel, inputs: np.ndarray, targets: np.ndarray
 ) -> np.ndarray:
     """Float64 errors of one block of float32 samples; its temporaries are
     freed before the next block allocates."""
-    diff = _forward_clamped(model, inputs.astype(np.float64))
+    _, post = _forward(model.weights, model.biases, model.activation, inputs.astype(np.float64))
+    diff = np.clip(post[-1], 0.0, 1.0, out=post[-1])
     np.subtract(targets, diff, out=diff)
     diff *= diff
     return np.mean(diff, axis=1)
@@ -575,12 +579,8 @@ def error_series(model: ReconstructorModel, stream: FrameStream) -> ErrorSeries:
     row = model.input_window * n_pixels
     inputs = np.lib.stride_tricks.sliding_window_view(frames.reshape(-1), row)[::n_pixels]
     targets = frames[k or 0 :]
-    # numpy multiplies a one-row block on its matrix-vector path, which can
-    # round differently from the matrix-matrix path, so a lone last sample
-    # joins the block before it.
-    starts = range(0, max(n_samples - 1, 1), SCORE_BLOCK_ROWS)
     blocks = [
         _block_errors(model, inputs[a:b], targets[a:b])
-        for a, b in zip(starts, [*starts[1:], n_samples])
+        for a, b in _row_ranges(n_samples, SCORE_BLOCK_ROWS)
     ]
     return ErrorSeries(values=np.concatenate(blocks), start_index=k or 0)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import lanewatch.reconstruct as reconstruct_module
 from lanewatch.errors import ConfigError
 from lanewatch.reconstruct import (
     Activation,
@@ -17,8 +20,6 @@ from lanewatch.reconstruct import (
     ReconstructorModel,
     TrainConfig,
     error_series,
-    reconstruct,
-    reconstruction_error,
     train_reconstructor,
 )
 from lanewatch.reconstruct import (
@@ -27,7 +28,9 @@ from lanewatch.reconstruct import (
     _Workspace,
     _forward,
     _loss_and_grads,
+    _row_ranges,
 )
+from reconstruct_reference import reconstruct, reconstruction_error
 
 
 def _frame(pixels: np.ndarray, w: int = 4, h: int = 4) -> np.ndarray:
@@ -159,10 +162,18 @@ def test_loss_is_mean_squared_residual(dtype, rtol):
 
 def _reference_sgd(stream, kind, cfg):
     """Float64 SGD with train_reconstructor's draws and batches: the same
-    seeded initialization and per-epoch permutations, fresh buffers."""
+    seeded initialization and per-epoch permutations, fresh buffers.  A
+    sequence predictor's sample i is frames i ... i+k-1 concatenated,
+    oldest first, and its target is frame i+k."""
     rng = np.random.default_rng(cfg.seed)
-    data = stream.as_matrix()
-    sizes = [data.shape[1], *cfg.hidden_sizes, data.shape[1]]
+    frames = stream.as_matrix().astype(np.float64)
+    if kind == "seq":
+        k, n = cfg.history_k, len(frames)
+        data = np.concatenate([frames[j : n - k + j] for j in range(k)], axis=1)
+        targets = frames[k:]
+    else:
+        data = targets = frames
+    sizes = [data.shape[1], *(cfg.hidden_sizes or ()), targets.shape[1]]
     weights, biases = [], []
     for n_in, n_out in zip(sizes, sizes[1:]):
         bound = 1.0 / math.sqrt(n_in)
@@ -174,8 +185,10 @@ def _reference_sgd(stream, kind, cfg):
         order = rng.permutation(len(data))
         batch_losses = []
         for start in range(0, len(data), cfg.batch_size):
-            x = data[order[start : start + cfg.batch_size]]
-            loss, grad_w, grad_b = _loss_and_grads(weights, biases, cfg.activation, x, x)
+            idx = order[start : start + cfg.batch_size]
+            loss, grad_w, grad_b = _loss_and_grads(
+                weights, biases, cfg.activation, data[idx], targets[idx]
+            )
             batch_losses.append(loss)
             for l in range(len(weights)):
                 weights[l] -= rate * grad_w[l]
@@ -190,11 +203,15 @@ def _reference_sgd(stream, kind, cfg):
         ("sae", TrainConfig(hidden_sizes=(6,), epochs=12, batch_size=8, seed=3)),
         ("dae", TrainConfig(hidden_sizes=(8, 4, 8), epochs=12, batch_size=8, seed=4,
                             activation=Activation.SIGMOID)),
+        ("seq", TrainConfig(epochs=12, batch_size=8, seed=5, history_k=2)),
     ],
 )
 def test_float32_training_tracks_float64_reference(kind, cfg):
-    # 45 frames in batches of 8 end each epoch with a short batch of 5.
-    stream = _noise_stream(14, 45)
+    # 45 frames in batches of 8 end each epoch with a short batch: 5
+    # samples for the autoencoders, 3 for seq (43 lagged samples).
+    # 9x9 frames make seq's one layer (162-81) wide, as at full size.
+    side = 9 if kind == "seq" else 4
+    stream = _noise_stream(14, 45, w=side, h=side)
     model = train_reconstructor(stream, kind, cfg)
     weights, biases, losses = _reference_sgd(stream, kind, cfg)
     for got, want in zip(model.weights + model.biases, weights + biases):
@@ -206,26 +223,95 @@ def test_float32_training_tracks_float64_reference(kind, cfg):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are read on Linux")
-@pytest.mark.parametrize("kind", ["sae", "dae"])
+@pytest.mark.parametrize("kind", ["sae", "dae", "seq"])
 def test_training_steps_do_not_churn_allocations(kind):
-    # A 32x32 frame makes each 32-row float32 batch array 128 KB, large
-    # enough that allocating one per step costs fresh pages.  dae's one
-    # wide layer (64-1024) writes the short last batch (200 = 6 * 32 + 8)
-    # into a column slice of its feature-major buffer.
-    import resource
-
-    stream = FrameStream(
-        frames=np.random.default_rng(15).random((200, 32, 32, 1)), frame_rate_hz=10.0
+    # A 32x32 frame makes each 32-row float32 batch array 128 KiB.  The
+    # count runs in a fresh process with one BLAS thread and glibc's mmap
+    # threshold fixed at 128 KiB, so every array that large is mapped
+    # fresh and faults in its pages: at the default threshold, which rises
+    # after the first large free, the heap would reuse a freed array
+    # unseen.  dae's one wide layer (64-1024) writes the short last batch
+    # (200 = 6 * 32 + 8) into a column slice of its feature-major buffer;
+    # seq's 3072-1024 layer computes its gradient a 768 KiB block at a
+    # time, each into the same buffer.
+    script = """
+import resource, sys
+import numpy as np
+from lanewatch.reconstruct import FrameStream, TrainConfig, train_reconstructor
+stream = FrameStream(frames=np.random.default_rng(15).random((200, 32, 32, 1)))
+def minor_faults(epochs):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_reconstructor(stream, sys.argv[1], TrainConfig(epochs=epochs, seed=0))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+minor_faults(1)
+print(minor_faults(1), minor_faults(11))
+"""
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        MALLOC_MMAP_THRESHOLD_=str(128 * 1024),
+        PYTHONPATH=os.pathsep.join(sys.path),
     )
-
-    def minor_faults(epochs: int) -> int:
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        train_reconstructor(stream, kind, TrainConfig(epochs=epochs, seed=0))
-        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-    one, eleven = minor_faults(1), minor_faults(11)
+    out = subprocess.run(
+        [sys.executable, "-c", script, kind], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    one, eleven = map(int, out.stdout.split())
     extra_steps = 10 * math.ceil(200 / TrainConfig().batch_size)
     assert (eleven - one) / extra_steps < 5.0
+
+
+@pytest.mark.parametrize(
+    "kind, side, n_frames, block_bytes, block_rows, ranges",
+    [
+        # seq at 10x10 frames: its wide 300-100 layer (117 KiB of float32
+        # gradient) in blocks of 32 rows with a ragged last one, and of 33
+        # rows, where the lone 100th row joins the last block.
+        ("seq", 10, 45, 32 * 1200, [32], [(0, 32), (32, 64), (64, 96), (96, 100)]),
+        ("seq", 10, 45, 33 * 1200, [33], [(0, 33), (33, 66), (66, 100)]),
+        # seq's default 3072-1024 layer at the default 768 KiB.
+        ("seq", 32, 45, 768 * 1024, [64], [(r, r + 64) for r in range(0, 1024, 64)]),
+        # dae at 32x32 frames: its input-major 1024-64 and wide 64-1024
+        # layers (256 KiB each) in blocks of 400 rows.
+        ("dae", 32, 200, 400 * 256, [400, 0, 0, 400], [(0, 400), (400, 800), (800, 1024)]),
+    ],
+)
+def test_blocked_update_is_bit_identical(
+    monkeypatch, kind, side, n_frames, block_bytes, block_rows, ranges
+):
+    # seq's 42 samples in batches of 8 and dae's 200 in batches of 32
+    # both end each epoch with a short batch.
+    stream = _noise_stream(19, n_frames, w=side, h=side)
+    hyper = TrainConfig(epochs=3, batch_size=8 if kind == "seq" else 32, seed=6)
+    monkeypatch.setattr(reconstruct_module, "_GRAD_BLOCK_BYTES", 2**62)
+    whole = train_reconstructor(stream, kind, hyper)
+    assert not any(_Workspace(whole.layer_sizes, hyper.batch_size, np.float32).block_rows)
+    monkeypatch.setattr(reconstruct_module, "_GRAD_BLOCK_BYTES", block_bytes)
+    ws = _Workspace(whole.layer_sizes, hyper.batch_size, np.float32)
+    assert ws.block_rows == block_rows
+    assert list(_row_ranges(ranges[-1][1], block_rows[0])) == ranges
+    split = train_reconstructor(stream, kind, hyper)
+    for a, b in zip(split.weights + split.biases, whole.weights + whole.biases):
+        np.testing.assert_array_equal(a, b)
+    assert split.epoch_losses == whole.epoch_losses
+
+
+def test_seq_training_memory_holds_one_gradient_block():
+    import tracemalloc
+
+    stream = FrameStream(
+        frames=np.random.default_rng(20).random((200, 32, 32, 1)), frame_rate_hz=10.0
+    )
+    tracemalloc.start()
+    try:
+        model = train_reconstructor(stream, "seq", TrainConfig(epochs=1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    model_bytes = sum(a.nbytes for a in model.weights + model.biases)
+    float32_weights = sum(w.size for w in model.weights) * 4
+    # A full float32 gradient of the 3072-1024 layer would add 12 MiB.
+    assert peak <= model_bytes + float32_weights + 2 * 2**20
 
 
 def test_shallow_autoencoder_memorizes_constant_frame():
