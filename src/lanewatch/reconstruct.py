@@ -12,7 +12,10 @@ per-epoch batch shuffle both draw from one seeded generator, so two runs
 with identical inputs produce bit-identical weights.  Frames are float32
 from the generator to the trainer, and the SGD steps run in float32
 inside buffers allocated once per training call; the trained model holds
-float64 arrays (float32-exact values).  Each training layer takes one of
+float64 arrays (float32-exact values), allocated before training, and
+every weight matrix but an input-major first layer trains as a float32
+view over the first half of its own float64 array (_narrow, _widen), so
+no second copy of the weights exists.  Each training layer takes one of
 three forms, chosen from its sizes and the batch rows (see _Workspace):
 an input-major first layer at most 64 wide (sae's 1024-32, dae's
 1024-64) multiplies a @ W with W = w.T; a wide layer, both sizes above
@@ -442,6 +445,35 @@ def _apply_blocked(l: int, w: np.ndarray, x: np.ndarray, ws: _Workspace, rate: f
         w[start:end] -= g
 
 
+def _doubling_starts(n: int) -> list[int]:
+    """Starts 1, 2, 4, ... below n of the row blocks [s, 2s) that _narrow
+    and _widen copy after row 0."""
+    return [1 << i for i in range((n - 1).bit_length())]
+
+
+def _narrow(w: np.ndarray) -> np.ndarray:
+    """Round the C-contiguous float64 matrix w to float32 in place: the
+    result has w's shape and lies over the first half of w's memory.
+
+    Rows [s, 2s) of the result end where rows [s, 2s) of w begin, so
+    copying blocks first to last overwrites only rows of w already read.
+    Row 0 overlaps its own source, and numpy's casting assignment does not
+    buffer that overlap, so it goes through an explicit copy."""
+    v = w.reshape(-1).view(np.float32)[: w.size].reshape(w.shape)
+    v[0] = w[0].copy()
+    for s in _doubling_starts(len(w)):
+        v[s : 2 * s] = w[s : 2 * s]
+    return v
+
+
+def _widen(v: np.ndarray, w: np.ndarray) -> None:
+    """Write _narrow(w)'s view v back into w as float64, blocks last to
+    first: each writes over rows of v that were already read."""
+    for s in reversed(_doubling_starts(len(w))):
+        w[s : 2 * s] = v[s : 2 * s]
+    w[0] = v[0].copy()
+
+
 def _samples(stream: FrameStream, history_k: int | None) -> tuple[np.ndarray, int]:
     """The (n_frames, n_pixels) frame matrix and the number of samples it
     holds.  An autoencoder (history_k None) has one sample per frame, its
@@ -481,10 +513,10 @@ def train_reconstructor(
     learning_rate = _DEFAULT_LEARNING_RATE[kind]
 
     rng = np.random.default_rng(hyper.seed)
-    # The model's float64 arrays are allocated before training and receive
-    # the trained values at the end: allocated last, they would sit above
-    # the memory training frees and keep the allocator from returning later
-    # temporaries to the system (+14 MB peak RSS on the fleet benchmark).
+    # The model's float64 arrays are allocated first, before any training
+    # buffer, and host the float32 training weights (see _narrow): allocated
+    # last, they would sit above the memory training frees and keep the
+    # allocator from returning later temporaries to the system.
     weights64: list[np.ndarray] = []
     biases64: list[np.ndarray] = []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
@@ -495,9 +527,10 @@ def train_reconstructor(
 
     rows = min(hyper.batch_size, n_samples)
     ws = _Workspace(layer_sizes, rows, _TRAIN_DTYPE)
-    # An input-major first layer trains as W = w.T (see _Workspace).
+    # An input-major first layer trains as a copy W = w.T (see _Workspace),
+    # every other layer inside its float64 array.
     weights = [
-        np.ascontiguousarray(w.T if l == 0 and ws.input_major else w, _TRAIN_DTYPE)
+        np.ascontiguousarray(w.T, _TRAIN_DTYPE) if l == 0 and ws.input_major else _narrow(w)
         for l, w in enumerate(weights64)
     ]
     # Each batch is gathered from the float32 frame matrix straight into
@@ -533,9 +566,12 @@ def train_reconstructor(
                 biases[l] -= grad_b[l]
         epoch_losses.append(float(np.mean(batch_losses)))
 
-    if ws.input_major:
-        weights[0] = weights[0].T
-    for out, trained in zip(weights64 + biases64, weights + biases):
+    for l, (out, trained) in enumerate(zip(weights64, weights)):
+        if l == 0 and ws.input_major:
+            out[...] = trained.T
+        else:
+            _widen(trained, out)
+    for out, trained in zip(biases64, biases):
         out[...] = trained
     return ReconstructorModel(
         kind=kind,

@@ -8,13 +8,13 @@ undefined values are emitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .reconstruct import ErrorSeries
 
-__all__ = ["ArFilterConfig", "ArStream", "ar_filter"]
+__all__ = ["ArFilterConfig", "ar_filter"]
 
 DEFAULT_AR_ORDER = 10
 
@@ -28,30 +28,6 @@ class ArFilterConfig:
     def __post_init__(self):
         if self.order_k < 1:
             raise ValueError(f"filter order must be at least 1, got {self.order_k}")
-
-
-@dataclass
-class ArStream:
-    """Streaming form of ar_filter: push one raw value, get one smoothed.
-
-    Keeps a ring buffer of the last order_k raw values; a single instance
-    is meant to be owned and advanced by one caller.
-    """
-
-    cfg: ArFilterConfig = field(default_factory=ArFilterConfig)
-
-    def __post_init__(self):
-        self._buffer = np.zeros(self.cfg.order_k)
-        self._count = 0
-
-    def push(self, value: float) -> float:
-        if not value >= 0.0:
-            raise ValueError(f"error values are non-negative, got {value}")
-        k = self.cfg.order_k
-        self._buffer[self._count % k] = value
-        self._count += 1
-        # During warm-up this averages what exists so far.
-        return float(self._buffer[: min(self._count, k)].mean())
 
 
 def ar_filter(raw: ErrorSeries, cfg: ArFilterConfig | None = None) -> ErrorSeries:

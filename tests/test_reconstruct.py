@@ -28,7 +28,9 @@ from lanewatch.reconstruct import (
     _Workspace,
     _forward,
     _loss_and_grads,
+    _narrow,
     _row_ranges,
+    _widen,
 )
 from reconstruct_reference import reconstruct, reconstruction_error
 
@@ -309,9 +311,56 @@ def test_seq_training_memory_holds_one_gradient_block():
     finally:
         tracemalloc.stop()
     model_bytes = sum(a.nbytes for a in model.weights + model.biases)
-    float32_weights = sum(w.size for w in model.weights) * 4
-    # A full float32 gradient of the 3072-1024 layer would add 12 MiB.
-    assert peak <= model_bytes + float32_weights + 2 * 2**20
+    # The float32 training weights live inside the float64 model arrays; a
+    # separate float32 copy of the 3072-1024 layer would add 12 MiB, and so
+    # would a full float32 gradient of it.
+    assert peak <= model_bytes + 2 * 2**20
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (2, 7), (3, 5), (64, 64), (1024, 3072)])
+def test_narrow_and_widen_round_in_place(shape):
+    rng = np.random.default_rng(21)
+    w = rng.uniform(-1.0, 1.0, shape)
+    rounded = w.astype(np.float32)
+    v = _narrow(w)
+    assert v.dtype == np.float32 and v.shape == shape
+    assert np.shares_memory(v, w)
+    assert v.tobytes() == rounded.tobytes()
+    # Training edits the view in place, row 0 included.
+    v *= np.float32(-0.75)
+    v += np.float32(0.125)
+    trained = v.astype(np.float64)
+    _widen(v, w)
+    assert w.tobytes() == trained.tobytes()
+
+
+def _copy_back(v, w):
+    w[...] = v
+
+
+@pytest.mark.parametrize(
+    "kind, cfg",
+    [
+        # sae's 8-wide first layer is input-major (a copy), its 8-64 layer in
+        # place; at 70 wide both sae layers train in place.
+        ("sae", TrainConfig(hidden_sizes=(8,), epochs=3, batch_size=8, seed=7)),
+        ("sae", TrainConfig(hidden_sizes=(70,), epochs=3, batch_size=8, seed=7,
+                            activation=Activation.SIGMOID)),
+        ("dae", TrainConfig(epochs=3, batch_size=8, seed=8)),
+        ("seq", TrainConfig(epochs=3, batch_size=8, seed=9)),
+    ],
+)
+def test_in_place_training_weights_are_bit_identical(monkeypatch, kind, cfg):
+    # 45 frames in batches of 8 end each epoch with a short batch: 5 samples
+    # for the autoencoders, 2 for seq (42 lagged samples).
+    stream = _noise_stream(22, 45, w=8, h=8)
+    in_place = train_reconstructor(stream, kind, cfg)
+    monkeypatch.setattr(reconstruct_module, "_narrow", lambda w: w.astype(np.float32))
+    monkeypatch.setattr(reconstruct_module, "_widen", _copy_back)
+    copied = train_reconstructor(stream, kind, cfg)
+    for a, b in zip(in_place.weights + in_place.biases, copied.weights + copied.biases):
+        np.testing.assert_array_equal(a, b)
+    assert in_place.epoch_losses == copied.epoch_losses
 
 
 def test_shallow_autoencoder_memorizes_constant_frame():

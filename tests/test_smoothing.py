@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lanewatch.reconstruct import ErrorSeries
-from lanewatch.smoothing import ArFilterConfig, ArStream, ar_filter
+from lanewatch.smoothing import ArFilterConfig, ar_filter
+from smoothing_reference import ArStream
 
 error_values = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False), min_size=1, max_size=80
