@@ -10,8 +10,7 @@ from __future__ import annotations
 import argparse
 import time
 
-from lanewatch.detector import DetectorConfig, run_detector
-from lanewatch.evalkit import label_windows, pooled_counts
+from lanewatch.evalkit import alarms_per_theta, label_windows, pooled_counts
 from lanewatch.experiment import calibrate, score_drive, train_nominal
 from lanewatch.gammafit import estimate_threshold
 from lanewatch.reconstruct import TrainConfig
@@ -56,11 +55,11 @@ def main(argv=None) -> int:
     ]
     labels = [label_windows(d.log) for d in held]
 
+    thetas = [estimate_threshold(params, epsilon).theta for epsilon in epsilons]
+    per_theta = alarms_per_theta([d.smoothed for d in held], thetas, args.healing_h)
+
     print(f"\n{'epsilon':>8} {'theta':>10} {'measured FPR':>13} {'windows':>8}")
-    for epsilon in epsilons:
-        theta = estimate_threshold(params, epsilon).theta
-        cfg = DetectorConfig(theta=theta, healing_frames_h=args.healing_h)
-        alarms = [run_detector(d.smoothed, cfg) for d in held]
+    for epsilon, theta, alarms in zip(epsilons, thetas, per_theta, strict=True):
         report = pooled_counts(labels, alarms, args.healing_h)
         print(f"{epsilon:>8.3f} {theta:>10.6f} {report.fpr:>13.4f} {report.fp + report.tn:>8}")
     print(f"\n[{time.time() - t0:5.1f}s] done")

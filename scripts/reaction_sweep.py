@@ -13,14 +13,7 @@ import time
 
 import numpy as np
 
-from lanewatch.detector import DetectorConfig, run_detector
-from lanewatch.evalkit import (
-    LabellingConfig,
-    label_windows,
-    pooled_counts,
-    pooled_sweep,
-    threshold_grid,
-)
+from lanewatch.evalkit import LabellingConfig, evaluate, threshold_grid
 from lanewatch.experiment import calibrate, score_drive, train_nominal, worst_case_spec
 from lanewatch.gammafit import estimate_threshold
 from lanewatch.reconstruct import TrainConfig
@@ -57,19 +50,13 @@ def main(argv=None) -> int:
     events = sum(d.log.count for d in drives)
     print(f"[{time.time() - t0:5.1f}s] {len(drives)} worst-case drives, {events} misbehaviours")
 
-    def alarms_at(theta):
-        cfg = DetectorConfig(theta=theta, healing_frames_h=HEALING_H)
-        return [run_detector(d.smoothed, cfg) for d in drives]
-
-    grid = threshold_grid(np.concatenate([d.smoothed.values for d in drives]), args.grid_size)
-    grid_alarms = [alarms_at(theta) for theta in grid]
-    eps_alarms = alarms_at(theta_eps)
+    smoothed = [d.smoothed for d in drives]
+    grid = threshold_grid(np.concatenate([s.values for s in smoothed]), args.grid_size)
+    results = evaluate([d.log for d in drives], smoothed, theta_eps, grid,
+                       LabellingConfig(healing_h=HEALING_H), reaction_rs)
 
     print(f"\n{'r':>4} {'AUC-ROC':>8} {'AUC-PR':>8} {'TPR@eps':>8} {'FPR@eps':>8}")
-    for r in reaction_rs:
-        labels = [label_windows(d.log, LabellingConfig(reaction_r=r)) for d in drives]
-        sweep = pooled_sweep(labels, grid, grid_alarms, HEALING_H)
-        report = pooled_counts(labels, eps_alarms, HEALING_H)
+    for r, (_, report, sweep) in zip(reaction_rs, results, strict=True):
         print(
             f"{r:>4} {sweep.auc_roc:>8.3f} {sweep.auc_pr:>8.3f} "
             f"{report.tpr:>8.3f} {report.fpr:>8.3f}"

@@ -10,21 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
 from . import io
-from .detector import DetectorConfig, run_detector, run_detector_verbose
-from .errors import ConfigError, ConvergenceError, DegenerateDataError, FormatError
-from .evalkit import (
-    LabellingConfig,
-    WindowKind,
-    label_windows,
-    pooled_counts,
-    pooled_sweep,
-    threshold_grid,
-)
+from .detector import DetectorConfig, run_detector_verbose
+from .errors import ConfigError, ConvergenceError, DegenerateDataError
+from .evalkit import LabellingConfig, WindowKind, evaluate, label_windows, threshold_grid
 from .gammafit import estimate_threshold, fit_gamma_mle
 from .reconstruct import ReconstructorKind, TrainConfig, error_series, train_reconstructor
 from .scenario import ScenarioSpec, generate_scenario
@@ -114,7 +107,19 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
     if "thresholds" in flags:
         flags["thresholds"] = [t for t in flags["thresholds"].split(",") if t]
     if "reaction_r" in flags:
-        flags["reaction_sweep"] = flags.pop("reaction_r").split(",")
+        # Empty items come from stray commas.
+        listed = flags.pop("reaction_r")
+        try:
+            periods = [int(r) for r in listed.split(",") if r]
+        except ValueError as exc:
+            raise ConfigError(f"bad reaction period list '{listed}'") from exc
+        if not periods or min(periods) < 1:
+            raise ConfigError(f"reaction periods must be positive integers, got '{listed}'")
+        # A sweep of one reaction period is that period.
+        if len(periods) == 1:
+            doc["labelling"]["reaction_r"] = periods[0]
+        else:
+            flags["reaction_sweep"] = periods
     doc.update(flags)
     try:
         # The top-level seed fills in the scenario and training seeds the
@@ -139,21 +144,6 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
         thresholds = [float(t) for t in thresholds]
         if not thresholds:
             raise ConfigError("threshold list is empty")
-    reaction_sweep = doc.get("reaction_sweep")
-    if reaction_sweep is not None:
-        # Only --reaction-r sets this key, so its items are strings; empty
-        # ones come from stray commas.
-        listed = ",".join(reaction_sweep)
-        try:
-            reaction_sweep = [int(r) for r in reaction_sweep if r != ""]
-        except ValueError as exc:
-            raise ConfigError(f"bad reaction period list '{listed}'") from exc
-        if not reaction_sweep or min(reaction_sweep) < 1:
-            raise ConfigError(f"reaction periods must be positive integers, got '{listed}'")
-        # A sweep of one reaction period is that period.
-        if len(reaction_sweep) == 1:
-            doc["labelling"]["reaction_r"] = reaction_sweep.pop()
-            reaction_sweep = None
     return PipelineConfig(
         workdir=Path(doc.get("workdir", ".")),
         files={**_DEFAULT_FILES, **{k: str(v) for k, v in doc["paths"].items()}},
@@ -164,7 +154,7 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
         ar=ArFilterConfig(order_k=_int(doc.get("ar_k", DEFAULT_AR_ORDER), "ar_k")),
         labelling=_section(LabellingConfig, doc["labelling"], "labelling"),
         thresholds=thresholds,
-        reaction_sweep=reaction_sweep,
+        reaction_sweep=doc.get("reaction_sweep"),
     )
 
 
@@ -180,7 +170,6 @@ def _smoothed_errors(cfg: PipelineConfig):
 
 
 def cmd_simulate(cfg: PipelineConfig) -> None:
-    _require_workdir(cfg)
     stream, log, intensities = generate_scenario(cfg.scenario)
     io.write_frames(cfg.path("frames"), stream)
     io.write_misbehaviour_csv(cfg.path("misbehaviour"), log)
@@ -192,7 +181,6 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
 
 
 def cmd_train(cfg: PipelineConfig) -> None:
-    _require_workdir(cfg)
     stream = io.read_frames(cfg.path("frames"), frame_rate_hz=cfg.scenario.frame_rate_hz)
     model = train_reconstructor(stream, cfg.train_kind, cfg.train)
     io.write_model_json(cfg.path("model"), model)
@@ -204,7 +192,6 @@ def cmd_train(cfg: PipelineConfig) -> None:
 
 
 def cmd_fit(cfg: PipelineConfig) -> None:
-    _require_workdir(cfg)
     stream = io.read_frames(cfg.path("frames"), frame_rate_hz=cfg.scenario.frame_rate_hz)
     raw = error_series(io.read_model_json(cfg.path("model")), stream)
     io.write_error_csv(cfg.path("errors"), raw)
@@ -220,7 +207,6 @@ def cmd_fit(cfg: PipelineConfig) -> None:
 
 
 def cmd_detect(cfg: PipelineConfig) -> None:
-    _require_workdir(cfg)
     smoothed = _smoothed_errors(cfg)
     _, threshold, _ = io.read_params_json(cfg.path("params"))
     detector = DetectorConfig(
@@ -232,7 +218,6 @@ def cmd_detect(cfg: PipelineConfig) -> None:
 
 
 def cmd_label(cfg: PipelineConfig) -> None:
-    _require_workdir(cfg)
     if cfg.reaction_sweep is not None:
         raise ConfigError("label takes a single --reaction-r value")
     log = io.read_misbehaviour_csv(cfg.path("misbehaviour"))
@@ -242,37 +227,16 @@ def cmd_label(cfg: PipelineConfig) -> None:
 
 
 def cmd_eval(cfg: PipelineConfig) -> None:
-    _require_workdir(cfg)
     smoothed = _smoothed_errors(cfg)
     _, threshold, _ = io.read_params_json(cfg.path("params"))
     log = io.read_misbehaviour_csv(cfg.path("misbehaviour"))
-    # Detector output does not depend on the reaction period, so every
-    # labelling below is scored against these same alarm lists.
-    h = cfg.labelling.healing_h
-
-    def alarms_at(theta: float) -> list[list[int]]:
-        return [run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=h))]
-
-    alarms = alarms_at(threshold.theta)
     thetas = cfg.thresholds if cfg.thresholds is not None else threshold_grid(smoothed.values)
-    grid_alarms = [alarms_at(theta) for theta in thetas]
-
-    def evaluate(labelling: LabellingConfig):
-        labels = [label_windows(log, labelling)]
-        report = pooled_counts(labels, alarms, h)
-        try:
-            sweep = pooled_sweep(labels, thetas, grid_alarms, h)
-        except DegenerateDataError:
-            # e.g. a nominal log with no anomalous windows; report stands alone
-            return labels[0], report, None
-        report.roc_points = sweep.roc_curve
-        report.pr_points = sweep.pr_curve
-        report.auc_roc = sweep.auc_roc
-        report.auc_pr = sweep.auc_pr
-        return labels[0], report, sweep
-
-    labels, report, sweep = evaluate(cfg.labelling)
-    doc = report.to_json_dict()
+    swept = cfg.reaction_sweep or []
+    (labels, report, sweep), *swept_results = evaluate(
+        [log], [smoothed], threshold.theta, thetas, cfg.labelling,
+        [cfg.labelling.reaction_r, *swept],
+    )
+    doc = report.to_json_dict(sweep)
     doc["epsilon"] = threshold.epsilon
     doc["theta"] = threshold.theta
     doc["reaction_r"] = cfg.labelling.reaction_r
@@ -281,14 +245,14 @@ def cmd_eval(cfg: PipelineConfig) -> None:
         io.write_curve_csv(cfg.path("pr"), "threshold,recall,precision", sweep.pr_rows)
     if cfg.reaction_sweep is not None:
         table = []
-        for r in cfg.reaction_sweep:
-            _, r_report, _ = evaluate(replace(cfg.labelling, reaction_r=r))
+        for r, (_, r_report, r_sweep) in zip(swept, swept_results, strict=True):
+            r_doc = r_report.to_json_dict(r_sweep)
             table.append(
                 {
                     "reaction_r": r,
-                    "auc_roc": r_report.auc_roc,
-                    "auc_pr": r_report.auc_pr,
-                    "counts": r_report.to_json_dict()["counts"],
+                    "auc_roc": r_doc["curves"]["auc_roc"],
+                    "auc_pr": r_doc["curves"]["auc_pr"],
+                    "counts": r_doc["counts"],
                 }
             )
         doc["reaction_sweep"] = table
@@ -297,9 +261,9 @@ def cmd_eval(cfg: PipelineConfig) -> None:
     fpr = "n.a." if report.fpr is None else f"{report.fpr:.3f}"
     # Only anomalous and normal windows are scored; a normal window can
     # still be excluded, so TP + FP + TN + FN may fall short of this count.
-    scored = sum(w.kind in (WindowKind.ANOMALOUS, WindowKind.NORMAL) for w in labels)
+    scored = sum(w.kind in (WindowKind.ANOMALOUS, WindowKind.NORMAL) for w in labels[0])
     print(
-        f"eval: {scored} scored (anomalous + normal) of {len(labels)} labelled windows, "
+        f"eval: {scored} scored (anomalous + normal) of {len(labels[0])} labelled windows, "
         f"TP {report.tp} FP {report.fp} "
         f"TN {report.tn} FN {report.fn}, TPR {tpr} FPR {fpr} -> {cfg.path('report')}"
     )
@@ -358,36 +322,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "simulate": cmd_simulate,
+    "train": cmd_train,
+    "fit": cmd_fit,
+    "detect": cmd_detect,
+    "label": cmd_label,
+    "eval": cmd_eval,
+    "pipeline": cmd_pipeline,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args)
-        if args.command == "simulate":
-            cmd_simulate(cfg)
-        elif args.command == "train":
-            cmd_train(cfg)
-        elif args.command == "fit":
-            cmd_fit(cfg)
-        elif args.command == "detect":
-            cmd_detect(cfg)
-        elif args.command == "label":
-            cmd_label(cfg)
-        elif args.command == "eval":
-            cmd_eval(cfg)
-        elif args.command == "pipeline":
-            cmd_pipeline(cfg)
+        _require_workdir(cfg)
+        COMMANDS[args.command](cfg)
         return 0
-    except (ConfigError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # DegenerateDataError is a ValueError, so it is caught first;
+    # ConfigError and FormatError are ValueErrors too.
     except (DegenerateDataError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ stay unlabelled and never contribute counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -43,6 +43,8 @@ __all__ = [
     "pooled_counts",
     "pooled_sweep",
     "sweep_curves",
+    "alarms_per_theta",
+    "evaluate",
     "threshold_grid",
 ]
 
@@ -89,15 +91,10 @@ class WindowLabel:
         return self.start + self.length - 1
 
 
-def _misbehaviour_flags(m: MisbehaviourLog | np.ndarray) -> np.ndarray:
-    flags = np.asarray(getattr(m, "flags", m), dtype=bool).ravel()
-    return flags
-
-
 def label_windows(m: MisbehaviourLog, cfg: LabellingConfig | None = None) -> list[WindowLabel]:
     """Carve a misbehaviour log into labelled windows, sorted by start."""
     cfg = cfg or LabellingConfig()
-    flags = _misbehaviour_flags(m)
+    flags = m.flags
     n = flags.size
     a, b, r, h = cfg.window_a, cfg.window_b, cfg.reaction_r, cfg.healing_h
     mis = np.flatnonzero(flags)
@@ -163,10 +160,9 @@ def label_windows(m: MisbehaviourLog, cfg: LabellingConfig | None = None) -> lis
 
 @dataclass
 class EvalReport:
-    """Confusion counts with the derived metrics and sweep curves.
+    """Confusion counts with the derived metrics.
 
-    Ratio fields are None when their denominator is zero, and curves stay
-    empty until a sweep fills them.
+    Ratio fields are None when their denominator is zero.
     """
 
     tp: int = 0
@@ -177,10 +173,6 @@ class EvalReport:
     fpr: float | None = None
     precision: float | None = None
     f1: float | None = None
-    roc_points: list[tuple[float, float]] = field(default_factory=list)
-    pr_points: list[tuple[float, float]] = field(default_factory=list)
-    auc_roc: float | None = None
-    auc_pr: float | None = None
 
     def with_metrics(self) -> "EvalReport":
         """Fill the ratio fields from the counts; returns self."""
@@ -189,7 +181,9 @@ class EvalReport:
         )
         return self
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, sweep: ThresholdSweep | None = None) -> dict:
+        """Counts and metrics, with the curves and areas of sweep; the
+        curves are empty and the areas null without one."""
         return {
             "counts": {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn},
             "metrics": {
@@ -199,10 +193,10 @@ class EvalReport:
                 "f1": self.f1,
             },
             "curves": {
-                "roc_points": [list(p) for p in self.roc_points],
-                "pr_points": [list(p) for p in self.pr_points],
-                "auc_roc": self.auc_roc,
-                "auc_pr": self.auc_pr,
+                "roc_points": [list(p) for p in sweep.roc_curve] if sweep else [],
+                "pr_points": [list(p) for p in sweep.pr_curve] if sweep else [],
+                "auc_roc": sweep.auc_roc if sweep else None,
+                "auc_pr": sweep.auc_pr if sweep else None,
             },
         }
 
@@ -371,6 +365,18 @@ def pooled_sweep(
     )
 
 
+def alarms_per_theta(
+    smoothed_per_drive: list[ErrorSeries], thetas: list[float], h: int
+) -> list[list[list[int]]]:
+    """Detector alarms with cooldown h; element [i][j] holds drive j at
+    thetas[i], the layout pooled_sweep takes."""
+    return [
+        [run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=h))
+         for smoothed in smoothed_per_drive]
+        for theta in thetas
+    ]
+
+
 def sweep_curves(
     labels: list[WindowLabel],
     smoothed: ErrorSeries,
@@ -379,11 +385,32 @@ def sweep_curves(
 ) -> ThresholdSweep:
     """Run the detector on one drive at every threshold and sweep the
     curves with pooled_sweep."""
-    alarms = [
-        [run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=h))]
-        for theta in thetas
-    ]
-    return pooled_sweep([labels], thetas, alarms, h)
+    return pooled_sweep([labels], thetas, alarms_per_theta([smoothed], thetas, h), h)
+
+
+def evaluate(
+    logs: list[MisbehaviourLog],
+    smoothed_per_drive: list[ErrorSeries],
+    theta: float,
+    thetas: list[float],
+    labelling: LabellingConfig,
+    reaction_rs: list[int],
+) -> list[tuple[list[list[WindowLabel]], EvalReport, ThresholdSweep | None]]:
+    """(labels per drive, pooled counts at theta, sweep over thetas) for
+    each period in reaction_rs; the sweep is None when the pool lacks an
+    anomalous or a normal window.  Alarms do not depend on the reaction
+    period, so the detector runs once per drive and threshold."""
+    h = labelling.healing_h
+    at_theta, *on_grid = alarms_per_theta(smoothed_per_drive, [theta, *thetas], h)
+    results = []
+    for r in reaction_rs:
+        labels = [label_windows(log, replace(labelling, reaction_r=r)) for log in logs]
+        try:
+            sweep = pooled_sweep(labels, thetas, on_grid, h)
+        except DegenerateDataError:
+            sweep = None
+        results.append((labels, pooled_counts(labels, at_theta, h), sweep))
+    return results
 
 
 def threshold_grid(values: np.ndarray, size: int = 36) -> list[float]:

@@ -8,19 +8,24 @@ dropped whole.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lanewatch.detector import DetectorConfig, run_detector
 from lanewatch.errors import DegenerateDataError
 from lanewatch.evalkit import (
     EvalReport,
     LabellingConfig,
+    ThresholdSweep,
     WindowKind,
     WindowLabel,
     anchored_curves,
     compute_metrics,
+    evaluate,
     label_windows,
     pooled_counts,
     pooled_sweep,
@@ -247,9 +252,22 @@ def test_metrics_reject_negative_counts():
 
 def test_report_json_shape():
     report = EvalReport(tp=2, fp=1, tn=3, fn=0).with_metrics()
-    doc = report.to_json_dict()
-    assert doc["counts"] == {"tp": 2, "fp": 1, "tn": 3, "fn": 0}
-    assert doc["metrics"]["tpr"] == 1.0
+    sweep = ThresholdSweep(roc_rows=[(0.5, 0.25, 1.0)], pr_rows=[(0.5, 1.0, 0.5)],
+                           roc_curve=[(0.0, 0.0), (0.25, 1.0), (1.0, 1.0)],
+                           pr_curve=[(0.0, 0.5), (1.0, 0.5), (1.0, 0.25)],
+                           auc_roc=0.875, auc_pr=0.5)
+    # The curves are the sweep's anchored polylines, not its per-threshold
+    # rows; without a sweep they are empty and the areas null.
+    for input_sweep, curves in [
+        (None, {"roc_points": [], "pr_points": [], "auc_roc": None, "auc_pr": None}),
+        (sweep, {"roc_points": [[0.0, 0.0], [0.25, 1.0], [1.0, 1.0]],
+                 "pr_points": [[0.0, 0.5], [1.0, 0.5], [1.0, 0.25]],
+                 "auc_roc": 0.875, "auc_pr": 0.5}),
+    ]:
+        doc = report.to_json_dict(input_sweep)
+        assert doc["counts"] == {"tp": 2, "fp": 1, "tn": 3, "fn": 0}
+        assert doc["metrics"]["tpr"] == 1.0
+        assert doc["curves"] == curves
 
 
 # ------------------------------------------------------------------- sweeps
@@ -350,6 +368,39 @@ def test_pooled_sweep_degenerate_only_over_the_pool():
     assert sweep.roc_rows == [(0.5, 0.0, 1.0)]
     with pytest.raises(ValueError):
         pooled_sweep([eventless], [], [], 60)
+
+
+def test_evaluate_matches_hand_built_pool():
+    # Two drives, two reaction periods, a cooldown other than the default:
+    # every result must equal the counts and sweep assembled by hand.
+    rng = np.random.default_rng(7)
+    logs = [_log(900, [300, 700]), _log(600, [400])]
+    smoothed = [ErrorSeries(values=rng.random(len(log)) * 0.01) for log in logs]
+    labelling = LabellingConfig(healing_h=40)
+    theta, thetas = 0.006, [0.009, 0.003, 0.005]
+    results = evaluate(logs, smoothed, theta, thetas, labelling, [10, 50])
+    assert len(results) == 2
+
+    def alarms(t):
+        return [run_detector(s, DetectorConfig(theta=t, healing_frames_h=40)) for s in smoothed]
+
+    for r, (labels, counts, sweep) in zip([10, 50], results):
+        assert labels == [label_windows(log, replace(labelling, reaction_r=r)) for log in logs]
+        assert counts == pooled_counts(labels, alarms(theta), 40)
+        assert sweep == pooled_sweep(labels, thetas, [alarms(t) for t in thetas], 40)
+    # The reaction period moves the windows, so the two results differ.
+    assert results[0][0] != results[1][0]
+
+
+def test_evaluate_without_anomalous_windows_has_no_sweep():
+    logs = [_log(200, []), _log(300, [])]
+    smoothed = [ErrorSeries(values=np.full(len(log), 0.01)) for log in logs]
+    [(labels, counts, sweep)] = evaluate(logs, smoothed, 0.005, [0.005, 0.02],
+                                         LabellingConfig(), [50])
+    assert sweep is None
+    alarms = [run_detector(s, DetectorConfig(theta=0.005)) for s in smoothed]
+    assert counts == pooled_counts(labels, alarms, 60)
+    assert counts.fp > 0 and counts.tn > 0
 
 
 def test_threshold_grid_drops_duplicates_and_non_positive():
