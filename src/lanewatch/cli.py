@@ -182,18 +182,22 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
 
 def cmd_train(cfg: PipelineConfig) -> None:
     stream = io.read_frames(cfg.path("frames"), frame_rate_hz=cfg.scenario.frame_rate_hz)
+    n_frames = len(stream)
     model = train_reconstructor(stream, cfg.train_kind, cfg.train)
+    # The drive goes back to the system before the model is written.
+    del stream
     io.write_model_json(cfg.path("model"), model)
     final = model.epoch_losses[-1] if model.epoch_losses else float("nan")
     print(
-        f"trained {cfg.train_kind.value} on {len(stream)} frames, "
+        f"trained {cfg.train_kind.value} on {n_frames} frames, "
         f"final epoch loss {final:.6g} -> {cfg.path('model')}"
     )
 
 
 def cmd_fit(cfg: PipelineConfig) -> None:
-    stream = io.read_frames(cfg.path("frames"), frame_rate_hz=cfg.scenario.frame_rate_hz)
-    raw = error_series(io.read_model_json(cfg.path("model")), stream)
+    # Scoring reads the frames one block at a time, not the whole drive.
+    frames = io.FrameFile(cfg.path("frames"), frame_rate_hz=cfg.scenario.frame_rate_hz)
+    raw = error_series(io.read_model_json(cfg.path("model")), frames)
     io.write_error_csv(cfg.path("errors"), raw)
     smoothed = ar_filter(raw, cfg.ar)
     params = fit_gamma_mle(smoothed)

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
+import os
 import struct
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from .scenario import MisbehaviourLog
 __all__ = [
     "write_frames",
     "read_frames",
+    "FrameFile",
     "write_error_csv",
     "read_error_csv",
     "write_misbehaviour_csv",
@@ -54,6 +57,7 @@ __all__ = [
 
 FRAME_MAGIC = b"FRM1"
 _HEADER = struct.Struct("<IIII")
+_BODY_OFFSET = len(FRAME_MAGIC) + _HEADER.size
 
 
 def write_frames(path: str | Path, stream: FrameStream) -> None:
@@ -65,46 +69,112 @@ def write_frames(path: str | Path, stream: FrameStream) -> None:
         f.write(np.ascontiguousarray(stream.frames, dtype="<f4").data)
 
 
-def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
-    """Load an FRM1 file; frame_rate_hz is caller-supplied metadata, the
-    format itself does not store it.  The stream's frames are a read-only
-    view of the file's bytes, not a copy."""
-    data = Path(path).read_bytes()
-    if len(data) < 4:
-        raise FormatError(f"{path}: truncated before magic", byte_offset=len(data))
-    if data[:4] != FRAME_MAGIC:
+def _frame_shape(path, f) -> tuple[int, int, int, int]:
+    """(count, height, width, channels) from the FRM1 file f, left at the
+    start of its body.  Checks the magic, the dimensions, and that the
+    body holds exactly the bytes they call for."""
+    size = os.fstat(f.fileno()).st_size
+    head = f.read(_BODY_OFFSET)
+    if size < 4:
+        raise FormatError(f"{path}: truncated before magic", byte_offset=size)
+    if head[:4] != FRAME_MAGIC:
         raise FormatError(
-            f"{path}: bad magic {data[:4]!r}, expected {FRAME_MAGIC!r}", byte_offset=0
+            f"{path}: bad magic {head[:4]!r}, expected {FRAME_MAGIC!r}", byte_offset=0
         )
-    if len(data) < 4 + _HEADER.size:
-        raise FormatError(f"{path}: truncated header", byte_offset=len(data))
-    count, width, height, channels = _HEADER.unpack_from(data, 4)
+    if size < _BODY_OFFSET:
+        raise FormatError(f"{path}: truncated header", byte_offset=size)
+    count, width, height, channels = _HEADER.unpack_from(head, 4)
     if width == 0 or height == 0 or channels == 0:
         raise FormatError(
             f"{path}: zero frame dimension {width}x{height}x{channels}", byte_offset=4
         )
-    body_offset = 4 + _HEADER.size
     expected = count * width * height * channels * 4
-    actual = len(data) - body_offset
+    actual = size - _BODY_OFFSET
     if actual != expected:
         raise FormatError(
             f"{path}: expected {expected} bytes of frame data, found {actual}",
-            byte_offset=body_offset + min(actual, expected),
+            byte_offset=_BODY_OFFSET + min(actual, expected),
         )
-    per_frame = width * height * channels
-    raw = np.frombuffer(data, dtype="<f4", offset=body_offset)
-    # NaN fails both comparisons, so this also catches non-finite cells;
-    # only a failed check looks for the first bad cell.
-    if raw.size and not (raw.min() >= 0.0 and raw.max() <= 1.0):
-        first = int(np.flatnonzero(~((raw >= 0.0) & (raw <= 1.0)))[0])
-        i = first // per_frame
+    return count, height, width, channels
+
+
+def _read_body(path, f, buffer) -> None:
+    """Fill buffer from f; a file cut short since its size was checked
+    raises FormatError rather than leaving the rest unfilled."""
+    if f.readinto(buffer) != memoryview(buffer).nbytes:
+        raise FormatError(f"{path}: truncated while reading", byte_offset=f.tell())
+
+
+def _frame_stream(path, frames: np.ndarray, first: int, frame_rate_hz: float) -> FrameStream:
+    """frames, frame first onwards of the file at path, as a FrameStream,
+    which validates every cell.  Only when that fails is the first bad
+    cell looked for, to name its frame and byte offset."""
+    try:
+        return FrameStream(frames=frames, frame_rate_hz=frame_rate_hz)
+    except ValueError:
+        cells = frames.reshape(-1)
+        # NaN fails both comparisons, so this also finds non-finite cells.
+        bad = np.flatnonzero(~((cells >= 0.0) & (cells <= 1.0)))
+        if not bad.size:
+            raise
+        per_frame = math.prod(frames.shape[1:])
+        i = first + int(bad[0]) // per_frame
         raise FormatError(
             f"{path}: frame {i}: pixel values must be finite and lie in [0, 1], "
-            f"found {raw[first]}",
-            byte_offset=body_offset + i * per_frame * 4,
-        )
-    frames = raw.reshape(count, height, width, channels)
-    return FrameStream(frames=frames, frame_rate_hz=frame_rate_hz)
+            f"found {cells[bad[0]]}",
+            byte_offset=_BODY_OFFSET + i * per_frame * 4,
+        ) from None
+
+
+def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
+    """Load an FRM1 file; frame_rate_hz is caller-supplied metadata, the
+    format itself does not store it.  The stream's frames are a read-only
+    view of the body, read into an anonymous mmap of its own: the memory
+    goes back to the system when the stream is dropped, where a freed
+    bytes object of a drive's size can stay in the heap under later
+    allocations."""
+    with open(path, "rb") as f:
+        shape = _frame_shape(path, f)
+        nbytes = math.prod(shape) * 4
+        body = mmap.mmap(-1, nbytes) if nbytes else bytearray()
+        _read_body(path, f, body)
+    frames = np.frombuffer(body, dtype="<f4").reshape(shape)
+    frames.flags.writeable = False
+    return _frame_stream(path, frames, 0, frame_rate_hz)
+
+
+class FrameFile:
+    """An FRM1 file read a few frames at a time, so that scoring it holds
+    one block of frames rather than the drive.
+
+    Opening checks the header and the file size as read_frames does.
+    error_series takes a FrameFile in place of a FrameStream: frames is
+    the file itself, and frames[a:b] reads frames a ... b-1 from disk and
+    validates only those, raising the FormatError read_frames would give
+    for the first bad cell among them.
+    """
+
+    def __init__(self, path: str | Path, frame_rate_hz: float = 30.0):
+        with open(path, "rb") as f:
+            self.shape = _frame_shape(path, f)
+        self.path, self.frame_rate_hz = path, frame_rate_hz
+
+    @property
+    def frames(self) -> FrameFile:
+        return self
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, frames: slice) -> np.ndarray:
+        start, stop, step = frames.indices(len(self))
+        if step != 1:
+            raise ValueError(f"FrameFile reads contiguous frames only, got step {step}")
+        block = np.empty((max(stop - start, 0), *self.shape[1:]), dtype="<f4")
+        with open(self.path, "rb") as f:
+            f.seek(_BODY_OFFSET + start * math.prod(self.shape[1:]) * 4)
+            _read_body(self.path, f, block)
+        return _frame_stream(self.path, block, start, self.frame_rate_hz).frames
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -241,18 +311,25 @@ def read_labels_csv(path: str | Path) -> list[WindowLabel]:
 
 
 def write_model_json(path: str | Path, model: ReconstructorModel) -> None:
-    doc = {
+    """Write the model's JSON document, json.dumps' text of it plus a
+    newline, as it goes: one json.dumps call per weight row, so that no
+    float list or text of a whole weight matrix is held at once."""
+    head = {
         "kind": model.kind.value,
         "layer_sizes": model.layer_sizes,
         "history_k": model.history_k,
         "activation": model.activation.value,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-        "epoch_losses": model.epoch_losses,
     }
-    # No indent: with one, json falls back to its pure-Python encoder, which
-    # takes about twice as long on the quick-start model.
-    _write_text(path, json.dumps(doc) + "\n")
+    tail = {"biases": [b.tolist() for b in model.biases], "epoch_losses": model.epoch_losses}
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(json.dumps(head)[:-1] + ', "weights": [')
+        for l, w in enumerate(model.weights):
+            f.write(", [" if l else "[")
+            for r, row in enumerate(w):
+                f.write((", " if r else "") + json.dumps(row.tolist()))
+            f.write("]")
+        # The tail's object opens where the head's closed.
+        f.write("], " + json.dumps(tail)[1:] + "\n")
 
 
 def _load_json(path: str | Path) -> dict:

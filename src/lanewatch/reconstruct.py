@@ -474,20 +474,18 @@ def _widen(v: np.ndarray, w: np.ndarray) -> None:
     w[0] = v[0].copy()
 
 
-def _samples(stream: FrameStream, history_k: int | None) -> tuple[np.ndarray, int]:
-    """The (n_frames, n_pixels) frame matrix and the number of samples it
-    holds.  An autoencoder (history_k None) has one sample per frame, its
-    own target; sample i of the sequence predictor reads frames i ...
-    i+k-1 (oldest first) and targets frame i+k."""
-    frames = stream.as_matrix()
-    n = frames.shape[0]
+def _sample_count(n_frames: int, history_k: int | None) -> int:
+    """The number of samples n_frames frames hold.  An autoencoder
+    (history_k None) has one sample per frame, its own target; sample i
+    of the sequence predictor reads frames i ... i+k-1 (oldest first) and
+    targets frame i+k."""
     if history_k is None:
-        return frames, n
-    if n <= history_k:
+        return n_frames
+    if n_frames <= history_k:
         raise ValueError(
-            f"sequence predictor needs more than history_k={history_k} frames, got {n}"
+            f"sequence predictor needs more than history_k={history_k} frames, got {n_frames}"
         )
-    return frames, n - history_k
+    return n_frames - history_k
 
 
 def train_reconstructor(
@@ -501,7 +499,8 @@ def train_reconstructor(
     if len(stream) == 0:
         raise ValueError("cannot train on an empty stream")
     history_k = hyper.history_k if kind is ReconstructorKind.SEQ else None
-    frames, n_samples = _samples(stream, history_k)
+    frames = stream.as_matrix()
+    n_samples = _sample_count(len(frames), history_k)
     n_pixels = frames.shape[1]
     window = history_k or 1  # frames per input row
     hidden = hyper.hidden_sizes if hyper.hidden_sizes is not None else _DEFAULT_HIDDEN[kind]
@@ -596,27 +595,31 @@ def _block_errors(
     return np.mean(diff, axis=1)
 
 
-def error_series(model: ReconstructorModel, stream: FrameStream) -> ErrorSeries:
+def error_series(model: ReconstructorModel, stream) -> ErrorSeries:
     """Per-frame reconstruction errors over a stream, computed in float64.
 
     Autoencoders score every frame (start_index 0); the sequence predictor
     has no prediction for the first history_k frames, so its series starts
-    at index history_k.  The samples are upcast and scored SCORE_BLOCK_ROWS
-    at a time; each error depends only on its own sample, so the values
-    are those of scoring the whole stream at once.
+    at index history_k.  The samples are scored SCORE_BLOCK_ROWS at a
+    time, each block from its own slice of stream.frames, so stream may
+    also be an io.FrameFile, which reads each slice from disk.  Each error
+    depends only on its own sample, so the values are those of scoring
+    the whole stream at once.
     """
     if len(stream) == 0:
         raise ValueError("cannot score an empty stream")
     k = model.history_k if model.kind is ReconstructorKind.SEQ else None
-    frames, n_samples = _samples(stream, k)
-    n_pixels = frames.shape[1]
-    # Row i of the inputs holds sample i's frames, oldest first: a strided
-    # view of the frame matrix, not a copy.
-    row = model.input_window * n_pixels
-    inputs = np.lib.stride_tricks.sliding_window_view(frames.reshape(-1), row)[::n_pixels]
-    targets = frames[k or 0 :]
-    blocks = [
-        _block_errors(model, inputs[a:b], targets[a:b])
-        for a, b in _row_ranges(n_samples, SCORE_BLOCK_ROWS)
-    ]
-    return ErrorSeries(values=np.concatenate(blocks), start_index=k or 0)
+    n_samples = _sample_count(len(stream), k)
+    k = k or 0
+    blocks = []
+    for a, b in _row_ranges(n_samples, SCORE_BLOCK_ROWS):
+        # Samples a ... b-1 read frames a ... b+k-1.
+        frames = stream.frames[a : b + k].reshape(b - a + k, -1)
+        n_pixels = frames.shape[1]
+        # Row i of the inputs holds sample a+i's frames, oldest first: a
+        # strided view of the block, not a copy.
+        inputs = np.lib.stride_tricks.sliding_window_view(
+            frames.reshape(-1), model.input_window * n_pixels
+        )[::n_pixels]
+        blocks.append(_block_errors(model, inputs[: b - a], frames[k:]))
+    return ErrorSeries(values=np.concatenate(blocks), start_index=k)

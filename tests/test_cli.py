@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lanewatch import io
 from lanewatch.cli import PipelineConfig, load_config, main
 from lanewatch.detector import DetectorConfig, run_detector
 from lanewatch.evalkit import (
@@ -25,15 +26,18 @@ from lanewatch.evalkit import (
 )
 from lanewatch.io import (
     read_error_csv,
+    read_frames,
     read_labels_csv,
     read_misbehaviour_csv,
     read_model_json,
     read_params_json,
     write_curve_csv,
+    write_error_csv,
     write_frames,
     write_model_json,
 )
 from lanewatch.reconstruct import (
+    SCORE_BLOCK_ROWS,
     Activation,
     FrameStream,
     ReconstructorKind,
@@ -128,6 +132,32 @@ def test_cli_and_library_score_alike(tmp_path):
     library = error_series(read_model_json(work / "model.json"), generate_scenario(spec)[0])
     assert cli.start_index == library.start_index
     np.testing.assert_array_equal(cli.values, library.values)
+
+
+@pytest.mark.parametrize("kind", ["seq", "dae"])
+def test_fit_scores_the_frame_file_like_the_whole_stream(tmp_path, monkeypatch, kind):
+    # 2 x 256 + 5 frames: three scoring blocks, which for seq overlap by
+    # history_k frames.
+    work = tmp_path / "out"
+    work.mkdir()
+    doc = _config_doc(work)
+    doc["scenario"]["n_frames"] = 2 * SCORE_BLOCK_ROWS + 5
+    doc["train"] = {"kind": kind, "epochs": 2}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    reads = []
+
+    def counted_read(*args, **kwargs):
+        reads.append(args)
+        return read_frames(*args, **kwargs)
+
+    monkeypatch.setattr(io, "read_frames", counted_read)
+    assert main(["pipeline", "--config", str(config)]) == 0
+    # train reads the drive whole; fit reads it block by block.
+    assert len(reads) == 1
+    whole = error_series(read_model_json(work / "model.json"), read_frames(work / "frames.frm1"))
+    write_error_csv(tmp_path / "whole.csv", whole)
+    assert (work / "errors.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_label_reaction_override(pipeline_dir):

@@ -20,6 +20,7 @@ from lanewatch.evalkit import WindowKind, WindowLabel
 from lanewatch.gammafit import GammaParams, ThresholdSpec
 from lanewatch.io import (
     FRAME_MAGIC,
+    FrameFile,
     read_error_csv,
     read_frames,
     read_labels_csv,
@@ -36,10 +37,14 @@ from lanewatch.io import (
     write_params_json,
 )
 from lanewatch.reconstruct import (
+    SCORE_BLOCK_ROWS,
+    Activation,
     ErrorSeries,
     FrameStream,
     ReconstructorKind,
+    ReconstructorModel,
     TrainConfig,
+    error_series,
     train_reconstructor,
 )
 from lanewatch.scenario import MisbehaviourLog
@@ -70,6 +75,12 @@ def test_read_frames_is_a_float32_view_of_the_body(tmp_path):
     assert frames.dtype == np.float32
     assert frames.flags.c_contiguous
     assert not frames.flags.owndata
+
+
+def test_read_frames_is_read_only(tmp_path):
+    path = tmp_path / "frames.frm1"
+    write_frames(path, _stream())
+    assert not read_frames(path).frames.flags.writeable
 
 
 def test_frames_rewrite_is_byte_identical(tmp_path):
@@ -135,6 +146,65 @@ def test_frames_bad_cell(tmp_path, value, frame):
     with pytest.raises(FormatError) as exc_info:
         read_frames(path)
     assert exc_info.value.byte_offset == frame_start
+
+
+def _zero_model(n_pixels: int) -> ReconstructorModel:
+    """An sae that reconstructs every frame as zeros, for any frame size."""
+    return ReconstructorModel(
+        kind=ReconstructorKind.SAE,
+        layer_sizes=[n_pixels, 1, n_pixels],
+        weights=[np.zeros((1, n_pixels)), np.zeros((n_pixels, 1))],
+        biases=[np.zeros(1), np.zeros(n_pixels)],
+        activation=Activation.RELU,
+    )
+
+
+def test_frame_file_slices_equal_read_frames(tmp_path):
+    path = tmp_path / "frames.frm1"
+    write_frames(path, _stream(n=9))
+    frames = FrameFile(path, frame_rate_hz=10.0)
+    assert len(frames) == 9 and frames.shape == (9, 3, 4, 1)
+    whole = read_frames(path).frames
+    for a, b in [(0, 9), (2, 5), (7, 20), (4, 4)]:
+        np.testing.assert_array_equal(frames.frames[a:b], whole[a:b])
+
+
+@pytest.mark.parametrize("frame", [0, SCORE_BLOCK_ROWS + 40])
+def test_frame_file_bad_cell_raises_like_read_frames(tmp_path, frame):
+    # Frame 0 lies in the first scoring block, the other one past it.
+    n, w, h, c = 2 * SCORE_BLOCK_ROWS + 5, 4, 3, 1
+    path = tmp_path / "frames.frm1"
+    write_frames(path, _stream(n=n, w=w, h=h, c=c))
+    data = bytearray(path.read_bytes())
+    cell = 4 + 16 + (frame * w * h * c + 5) * 4
+    data[cell : cell + 4] = struct.pack("<f", np.nan)
+    path.write_bytes(bytes(data))
+    with pytest.raises(FormatError) as whole:
+        read_frames(path)
+    with pytest.raises(FormatError) as blocked:
+        error_series(_zero_model(w * h * c), FrameFile(path))
+    assert str(blocked.value) == str(whole.value)
+    assert blocked.value.byte_offset == whole.value.byte_offset == cell - 5 * 4
+
+
+def test_frame_file_scoring_holds_less_than_the_body(tmp_path):
+    import tracemalloc
+
+    path = tmp_path / "frames.frm1"
+    stream = FrameStream(
+        frames=np.random.default_rng(3).random((4000, 32, 32, 1)), frame_rate_hz=10.0
+    )
+    write_frames(path, stream)
+    body_bytes = stream.frames.nbytes  # one float32 copy of the body, 16.4 MB
+    del stream
+    model = _zero_model(32 * 32)
+    tracemalloc.start()
+    try:
+        error_series(model, FrameFile(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < body_bytes
 
 
 # --------------------------------------------------------------------- CSVs
@@ -251,6 +321,31 @@ def test_model_json_round_trip_exact(tmp_path):
         np.testing.assert_array_equal(b0, b1)
     assert len(model.epoch_losses) == 3
     assert back.epoch_losses == model.epoch_losses
+
+
+@pytest.mark.parametrize(
+    "kind, epochs",
+    [("sae", 2), ("dae", 2), ("seq", 2), ("sae", 0)],
+    ids=["sae", "dae", "seq", "no-epoch-losses"],
+)
+def test_model_json_bytes_are_json_dumps_of_the_document(tmp_path, kind, epochs):
+    cfg = TrainConfig(hidden_sizes=(3,) if kind == "sae" else None, epochs=epochs, seed=4,
+                      history_k=3)
+    model = train_reconstructor(_stream(n=12, w=4, h=4), kind, cfg)
+    assert (model.history_k is None) == (kind != "seq")
+    assert len(model.epoch_losses) == epochs
+    doc = {
+        "kind": model.kind.value,
+        "layer_sizes": model.layer_sizes,
+        "history_k": model.history_k,
+        "activation": model.activation.value,
+        "weights": [w.tolist() for w in model.weights],
+        "biases": [b.tolist() for b in model.biases],
+        "epoch_losses": model.epoch_losses,
+    }
+    path = tmp_path / "model.json"
+    write_model_json(path, model)
+    assert path.read_bytes() == (json.dumps(doc) + "\n").encode("utf-8")
 
 
 def test_model_json_without_epoch_losses_still_reads(tmp_path):
@@ -398,15 +493,33 @@ def _frame_files(draw) -> bytes:
     return draw(_damaged(data, 4 + 16))
 
 
+def _scored(open_frames, path):
+    """The errors of a zero model over the opened frames, "empty" for a
+    file without frames, or the FormatError raised on the way."""
+    try:
+        frames = open_frames(path)
+        if not len(frames):
+            return "empty"
+        return error_series(_zero_model(math.prod(frames.frames.shape[1:])), frames).values
+    except FormatError as exc:
+        return exc
+
+
 @settings(max_examples=300, deadline=None)
 @given(_frame_files())
 def test_read_frames_fuzz_raises_only_format_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz") / "frames.frm1"
     path.write_bytes(data)
-    try:
-        stream = read_frames(path)
-    except FormatError:
+    # Scoring the file block by block fails exactly when reading it whole
+    # does, with the same error.
+    whole, blocked = _scored(read_frames, path), _scored(FrameFile, path)
+    if isinstance(whole, FormatError):
+        assert isinstance(blocked, FormatError)
+        assert (str(blocked), blocked.byte_offset) == (str(whole), whole.byte_offset)
         return
+    assert not isinstance(blocked, FormatError)
+    np.testing.assert_array_equal(blocked, whole)
+    stream = read_frames(path)
     n, w, h, c = struct.unpack_from("<IIII", data, 4)
     assert stream.frames.shape == (n, h, w, c)
     assert len(data) == 4 + 16 + stream.frames.size * 4

@@ -12,6 +12,7 @@ import pytest
 
 import lanewatch.reconstruct as reconstruct_module
 from lanewatch.errors import ConfigError
+from lanewatch.io import FrameFile, write_frames
 from lanewatch.reconstruct import (
     Activation,
     ErrorSeries,
@@ -455,15 +456,21 @@ def _whole_stream_errors(model, stream):
     "n_samples",
     [1, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1, 2 * SCORE_BLOCK_ROWS + 1],
 )
-def test_blocked_error_series_matches_whole_stream(kind, activation, n_samples):
+def test_blocked_error_series_matches_whole_stream(tmp_path, kind, activation, n_samples):
     # For seq, one sample is a stream of history_k + 1 frames.
     cfg = TrainConfig(epochs=2, seed=5, history_k=3, activation=activation)
     model = train_reconstructor(_noise_stream(16, 40, w=8, h=8), kind, cfg)
     shift = cfg.history_k if kind == "seq" else 0
     stream = _noise_stream(17, n_samples + shift, w=8, h=8)
-    errors = error_series(model, stream)
-    assert errors.start_index == shift
-    np.testing.assert_array_equal(errors.values, _whole_stream_errors(model, stream))
+    # The same frames scored in memory and read from an FRM1 file block
+    # by block.
+    path = tmp_path / "frames.frm1"
+    write_frames(path, stream)
+    expected = _whole_stream_errors(model, stream)
+    for frames in (stream, FrameFile(path)):
+        errors = error_series(model, frames)
+        assert errors.start_index == shift
+        np.testing.assert_array_equal(errors.values, expected)
 
 
 @pytest.mark.parametrize("kind", ["sae", "dae", "seq"])
