@@ -49,8 +49,17 @@ def _nominal_drive(seed: int, n_frames: int) -> FrameStream:
 def train_nominal(
     seeds, n_frames: int, kind: ReconstructorKind | str, hyper: TrainConfig
 ) -> ReconstructorModel:
-    """Train on one nominal drive per seed, pooled into one stream."""
-    frames = np.concatenate([_nominal_drive(seed, n_frames).frames for seed in seeds])
+    """Train on one nominal drive per seed, pooled into one stream.  The
+    pool is filled drive by drive, so no more than one drive is held
+    beside it."""
+    pool = None
+    for i, seed in enumerate(seeds):
+        drive = _nominal_drive(seed, n_frames).frames
+        if pool is None:
+            pool = np.empty((len(seeds), *drive.shape), np.float32)
+        pool[i] = drive
+        del drive
+    frames = pool.reshape(-1, *pool.shape[2:])
     return train_reconstructor(FrameStream(frames=frames, frame_rate_hz=10.0), kind, hyper)
 
 

@@ -11,21 +11,22 @@ Training is deterministic given the seed: weight initialization and the
 per-epoch batch shuffle both draw from one seeded generator, so two runs
 with identical inputs produce bit-identical weights.  Frames are float32
 from the generator to the trainer, and the SGD steps run in float32
-inside buffers allocated once per training call; the trained model holds
-float64 arrays (float32-exact values), allocated before training, and
-every weight matrix but an input-major first layer trains as a float32
-view over the first half of its own float64 array (_narrow, _widen), so
-no second copy of the weights exists.  Each training layer takes one of
-three forms, chosen from its sizes and the batch rows (see _Workspace):
-an input-major first layer at most 64 wide (sae's 1024-32, dae's
-1024-64) multiplies a @ W with W = w.T; a wide layer, both sizes above
-the batch (seq's one layer, dae's 64-1024), w @ a.T; every other layer
-a @ w.T.  A layer whose gradient exceeds _GRAD_BLOCK_BYTES (seq's) is
-updated in L2-sized row blocks, to the bits of one whole update.  The
-batch loss is one float32 dot of the output delta with itself.  Scoring
-runs in float64, every layer as a @ w.T whatever its form in training,
-so errors.csv does not depend on that choice, and SCORE_BLOCK_ROWS
-samples at a time, so its memory does not grow with the stream.
+inside buffers allocated once per training call.  A model holds float32
+weights and biases: every weight matrix but an input-major first layer
+trains in the model's own array, so no second copy of the weights
+exists.  Each training layer takes one of three forms, chosen from its
+sizes and the batch rows (see _Workspace): an input-major first layer at
+most 64 wide (sae's 1024-32, dae's 1024-64) multiplies a @ W with
+W = w.T; a wide layer, both sizes above the batch (seq's one layer,
+dae's 64-1024), w @ a.T; every other layer a @ w.T.  A weight larger
+than _ROW_BLOCK_BYTES (seq's) is drawn, updated and upcast for scoring
+in row blocks of that size; its blocked update has the bits of one
+whole update.  The batch loss is one float32 dot of the output delta
+with itself.  Scoring runs in float64, every layer as a @ w.T whatever
+its form in training, so errors.csv does not depend on that choice, and
+SCORE_BLOCK_ROWS samples at a time, so its memory does not grow with the
+stream.  model.json holds the float32 values exactly; a model read back
+holds them as float64 and scores to the same bits.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ class TrainConfig:
     vector and diverges at the step size the autoencoders want.
     history_k only applies to the sequence predictor.  Training reads the
     stream's float32 frames and computes in float32; the returned model
-    and all scoring stay float64.
+    holds the float32 weights and biases SGD updated, and scoring runs in
+    float64.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
@@ -172,10 +174,13 @@ _TRAIN_DTYPE = np.float32
 # it wins at 128 rows or fewer but not reliably at 256 and 512.
 _INPUT_MAJOR_MAX_OUT = 64
 
-# A layer whose weight gradient is larger than this is updated in row
-# blocks of this size, each held in L2 between its product and its update
-# (see _Workspace); with the defaults only seq's, in 16 blocks of 64 rows.
-_GRAD_BLOCK_BYTES = 768 * 1024
+# A weight matrix larger than this is handled in row blocks of this size:
+# its float64 initial draws, its float32 gradient, each block held in L2
+# between its product and its update (see _Workspace), and its float64
+# upcast when scoring (see _forward).  With the defaults only seq's
+# 3072-1024 weight is larger: 16 gradient blocks of 64 rows, 32 draw and
+# scoring blocks of 32 rows.
+_ROW_BLOCK_BYTES = 768 * 1024
 
 # Scoring upcasts this many samples at a time to float64 (one more in a
 # last block that would otherwise hold a single sample), so its
@@ -196,6 +201,9 @@ class ReconstructorModel:
     weights[l] has shape (layer_sizes[l+1], layer_sizes[l]); hidden layers
     apply the activation, the output layer is identity (clamped to [0, 1]
     only at reconstruction time, so training gradients stay exact).
+    Weights and biases are float32 as trained, or float64 as read from
+    model.json, which holds the same values; scoring runs in float64
+    either way, to the same bits.
     """
 
     kind: ReconstructorKind
@@ -302,7 +310,7 @@ class _Workspace:
       one layer and dae's 64-1024 layer.
     - batch-major: every other layer, a @ w.T.
 
-    A layer whose gradient exceeds _GRAD_BLOCK_BYTES trains through
+    A layer whose gradient exceeds _ROW_BLOCK_BYTES trains through
     _apply_blocked, block_rows[l] rows (at least two; 0 for every other
     layer) at a time into grad_w[l], which holds one block.  A block is
     rows of the whole product, each element summed over the batch in the
@@ -332,16 +340,24 @@ class _Workspace:
             (n_in, n_out) if l == 0 and self.input_major else (n_out, n_in)
             for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))
         ]
-        row_bytes = [n * np.dtype(dtype).itemsize for _, n in shapes]
+        blocks = [_block_rows(r, n * np.dtype(dtype).itemsize) for r, n in shapes]
         self.block_rows = [
-            0 if standard or r * b <= _GRAD_BLOCK_BYTES else max(2, _GRAD_BLOCK_BYTES // b)
-            for (r, _), b in zip(shapes, row_bytes)
+            0 if standard or br == r else br for (r, _), br in zip(shapes, blocks)
         ]
         # A blocked layer's buffer holds one block and a lone last row.
         self.grad_w = [
             np.empty((br + 1, s[1]) if br else s, dtype) for s, br in zip(shapes, self.block_rows)
         ]
         self.grad_b = [np.empty(n, dtype) for n in outs]
+
+
+def _block_rows(n_rows: int, row_bytes: int) -> int:
+    """Rows per block of an n_rows matrix whose rows take row_bytes each:
+    all of them when the matrix fits in _ROW_BLOCK_BYTES, else as many as
+    fit, at least two (see _row_ranges)."""
+    if n_rows * row_bytes <= _ROW_BLOCK_BYTES:
+        return n_rows
+    return max(2, _ROW_BLOCK_BYTES // row_bytes)
 
 
 def _row_ranges(n: int, step: int) -> zip:
@@ -365,8 +381,12 @@ def _forward(
     layer is written into its buffers in the form it chose (see
     _Workspace); a wide layer's feature-major buffer is returned as the
     transposed view.  Without one, as when scoring, every layer is a @ w.T
-    into fresh arrays, so scores (errors.csv) do not depend on the
-    workspace's choice."""
+    into fresh arrays in the dtype of a and w together, so scores
+    (errors.csv) do not depend on the workspace's choice.  There a weight
+    is cast one row block at a time (see _block_rows), each block's product
+    written into its columns of z: a float32 weight scored in float64
+    needs no whole float64 copy, and a weight that fits in one block
+    gives the bits of one product."""
     m = len(x)
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = [x]
@@ -374,7 +394,10 @@ def _forward(
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
         if ws is None:
-            z = np.matmul(a, w.T)
+            z = np.empty((m, len(w)), np.result_type(a, w))
+            step = _block_rows(len(w), w.shape[1] * z.itemsize)
+            for r0, r1 in _row_ranges(len(w), step):
+                np.matmul(a, w[r0:r1].astype(z.dtype, copy=False).T, out=z[:, r0:r1])
         elif l == 0 and ws.input_major:
             z = np.matmul(a, w, out=ws.pre[0][:m])
         elif ws.wide[l]:
@@ -445,35 +468,6 @@ def _apply_blocked(l: int, w: np.ndarray, x: np.ndarray, ws: _Workspace, rate: f
         w[start:end] -= g
 
 
-def _doubling_starts(n: int) -> list[int]:
-    """Starts 1, 2, 4, ... below n of the row blocks [s, 2s) that _narrow
-    and _widen copy after row 0."""
-    return [1 << i for i in range((n - 1).bit_length())]
-
-
-def _narrow(w: np.ndarray) -> np.ndarray:
-    """Round the C-contiguous float64 matrix w to float32 in place: the
-    result has w's shape and lies over the first half of w's memory.
-
-    Rows [s, 2s) of the result end where rows [s, 2s) of w begin, so
-    copying blocks first to last overwrites only rows of w already read.
-    Row 0 overlaps its own source, and numpy's casting assignment does not
-    buffer that overlap, so it goes through an explicit copy."""
-    v = w.reshape(-1).view(np.float32)[: w.size].reshape(w.shape)
-    v[0] = w[0].copy()
-    for s in _doubling_starts(len(w)):
-        v[s : 2 * s] = w[s : 2 * s]
-    return v
-
-
-def _widen(v: np.ndarray, w: np.ndarray) -> None:
-    """Write _narrow(w)'s view v back into w as float64, blocks last to
-    first: each writes over rows of v that were already read."""
-    for s in reversed(_doubling_starts(len(w))):
-        w[s : 2 * s] = v[s : 2 * s]
-    w[0] = v[0].copy()
-
-
 def _sample_count(n_frames: int, history_k: int | None) -> int:
     """The number of samples n_frames frames hold.  An autoencoder
     (history_k None) has one sample per frame, its own target; sample i
@@ -512,26 +506,27 @@ def train_reconstructor(
     learning_rate = _DEFAULT_LEARNING_RATE[kind]
 
     rng = np.random.default_rng(hyper.seed)
-    # The model's float64 arrays are allocated first, before any training
-    # buffer, and host the float32 training weights (see _narrow): allocated
-    # last, they would sit above the memory training frees and keep the
-    # allocator from returning later temporaries to the system.
-    weights64: list[np.ndarray] = []
-    biases64: list[np.ndarray] = []
+    # The model's arrays are allocated first, before any training buffer:
+    # allocated last, they would sit above the memory training frees and
+    # keep the allocator from returning later temporaries to the system.
+    # Each weight is drawn in float64 one row block at a time and rounded
+    # as it is stored, so no whole float64 weight exists.
+    weights: list[np.ndarray] = []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = 1.0 / math.sqrt(n_in)
-        weights64.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
-        biases64.append(np.zeros(n_out))
-    biases = [b.astype(_TRAIN_DTYPE) for b in biases64]
+        w = np.empty((n_out, n_in), _TRAIN_DTYPE)
+        for start, end in _row_ranges(n_out, _block_rows(n_out, n_in * 8)):
+            w[start:end] = rng.uniform(-bound, bound, size=(end - start, n_in))
+        weights.append(w)
+    biases = [np.zeros(n_out, _TRAIN_DTYPE) for n_out in layer_sizes[1:]]
 
     rows = min(hyper.batch_size, n_samples)
     ws = _Workspace(layer_sizes, rows, _TRAIN_DTYPE)
     # An input-major first layer trains as a copy W = w.T (see _Workspace),
-    # every other layer inside its float64 array.
-    weights = [
-        np.ascontiguousarray(w.T, _TRAIN_DTYPE) if l == 0 and ws.input_major else _narrow(w)
-        for l, w in enumerate(weights64)
-    ]
+    # every other weight in its model array.
+    trained = list(weights)
+    if ws.input_major:
+        trained[0] = np.ascontiguousarray(weights[0].T)
     # Each batch is gathered from the float32 frame matrix straight into
     # these buffers; an autoencoder's target batch is its input batch.
     x_rows = np.empty((rows, layer_sizes[0]), _TRAIN_DTYPE)
@@ -552,31 +547,26 @@ def train_reconstructor(
             if history_k is not None:
                 np.take(frames, idx + history_k, axis=0, out=target, mode="clip")
             loss, grad_w, grad_b = _loss_and_grads(
-                weights, biases, hyper.activation, x, target, ws
+                trained, biases, hyper.activation, x, target, ws
             )
             batch_losses.append(loss)
-            for l in range(len(weights)):
+            for l in range(len(trained)):
                 if ws.block_rows[l]:
-                    _apply_blocked(l, weights[l], x, ws, learning_rate)
+                    _apply_blocked(l, trained[l], x, ws, learning_rate)
                 else:
                     grad_w[l] *= learning_rate
-                    weights[l] -= grad_w[l]
+                    trained[l] -= grad_w[l]
                 grad_b[l] *= learning_rate
                 biases[l] -= grad_b[l]
         epoch_losses.append(float(np.mean(batch_losses)))
 
-    for l, (out, trained) in enumerate(zip(weights64, weights)):
-        if l == 0 and ws.input_major:
-            out[...] = trained.T
-        else:
-            _widen(trained, out)
-    for out, trained in zip(biases64, biases):
-        out[...] = trained
+    if ws.input_major:
+        weights[0][...] = trained[0].T
     return ReconstructorModel(
         kind=kind,
         layer_sizes=layer_sizes,
-        weights=weights64,
-        biases=biases64,
+        weights=weights,
+        biases=biases,
         activation=hyper.activation,
         history_k=history_k,
         epoch_losses=epoch_losses,

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,7 @@ from lanewatch.reconstruct import (
     ReconstructorModel,
     TrainConfig,
     error_series,
+    train_reconstructor,
 )
 from lanewatch.scenario import ScenarioSpec, generate_scenario
 from lanewatch.smoothing import ArFilterConfig, ar_filter
@@ -158,6 +162,51 @@ def test_fit_scores_the_frame_file_like_the_whole_stream(tmp_path, monkeypatch, 
     whole = error_series(read_model_json(work / "model.json"), read_frames(work / "frames.frm1"))
     write_error_csv(tmp_path / "whole.csv", whole)
     assert (work / "errors.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
+def test_fit_peak_rss_stays_below_the_drive(tmp_path):
+    # tracemalloc cannot see read_frames' anonymous mmap, so fit's memory is
+    # read as the growth of its process's peak RSS (VmHWM) across the call,
+    # in a fresh process with one BLAS thread.  A forked child's ru_maxrss
+    # starts at its parent's RSS, which would hide the growth.  One product
+    # first touches OpenBLAS's buffer, a cost of the process, not of fit.
+    work = tmp_path / "out"
+    work.mkdir()
+    stream = FrameStream(
+        frames=np.random.default_rng(24).random((4000, 32, 32, 1)), frame_rate_hz=10.0
+    )
+    write_frames(work / "frames.frm1", stream)
+    drive_bytes = stream.frames.nbytes  # one float32 copy of the drive, 16.4 MB
+    model = train_reconstructor(FrameStream(frames=stream.frames[:40]), "sae",
+                                TrainConfig(epochs=0))
+    write_model_json(work / "model.json", model)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workdir": str(work)}))
+    script = """
+import sys
+import numpy as np
+from lanewatch.cli import main
+def peak_kib():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:"))
+np.ones((257, 1024)) @ np.ones((1024, 32))
+before = peak_kib()
+code = main(["fit", "--config", sys.argv[1]])
+print(code, peak_kib() - before)
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", script, str(config)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr
+    code, growth_kib = map(int, out.stdout.splitlines()[-1].split())
+    assert code == 0
+    # The share of the stream test_error_series_memory_does_not_grow_with_
+    # the_stream allows; fit reading the whole drive through read_frames
+    # grew the peak by about 20 MiB.
+    assert growth_kib * 1024 < 0.6 * drive_bytes
 
 
 def test_label_reaction_override(pipeline_dir):

@@ -12,7 +12,7 @@ import pytest
 
 import lanewatch.reconstruct as reconstruct_module
 from lanewatch.errors import ConfigError
-from lanewatch.io import FrameFile, write_frames
+from lanewatch.io import FrameFile, read_model_json, write_frames, write_model_json
 from lanewatch.reconstruct import (
     Activation,
     ErrorSeries,
@@ -26,12 +26,11 @@ from lanewatch.reconstruct import (
 from lanewatch.reconstruct import (
     _DEFAULT_LEARNING_RATE,
     SCORE_BLOCK_ROWS,
+    _block_rows,
     _Workspace,
     _forward,
     _loss_and_grads,
-    _narrow,
     _row_ranges,
-    _widen,
 )
 from reconstruct_reference import reconstruct, reconstruction_error
 
@@ -218,7 +217,7 @@ def test_float32_training_tracks_float64_reference(kind, cfg):
     model = train_reconstructor(stream, kind, cfg)
     weights, biases, losses = _reference_sgd(stream, kind, cfg)
     for got, want in zip(model.weights + model.biases, weights + biases):
-        assert got.dtype == np.float64
+        assert got.dtype == np.float32
         assert np.all(np.isfinite(got))
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-5)
     np.testing.assert_allclose(model.epoch_losses, losses, rtol=1e-4)
@@ -286,10 +285,10 @@ def test_blocked_update_is_bit_identical(
     # both end each epoch with a short batch.
     stream = _noise_stream(19, n_frames, w=side, h=side)
     hyper = TrainConfig(epochs=3, batch_size=8 if kind == "seq" else 32, seed=6)
-    monkeypatch.setattr(reconstruct_module, "_GRAD_BLOCK_BYTES", 2**62)
+    monkeypatch.setattr(reconstruct_module, "_ROW_BLOCK_BYTES", 2**62)
     whole = train_reconstructor(stream, kind, hyper)
     assert not any(_Workspace(whole.layer_sizes, hyper.batch_size, np.float32).block_rows)
-    monkeypatch.setattr(reconstruct_module, "_GRAD_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(reconstruct_module, "_ROW_BLOCK_BYTES", block_bytes)
     ws = _Workspace(whole.layer_sizes, hyper.batch_size, np.float32)
     assert ws.block_rows == block_rows
     assert list(_row_ranges(ranges[-1][1], block_rows[0])) == ranges
@@ -312,56 +311,10 @@ def test_seq_training_memory_holds_one_gradient_block():
     finally:
         tracemalloc.stop()
     model_bytes = sum(a.nbytes for a in model.weights + model.biases)
-    # The float32 training weights live inside the float64 model arrays; a
-    # separate float32 copy of the 3072-1024 layer would add 12 MiB, and so
-    # would a full float32 gradient of it.
+    # The float32 training weights are the model's arrays; a separate
+    # float32 copy of the 3072-1024 layer would add 12 MiB, and so would a
+    # full float32 gradient of it.
     assert peak <= model_bytes + 2 * 2**20
-
-
-@pytest.mark.parametrize("shape", [(1, 7), (2, 7), (3, 5), (64, 64), (1024, 3072)])
-def test_narrow_and_widen_round_in_place(shape):
-    rng = np.random.default_rng(21)
-    w = rng.uniform(-1.0, 1.0, shape)
-    rounded = w.astype(np.float32)
-    v = _narrow(w)
-    assert v.dtype == np.float32 and v.shape == shape
-    assert np.shares_memory(v, w)
-    assert v.tobytes() == rounded.tobytes()
-    # Training edits the view in place, row 0 included.
-    v *= np.float32(-0.75)
-    v += np.float32(0.125)
-    trained = v.astype(np.float64)
-    _widen(v, w)
-    assert w.tobytes() == trained.tobytes()
-
-
-def _copy_back(v, w):
-    w[...] = v
-
-
-@pytest.mark.parametrize(
-    "kind, cfg",
-    [
-        # sae's 8-wide first layer is input-major (a copy), its 8-64 layer in
-        # place; at 70 wide both sae layers train in place.
-        ("sae", TrainConfig(hidden_sizes=(8,), epochs=3, batch_size=8, seed=7)),
-        ("sae", TrainConfig(hidden_sizes=(70,), epochs=3, batch_size=8, seed=7,
-                            activation=Activation.SIGMOID)),
-        ("dae", TrainConfig(epochs=3, batch_size=8, seed=8)),
-        ("seq", TrainConfig(epochs=3, batch_size=8, seed=9)),
-    ],
-)
-def test_in_place_training_weights_are_bit_identical(monkeypatch, kind, cfg):
-    # 45 frames in batches of 8 end each epoch with a short batch: 5 samples
-    # for the autoencoders, 2 for seq (42 lagged samples).
-    stream = _noise_stream(22, 45, w=8, h=8)
-    in_place = train_reconstructor(stream, kind, cfg)
-    monkeypatch.setattr(reconstruct_module, "_narrow", lambda w: w.astype(np.float32))
-    monkeypatch.setattr(reconstruct_module, "_widen", _copy_back)
-    copied = train_reconstructor(stream, kind, cfg)
-    for a, b in zip(in_place.weights + in_place.biases, copied.weights + copied.biases):
-        np.testing.assert_array_equal(a, b)
-    assert in_place.epoch_losses == copied.epoch_losses
 
 
 def test_shallow_autoencoder_memorizes_constant_frame():
@@ -440,7 +393,7 @@ def _whole_stream_errors(model, stream):
     relu = model.activation is Activation.RELU
     a = inputs
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w.T + b
+        a = a @ w.astype(np.float64).T + b
         if l < len(model.weights) - 1:
             # The sigmoid in the tanh form the model computes.
             a = np.maximum(a, 0.0) if relu else (np.tanh(a * 0.5) + 1.0) * 0.5
@@ -471,6 +424,32 @@ def test_blocked_error_series_matches_whole_stream(tmp_path, kind, activation, n
         errors = error_series(model, frames)
         assert errors.start_index == shift
         np.testing.assert_array_equal(errors.values, expected)
+
+
+@pytest.mark.parametrize("kind, block_rows", [("sae", [9, 18]), ("seq", [3])])
+@pytest.mark.parametrize("n_samples", [1, 2, 5, 21, 255, 257])
+def test_multi_block_scoring_matches_one_block(tmp_path, monkeypatch, kind, block_rows, n_samples):
+    # At 8x8 frames every weight fits in one 768 KiB block.  At three
+    # float64 rows of seq's 192-64 weight, that weight is scored in 21
+    # blocks (the lone last row joins the 21st), and sae's 64-32 and 32-64
+    # weights in 4 each, the last one ragged.
+    cfg = TrainConfig(epochs=2, seed=5, history_k=3)
+    model = train_reconstructor(_noise_stream(16, 40, w=8, h=8), kind, cfg)
+    shift = cfg.history_k if kind == "seq" else 0
+    stream = _noise_stream(23, n_samples + shift, w=8, h=8)
+    one_block = error_series(model, stream).values
+    path = tmp_path / "model.json"
+    write_model_json(path, model)
+    read_back = read_model_json(path)
+    monkeypatch.setattr(reconstruct_module, "_ROW_BLOCK_BYTES", 3 * 192 * 8)
+    assert [_block_rows(len(w), w.shape[1] * 8) for w in model.weights] == block_rows
+    in_memory = error_series(model, stream).values
+    # Short sample blocks may round the column-blocked product differently
+    # in the last bit.
+    np.testing.assert_allclose(in_memory, one_block, rtol=1e-12, atol=0.0)
+    # The float32 model and its float64 read-back score to the same bits.
+    assert model.weights[0].dtype == np.float32 and read_back.weights[0].dtype == np.float64
+    np.testing.assert_array_equal(error_series(read_back, stream).values, in_memory)
 
 
 @pytest.mark.parametrize("kind", ["sae", "dae", "seq"])
