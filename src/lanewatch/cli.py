@@ -67,24 +67,25 @@ def _take(section: dict, known, where: str) -> None:
         raise ConfigError(f"unknown {where} fields: {sorted(unknown)}")
 
 
-def _int(value, name: str) -> int:
-    """An integer config value: 2 and 2.0 pass, 2.5 is rejected rather
-    than truncated."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+def _array(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a JSON array, got {value!r}")
+    return value
 
 
 def _section(cls, section: dict, where: str):
-    """Build one config section: its keys are the field names of cls, and
-    fields annotated int or float are cast, so 2.0 epochs train 2 and
-    2.5 epochs are rejected."""
+    """Build one config section: its keys are the field names of cls, int
+    fields and each hidden size pass io._integer (2.0 epochs train 2; 2.5,
+    true or "2" exit 2), hidden sizes are a JSON array, floats are cast."""
     _take(section, [f.name for f in fields(cls)], where)
     hints = get_type_hints(cls)
 
     def cast(key, value):
+        name = f"{where}.{key}"
         if hints[key] is int:
-            return _int(value, f"{where}.{key}")
+            return io._integer(value, name)
+        if key == "hidden_sizes" and value is not None:
+            return [io._integer(h, f"{name}[{i}]") for i, h in enumerate(_array(value, name))]
         return float(value) if hints[key] is float else value
 
     return cls(**{k: cast(k, v) for k, v in section.items()})
@@ -124,7 +125,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
     try:
         # The top-level seed fills in the scenario and training seeds the
         # file leaves out; --seed sets both.
-        seed = _int(doc.get("seed", 0), "seed")
+        seed = io._integer(doc.get("seed", 0), "seed")
         for name, key in (("scenario", "track_seed"), ("train", "seed")):
             if "seed" in flags or key not in doc[name]:
                 doc[name][key] = seed
@@ -141,7 +142,7 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
     thresholds = doc.get("thresholds")
     if thresholds is not None:
-        thresholds = [float(t) for t in thresholds]
+        thresholds = [float(t) for t in _array(thresholds, "thresholds")]
         if not thresholds:
             raise ConfigError("threshold list is empty")
     return PipelineConfig(
@@ -151,7 +152,7 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
         train_kind=train_kind,
         train=_section(TrainConfig, doc["train"], "train"),
         epsilon=epsilon,
-        ar=ArFilterConfig(order_k=_int(doc.get("ar_k", DEFAULT_AR_ORDER), "ar_k")),
+        ar=ArFilterConfig(order_k=io._integer(doc.get("ar_k", DEFAULT_AR_ORDER), "ar_k")),
         labelling=_section(LabellingConfig, doc["labelling"], "labelling"),
         thresholds=thresholds,
         reaction_sweep=doc.get("reaction_sweep"),
@@ -196,7 +197,7 @@ def cmd_train(cfg: PipelineConfig) -> None:
 
 def cmd_fit(cfg: PipelineConfig) -> None:
     # Scoring reads the frames one block at a time, not the whole drive.
-    frames = io.FrameFile(cfg.path("frames"), frame_rate_hz=cfg.scenario.frame_rate_hz)
+    frames = io.FrameFile(cfg.path("frames"))
     raw = error_series(io.read_model_json(cfg.path("model")), frames)
     io.write_error_csv(cfg.path("errors"), raw)
     smoothed = ar_filter(raw, cfg.ar)

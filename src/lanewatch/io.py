@@ -2,13 +2,17 @@
 
 Frame stream binary ("FRM1"): 4 magic bytes, then four little-endian u32
 fields (count, width, height, channels), then count*W*H*C little-endian
-IEEE-754 32-bit floats, frame-major, row-major, channel-last.  Read
+IEEE-754 32-bit floats, frame-major, row-major, channel-last.  FrameFile
+is its one reader; read_frames loads a whole file through it.  Read
 errors carry the byte offset of the problem.
 
 CSV files are LF-terminated with a fixed header; floats use Python's
-shortest round-trip representation.  The fitted-parameters JSON instead
-prints 17 significant digits so the decimal literals are exact float64
-round-trips even for consumers with naive parsers.
+shortest round-trip representation.  Every CSV is written by _write_csv
+and read by _read_rows, which checks each row's column count, with
+cells parsed by _parse.  The fitted-parameters JSON instead prints 17
+significant digits so the decimal literals are exact float64 round-trips
+even for consumers with naive parsers.  Every JSON integer, here and in
+the CLI config, passes _integer.
 """
 
 from __future__ import annotations
@@ -69,95 +73,52 @@ def write_frames(path: str | Path, stream: FrameStream) -> None:
         f.write(np.ascontiguousarray(stream.frames, dtype="<f4").data)
 
 
-def _frame_shape(path, f) -> tuple[int, int, int, int]:
-    """(count, height, width, channels) from the FRM1 file f, left at the
-    start of its body.  Checks the magic, the dimensions, and that the
-    body holds exactly the bytes they call for."""
-    size = os.fstat(f.fileno()).st_size
-    head = f.read(_BODY_OFFSET)
-    if size < 4:
-        raise FormatError(f"{path}: truncated before magic", byte_offset=size)
-    if head[:4] != FRAME_MAGIC:
-        raise FormatError(
-            f"{path}: bad magic {head[:4]!r}, expected {FRAME_MAGIC!r}", byte_offset=0
-        )
-    if size < _BODY_OFFSET:
-        raise FormatError(f"{path}: truncated header", byte_offset=size)
-    count, width, height, channels = _HEADER.unpack_from(head, 4)
-    if width == 0 or height == 0 or channels == 0:
-        raise FormatError(
-            f"{path}: zero frame dimension {width}x{height}x{channels}", byte_offset=4
-        )
-    expected = count * width * height * channels * 4
-    actual = size - _BODY_OFFSET
-    if actual != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes of frame data, found {actual}",
-            byte_offset=_BODY_OFFSET + min(actual, expected),
-        )
-    return count, height, width, channels
-
-
-def _read_body(path, f, buffer) -> None:
-    """Fill buffer from f; a file cut short since its size was checked
-    raises FormatError rather than leaving the rest unfilled."""
-    if f.readinto(buffer) != memoryview(buffer).nbytes:
-        raise FormatError(f"{path}: truncated while reading", byte_offset=f.tell())
-
-
-def _frame_stream(path, frames: np.ndarray, first: int, frame_rate_hz: float) -> FrameStream:
-    """frames, frame first onwards of the file at path, as a FrameStream,
-    which validates every cell.  Only when that fails is the first bad
-    cell looked for, to name its frame and byte offset."""
-    try:
-        return FrameStream(frames=frames, frame_rate_hz=frame_rate_hz)
-    except ValueError:
-        cells = frames.reshape(-1)
-        # NaN fails both comparisons, so this also finds non-finite cells.
-        bad = np.flatnonzero(~((cells >= 0.0) & (cells <= 1.0)))
-        if not bad.size:
-            raise
-        per_frame = math.prod(frames.shape[1:])
-        i = first + int(bad[0]) // per_frame
-        raise FormatError(
-            f"{path}: frame {i}: pixel values must be finite and lie in [0, 1], "
-            f"found {cells[bad[0]]}",
-            byte_offset=_BODY_OFFSET + i * per_frame * 4,
-        ) from None
-
-
 def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
-    """Load an FRM1 file; frame_rate_hz is caller-supplied metadata, the
-    format itself does not store it.  The stream's frames are a read-only
-    view of the body, read into an anonymous mmap of its own: the memory
-    goes back to the system when the stream is dropped, where a freed
-    bytes object of a drive's size can stay in the heap under later
-    allocations."""
-    with open(path, "rb") as f:
-        shape = _frame_shape(path, f)
-        nbytes = math.prod(shape) * 4
-        body = mmap.mmap(-1, nbytes) if nbytes else bytearray()
-        _read_body(path, f, body)
-    frames = np.frombuffer(body, dtype="<f4").reshape(shape)
-    frames.flags.writeable = False
-    return _frame_stream(path, frames, 0, frame_rate_hz)
+    """Load a whole FRM1 file as FrameFile(path)[:] reads it; frame_rate_hz
+    is caller-supplied metadata, the format itself does not store it."""
+    return FrameStream(frames=FrameFile(path)[:], frame_rate_hz=frame_rate_hz)
 
 
 class FrameFile:
-    """An FRM1 file read a few frames at a time, so that scoring it holds
-    one block of frames rather than the drive.
+    """An FRM1 file, the one reader of the format, read a few frames at a
+    time so that scoring it holds one block of frames rather than the drive.
 
-    Opening checks the header and the file size as read_frames does.
-    error_series takes a FrameFile in place of a FrameStream: frames is
-    the file itself, and frames[a:b] reads frames a ... b-1 from disk and
-    validates only those, raising the FormatError read_frames would give
-    for the first bad cell among them.
+    Opening checks the magic, the dimensions, and that the body holds
+    exactly the bytes they call for.  error_series takes a FrameFile in
+    place of a FrameStream: frames is the file itself, and frames[a:b]
+    reads frames a ... b-1 from disk, validates only those, and returns
+    them as a read-only "<f4" view of an anonymous mmap of their own.
+    That memory goes back to the system when the view is dropped, where a
+    freed bytes object of a drive's size can stay in the heap under later
+    allocations.
     """
 
-    def __init__(self, path: str | Path, frame_rate_hz: float = 30.0):
+    def __init__(self, path: str | Path):
+        self.path = path
         with open(path, "rb") as f:
-            self.shape = _frame_shape(path, f)
-        self.path, self.frame_rate_hz = path, frame_rate_hz
+            size = os.fstat(f.fileno()).st_size
+            head = f.read(_BODY_OFFSET)
+        if size < 4:
+            raise FormatError(f"{path}: truncated before magic", byte_offset=size)
+        if head[:4] != FRAME_MAGIC:
+            raise FormatError(
+                f"{path}: bad magic {head[:4]!r}, expected {FRAME_MAGIC!r}", byte_offset=0
+            )
+        if size < _BODY_OFFSET:
+            raise FormatError(f"{path}: truncated header", byte_offset=size)
+        count, width, height, channels = _HEADER.unpack_from(head, 4)
+        if width == 0 or height == 0 or channels == 0:
+            raise FormatError(
+                f"{path}: zero frame dimension {width}x{height}x{channels}", byte_offset=4
+            )
+        expected = count * width * height * channels * 4
+        actual = size - _BODY_OFFSET
+        if actual != expected:
+            raise FormatError(
+                f"{path}: expected {expected} bytes of frame data, found {actual}",
+                byte_offset=_BODY_OFFSET + min(actual, expected),
+            )
+        self.shape = (count, height, width, channels)
 
     @property
     def frames(self) -> FrameFile:
@@ -170,11 +131,33 @@ class FrameFile:
         start, stop, step = frames.indices(len(self))
         if step != 1:
             raise ValueError(f"FrameFile reads contiguous frames only, got step {step}")
-        block = np.empty((max(stop - start, 0), *self.shape[1:]), dtype="<f4")
+        shape = (max(stop - start, 0), *self.shape[1:])
+        per_frame = math.prod(shape[1:])
+        nbytes = shape[0] * per_frame * 4
+        body = mmap.mmap(-1, nbytes) if nbytes else bytearray()
         with open(self.path, "rb") as f:
-            f.seek(_BODY_OFFSET + start * math.prod(self.shape[1:]) * 4)
-            _read_body(self.path, f, block)
-        return _frame_stream(self.path, block, start, self.frame_rate_hz).frames
+            f.seek(_BODY_OFFSET + start * per_frame * 4)
+            # A file cut short since its size was checked.
+            if f.readinto(body) != nbytes:
+                raise FormatError(f"{self.path}: truncated while reading", byte_offset=f.tell())
+        block = np.frombuffer(body, dtype="<f4").reshape(shape)
+        block.flags.writeable = False
+        try:
+            return FrameStream(frames=block).frames
+        except ValueError:
+            # Only now is the first bad cell looked for, to name its frame
+            # and byte offset.  NaN fails both comparisons, so this also
+            # finds non-finite cells.
+            cells = block.reshape(-1)
+            bad = np.flatnonzero(~((cells >= 0.0) & (cells <= 1.0)))
+            if not bad.size:
+                raise
+            i = start + int(bad[0]) // per_frame
+            raise FormatError(
+                f"{self.path}: frame {i}: pixel values must be finite and lie in [0, 1], "
+                f"found {cells[bad[0]]}",
+                byte_offset=_BODY_OFFSET + i * per_frame * 4,
+            ) from None
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -188,46 +171,50 @@ def _read_text(path: str | Path) -> str:
         raise FormatError(f"{path}: not UTF-8 text", byte_offset=exc.start) from exc
 
 
-def _read_rows(path: str | Path, header: str) -> list[tuple[int, list[str]]]:
-    """CSV rows as (line_number, cells); verifies the header line."""
+def _write_csv(path: str | Path, header: str, lines) -> None:
+    """The header line, then one line per item of lines."""
+    _write_text(path, "\n".join([header, *lines]) + "\n")
+
+
+def _read_rows(path: str | Path, header: str):
+    """Yield the CSV rows as (line_number, cells), blank lines skipped,
+    after verifying the header line.  A row whose column count differs
+    from the header's raises FormatError when it is reached, so a file's
+    errors come in row order."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise FormatError(f"{path}: empty file, expected header '{header}'")
     if lines[0] != header:
         raise FormatError(f"{path}: line 1: header '{lines[0]}', expected '{header}'")
-    return [(i, line.split(",")) for i, line in enumerate(lines[1:], start=2) if line]
+    columns = header.count(",") + 1
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != columns:
+            raise FormatError(f"{path}: line {line_no}: expected {columns} columns")
+        yield line_no, cells
 
 
-def _parse_int(path, line_no, cell: str) -> int:
+def _parse(path, line_no, cell: str, kind: type[int] | type[float]) -> int | float:
     try:
-        return int(cell)
+        return kind(cell)
     except ValueError as exc:
-        raise FormatError(f"{path}: line {line_no}: bad integer '{cell}'") from exc
-
-
-def _parse_float(path, line_no, cell: str) -> float:
-    try:
-        return float(cell)
-    except ValueError as exc:
-        raise FormatError(f"{path}: line {line_no}: bad number '{cell}'") from exc
+        noun = "integer" if kind is int else "number"
+        raise FormatError(f"{path}: line {line_no}: bad {noun} '{cell}'") from exc
 
 
 def write_error_csv(path: str | Path, series: ErrorSeries) -> None:
-    lines = ["frame_index,error"]
-    for idx, value in zip(series.frame_indices(), series.values):
-        lines.append(f"{idx},{float(value)!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = zip(series.frame_indices(), series.values)
+    _write_csv(path, "frame_index,error", (f"{i},{float(v)!r}" for i, v in rows))
 
 
 def read_error_csv(path: str | Path) -> ErrorSeries:
-    rows = _read_rows(path, "frame_index,error")
     indices: list[int] = []
     values: list[float] = []
-    for line_no, cells in rows:
-        if len(cells) != 2:
-            raise FormatError(f"{path}: line {line_no}: expected 2 columns")
-        indices.append(_parse_int(path, line_no, cells[0]))
-        values.append(_parse_float(path, line_no, cells[1]))
+    for line_no, (index, value) in _read_rows(path, "frame_index,error"):
+        indices.append(_parse(path, line_no, index, int))
+        values.append(_parse(path, line_no, value, float))
     if not indices:
         raise FormatError(f"{path}: no data rows")
     start = indices[0]
@@ -244,24 +231,19 @@ def read_error_csv(path: str | Path) -> ErrorSeries:
 
 
 def write_misbehaviour_csv(path: str | Path, log: MisbehaviourLog) -> None:
-    lines = ["frame_index,misbehaviour"]
-    for idx, flag in enumerate(log.flags):
-        lines.append(f"{idx},{int(flag)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = enumerate(log.flags)
+    _write_csv(path, "frame_index,misbehaviour", (f"{i},{int(f)}" for i, f in rows))
 
 
 def read_misbehaviour_csv(path: str | Path) -> MisbehaviourLog:
-    rows = _read_rows(path, "frame_index,misbehaviour")
     flags: list[bool] = []
-    for line_no, cells in rows:
-        if len(cells) != 2:
-            raise FormatError(f"{path}: line {line_no}: expected 2 columns")
-        idx = _parse_int(path, line_no, cells[0])
+    for line_no, (index, flag) in _read_rows(path, "frame_index,misbehaviour"):
+        idx = _parse(path, line_no, index, int)
         if idx != len(flags):
             raise FormatError(
                 f"{path}: line {line_no}: frame index {idx}, expected {len(flags)}"
             )
-        value = _parse_int(path, line_no, cells[1])
+        value = _parse(path, line_no, flag, int)
         if value not in (0, 1):
             raise FormatError(f"{path}: line {line_no}: flag must be 0 or 1, got {value}")
         flags.append(bool(value))
@@ -269,42 +251,31 @@ def read_misbehaviour_csv(path: str | Path) -> MisbehaviourLog:
 
 
 def write_intensity_csv(path: str | Path, trace: np.ndarray) -> None:
-    lines = ["frame_index,intensity"]
-    for idx, value in enumerate(np.asarray(trace, dtype=float)):
-        lines.append(f"{idx},{float(value)!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = enumerate(np.asarray(trace, dtype=float))
+    _write_csv(path, "frame_index,intensity", (f"{i},{float(v)!r}" for i, v in rows))
 
 
 def write_decision_csv(
     path: str | Path, start_index: int, decisions: list[Decision]
 ) -> None:
-    lines = ["frame_index,decision"]
-    for offset, decision in enumerate(decisions):
-        lines.append(f"{start_index + offset},{decision.value}")
-    _write_text(path, "\n".join(lines) + "\n")
+    rows = enumerate(decisions, start=start_index)
+    _write_csv(path, "frame_index,decision", (f"{i},{d.value}" for i, d in rows))
 
 
 def write_labels_csv(path: str | Path, labels: list[WindowLabel]) -> None:
-    lines = ["start,length,kind"]
-    for w in labels:
-        lines.append(f"{w.start},{w.length},{w.kind.value}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "start,length,kind", (f"{w.start},{w.length},{w.kind.value}" for w in labels))
 
 
 def read_labels_csv(path: str | Path) -> list[WindowLabel]:
-    rows = _read_rows(path, "start,length,kind")
     labels: list[WindowLabel] = []
-    for line_no, cells in rows:
-        if len(cells) != 3:
-            raise FormatError(f"{path}: line {line_no}: expected 3 columns")
+    for line_no, (start, length, kind) in _read_rows(path, "start,length,kind"):
         try:
-            kind = WindowKind(cells[2])
+            window = WindowKind(kind)
         except ValueError as exc:
-            raise FormatError(f"{path}: line {line_no}: unknown kind '{cells[2]}'") from exc
-        start = _parse_int(path, line_no, cells[0])
-        length = _parse_int(path, line_no, cells[1])
+            raise FormatError(f"{path}: line {line_no}: unknown kind '{kind}'") from exc
+        start, length = _parse(path, line_no, start, int), _parse(path, line_no, length, int)
         try:
-            labels.append(WindowLabel(start=start, length=length, kind=kind))
+            labels.append(WindowLabel(start=start, length=length, kind=window))
         except ValueError as exc:
             raise FormatError(f"{path}: line {line_no}: {exc}") from exc
     return labels
@@ -343,6 +314,15 @@ def _load_json(path: str | Path) -> dict:
     return doc
 
 
+def _integer(value, name: str) -> int:
+    """A JSON integer: 2 and 2.0 pass; a fractional, non-finite, boolean
+    or string value raises ValueError rather than being truncated or
+    parsed."""
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def read_model_json(path: str | Path) -> ReconstructorModel:
     """Load a model; the epoch_losses training curve is optional."""
     doc = _load_json(path)
@@ -362,11 +342,15 @@ def read_model_json(path: str | Path) -> ReconstructorModel:
             raise ValueError("epoch_losses must be a list of finite numbers")
         return ReconstructorModel(
             kind=ReconstructorKind(doc["kind"]),
-            layer_sizes=[int(s) for s in doc["layer_sizes"]],
+            layer_sizes=[
+                _integer(s, f"layer_sizes[{i}]") for i, s in enumerate(doc["layer_sizes"])
+            ],
             weights=weights,
             biases=biases,
             activation=Activation(doc["activation"]),
-            history_k=None if doc["history_k"] is None else int(doc["history_k"]),
+            history_k=(
+                None if doc["history_k"] is None else _integer(doc["history_k"], "history_k")
+            ),
             epoch_losses=[float(x) for x in losses],
         )
     except (ValueError, TypeError, OverflowError) as exc:
@@ -399,13 +383,9 @@ def read_params_json(path: str | Path) -> tuple[GammaParams, ThresholdSpec, int]
     try:
         params = GammaParams(shape_alpha=float(doc["alpha"]), rate_beta=float(doc["rate"]))
         threshold = ThresholdSpec(epsilon=float(doc["epsilon"]), theta=float(doc["theta"]))
-        sample_count = doc["sample_count"]
-        # 400 and 400.0 pass; a fractional, boolean or string count does not.
-        if type(sample_count) not in (int, float) or (
-            isinstance(sample_count, float) and not sample_count.is_integer()
-        ):
-            raise ValueError(f"sample_count must be an integer, got {sample_count!r}")
-        sample_count = int(sample_count)
+        sample_count = _integer(doc["sample_count"], "sample_count")
+        if sample_count < 0:
+            raise ValueError(f"sample_count must be non-negative, got {sample_count}")
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return params, threshold, sample_count
@@ -418,7 +398,4 @@ def write_report_json(path: str | Path, report: dict) -> None:
 def write_curve_csv(
     path: str | Path, header: str, rows: list[tuple[float, float, float]]
 ) -> None:
-    lines = [header]
-    for theta, x, y in rows:
-        lines.append(f"{float(theta)!r},{float(x)!r},{float(y)!r}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, header, (f"{float(t)!r},{float(x)!r},{float(y)!r}" for t, x, y in rows))

@@ -413,6 +413,10 @@ def test_float_train_fields_are_cast(tmp_path):
         ("labelling", "reaction_r", 25.5),
         (None, "seed", 1.5),
         (None, "ar_k", 10.5),
+        # A boolean or a string is not read as an integer either.
+        ("train", "epochs", True),
+        (None, "seed", "5"),
+        ("scenario", "n_frames", "30"),
     ],
 )
 def test_fractional_int_field_exits_2(tmp_path, capsys, section, key, value):
@@ -448,6 +452,18 @@ def test_fractional_int_field_exits_2(tmp_path, capsys, section, key, value):
         pytest.param("ar_k", 0, "filter order must be at least 1", id="ar-k-range"),
         pytest.param("thresholds", [], "threshold list is empty", id="thresholds-empty"),
         pytest.param("seed", "x", "error: ", id="seed-string"),
+        # A string would be swept or trained as its characters.
+        pytest.param("thresholds", "12", "thresholds must be a JSON array, got '12'",
+                     id="thresholds-string"),
+        pytest.param("train", {"kind": "dae", "hidden_sizes": "642"},
+                     "train.hidden_sizes must be a JSON array, got '642'",
+                     id="hidden-sizes-string"),
+        pytest.param("train", {"hidden_sizes": [32.7]},
+                     "train.hidden_sizes[0] must be an integer, got 32.7",
+                     id="hidden-size-fractional"),
+        pytest.param("train", {"hidden_sizes": [True]},
+                     "train.hidden_sizes[0] must be an integer, got True",
+                     id="hidden-size-boolean"),
         # The sweep comes from --reaction-r only; the file sets labelling.reaction_r.
         pytest.param("reaction_sweep", [25], "unknown config fields: ['reaction_sweep']",
                      id="reaction-sweep-key"),

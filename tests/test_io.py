@@ -81,6 +81,7 @@ def test_read_frames_is_read_only(tmp_path):
     path = tmp_path / "frames.frm1"
     write_frames(path, _stream())
     assert not read_frames(path).frames.flags.writeable
+    assert not FrameFile(path)[0:3].flags.writeable
 
 
 def test_frames_rewrite_is_byte_identical(tmp_path):
@@ -162,7 +163,7 @@ def _zero_model(n_pixels: int) -> ReconstructorModel:
 def test_frame_file_slices_equal_read_frames(tmp_path):
     path = tmp_path / "frames.frm1"
     write_frames(path, _stream(n=9))
-    frames = FrameFile(path, frame_rate_hz=10.0)
+    frames = FrameFile(path)
     assert len(frames) == 9 and frames.shape == (9, 3, 4, 1)
     whole = read_frames(path).frames
     for a, b in [(0, 9), (2, 5), (7, 20), (4, 4)]:
@@ -410,6 +411,28 @@ def test_model_json_rejects_non_finite(tmp_path, token, where):
         read_model_json(path)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("layer_sizes", [4.9, 2, 4]), ("layer_sizes", [4, True, 4]), ("history_k", 1.5),
+     ("history_k", True)],
+    ids=["fractional-size", "boolean-size", "fractional-history-k", "boolean-history-k"],
+)
+def test_model_json_integer_fields_must_be_integers(tmp_path, field, value):
+    # Truncated or read as 1, each value would give the sizes the weights have.
+    kind = ReconstructorKind.SAE if field == "layer_sizes" else ReconstructorKind.SEQ
+    cfg = TrainConfig(hidden_sizes=(2,) if kind is ReconstructorKind.SAE else None, epochs=1,
+                      history_k=1)
+    model = train_reconstructor(_stream(n=12, w=2, h=2), kind, cfg)
+    path = tmp_path / "model.json"
+    write_model_json(path, model)
+    doc = json.loads(path.read_text())
+    assert doc[field] == ([4, 2, 4] if field == "layer_sizes" else 1)
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match=field):
+        read_model_json(path)
+
+
 def test_params_json_round_trip_exact(tmp_path):
     params = GammaParams(shape_alpha=2.5530000000000013, rate_beta=1234.567890123456)
     threshold = ThresholdSpec(epsilon=0.05, theta=0.0028251111111111117)
@@ -440,8 +463,9 @@ def test_params_json_missing_field(tmp_path):
 @pytest.mark.parametrize(
     "token, expected",
     [("400", 400), ("2.0", 2), ("2.5", None), ("true", None), ("false", None),
-     ('"400"', None), ("1e999", None)],
-    ids=["int", "integral-float", "fractional", "true", "false", "string", "infinite"],
+     ('"400"', None), ("1e999", None), ("-5", None)],
+    ids=["int", "integral-float", "fractional", "true", "false", "string", "infinite",
+         "negative"],
 )
 def test_params_json_sample_count_must_be_integral(tmp_path, token, expected):
     path = tmp_path / "params.json"
