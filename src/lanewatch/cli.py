@@ -12,11 +12,10 @@ import argparse
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
 
 from . import io
 from .detector import DetectorConfig, run_detector_verbose
-from .errors import ConfigError, ConvergenceError, DegenerateDataError
+from .errors import ConfigError, ConvergenceError, DegenerateDataError, integer, real
 from .evalkit import LabellingConfig, WindowKind, evaluate, label_windows, threshold_grid
 from .gammafit import estimate_threshold, fit_gamma_mle
 from .reconstruct import ReconstructorKind, TrainConfig, error_series, train_reconstructor
@@ -74,21 +73,18 @@ def _array(value, name: str) -> list:
 
 
 def _section(cls, section: dict, where: str):
-    """Build one config section: its keys are the field names of cls, int
-    fields and each hidden size pass io._integer (2.0 epochs train 2; 2.5,
-    true or "2" exit 2), hidden sizes are a JSON array, floats are cast."""
+    """Build one config section: its keys are the field names of cls, its
+    list fields are JSON arrays, and cls checks every value, with the
+    section name put in front of its message (scenario.n_frames ...)."""
     _take(section, [f.name for f in fields(cls)], where)
-    hints = get_type_hints(cls)
-
-    def cast(key, value):
-        name = f"{where}.{key}"
-        if hints[key] is int:
-            return io._integer(value, name)
-        if key == "hidden_sizes" and value is not None:
-            return [io._integer(h, f"{name}[{i}]") for i, h in enumerate(_array(value, name))]
-        return float(value) if hints[key] is float else value
-
-    return cls(**{k: cast(k, v) for k, v in section.items()})
+    if "conditions" in section:
+        _array(section["conditions"], f"{where}.conditions")
+    if section.get("hidden_sizes") is not None:
+        _array(section["hidden_sizes"], f"{where}.hidden_sizes")
+    try:
+        return cls(**section)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
 
 
 def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
@@ -106,7 +102,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
         if getattr(args, k, None) is not None
     }
     if "thresholds" in flags:
-        flags["thresholds"] = [t for t in flags["thresholds"].split(",") if t]
+        flags["thresholds"] = [float(t) for t in flags["thresholds"].split(",") if t]
     if "reaction_r" in flags:
         # Empty items come from stray commas.
         listed = flags.pop("reaction_r")
@@ -125,7 +121,7 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
     try:
         # The top-level seed fills in the scenario and training seeds the
         # file leaves out; --seed sets both.
-        seed = io._integer(doc.get("seed", 0), "seed")
+        seed = integer(doc.get("seed", 0), "seed")
         for name, key in (("scenario", "track_seed"), ("train", "seed")):
             if "seed" in flags or key not in doc[name]:
                 doc[name][key] = seed
@@ -136,23 +132,28 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
 
 def _config_from_doc(doc: dict) -> PipelineConfig:
     _take(doc["paths"], _DEFAULT_FILES, "paths")
+    for key, value in doc["paths"].items():
+        if not isinstance(value, str):
+            raise ConfigError(f"paths.{key} must be a JSON string, got {value!r}")
     train_kind = ReconstructorKind(doc["train"].pop("kind", "sae"))
-    epsilon = float(doc.get("epsilon", 0.05))
+    epsilon = real(doc.get("epsilon", 0.05), "epsilon")
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
     thresholds = doc.get("thresholds")
     if thresholds is not None:
-        thresholds = [float(t) for t in _array(thresholds, "thresholds")]
+        thresholds = [
+            real(t, f"thresholds[{i}]") for i, t in enumerate(_array(thresholds, "thresholds"))
+        ]
         if not thresholds:
             raise ConfigError("threshold list is empty")
     return PipelineConfig(
         workdir=Path(doc.get("workdir", ".")),
-        files={**_DEFAULT_FILES, **{k: str(v) for k, v in doc["paths"].items()}},
+        files={**_DEFAULT_FILES, **doc["paths"]},
         scenario=_section(ScenarioSpec, doc["scenario"], "scenario"),
         train_kind=train_kind,
         train=_section(TrainConfig, doc["train"], "train"),
         epsilon=epsilon,
-        ar=ArFilterConfig(order_k=io._integer(doc.get("ar_k", DEFAULT_AR_ORDER), "ar_k")),
+        ar=ArFilterConfig(order_k=integer(doc.get("ar_k", DEFAULT_AR_ORDER), "ar_k")),
         labelling=_section(LabellingConfig, doc["labelling"], "labelling"),
         thresholds=thresholds,
         reaction_sweep=doc.get("reaction_sweep"),

@@ -1,8 +1,12 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and integer() and real(),
+the one check of an integer and of a number: every type that holds one
+applies it, whether the value came from a file or a library call.
 
 The CLI maps these onto exit codes: ConfigError and FormatError exit 2,
 DegenerateDataError and ConvergenceError exit 3.
 """
+
+import numbers
 
 
 class ConfigError(ValueError):
@@ -25,3 +29,26 @@ class DegenerateDataError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver exhausted its iteration budget."""
+
+
+def integer(value, name: str) -> int:
+    """An integer: 2, 2.0 and numpy integers pass as an int; a fractional,
+    non-finite, boolean or string value raises ValueError rather than
+    being truncated or parsed."""
+    if not isinstance(value, bool) and (
+        isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    ):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def real(value, name: str) -> float:
+    """A number: an int or a float passes as a float; a boolean, a string
+    or an int too large for a float raises ValueError.  Finiteness and
+    range are the caller's."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float, got {value!r}") from None
+    raise ValueError(f"{name} must be a number, got {value!r}")

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .detector import DetectorConfig, run_detector
-from .errors import DegenerateDataError
+from .errors import DegenerateDataError, integer
 from .reconstruct import ErrorSeries
 from .scenario import MisbehaviourLog
 
@@ -61,6 +61,7 @@ class LabellingConfig:
 
     def __post_init__(self):
         for name in ("window_a", "window_b", "reaction_r", "healing_h"):
+            setattr(self, name, integer(getattr(self, name), name))
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
 

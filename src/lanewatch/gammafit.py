@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDataError
+from .errors import ConvergenceError, DegenerateDataError, real
 
 __all__ = [
     "GammaParams",
@@ -40,6 +40,8 @@ class GammaParams:
     rate_beta: float
 
     def __post_init__(self):
+        for name in ("shape_alpha", "rate_beta"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not (math.isfinite(self.shape_alpha) and self.shape_alpha > 0.0):
             raise ValueError(f"shape must be finite and positive, got {self.shape_alpha}")
         if not (math.isfinite(self.rate_beta) and self.rate_beta > 0.0):
@@ -62,6 +64,8 @@ class ThresholdSpec:
     theta: float
 
     def __post_init__(self):
+        for name in ("epsilon", "theta"):
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not (math.isfinite(self.theta) and self.theta > 0.0):

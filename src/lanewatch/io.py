@@ -11,8 +11,8 @@ shortest round-trip representation.  Every CSV is written by _write_csv
 and read by _read_rows, which checks each row's column count, with
 cells parsed by _parse.  The fitted-parameters JSON instead prints 17
 significant digits so the decimal literals are exact float64 round-trips
-even for consumers with naive parsers.  Every JSON integer, here and in
-the CLI config, passes _integer.
+even for consumers with naive parsers.  The numbers of a JSON artifact
+are checked by the type they build (errors.integer and errors.real).
 """
 
 from __future__ import annotations
@@ -27,16 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .detector import Decision
-from .errors import FormatError
+from .errors import FormatError, integer
 from .evalkit import WindowLabel, WindowKind
 from .gammafit import GammaParams, ThresholdSpec
-from .reconstruct import (
-    Activation,
-    ErrorSeries,
-    FrameStream,
-    ReconstructorKind,
-    ReconstructorModel,
-)
+from .reconstruct import ErrorSeries, FrameStream, ReconstructorModel
 from .scenario import MisbehaviourLog
 
 __all__ = [
@@ -314,15 +308,6 @@ def _load_json(path: str | Path) -> dict:
     return doc
 
 
-def _integer(value, name: str) -> int:
-    """A JSON integer: 2 and 2.0 pass; a fractional, non-finite, boolean
-    or string value raises ValueError rather than being truncated or
-    parsed."""
-    if type(value) is int or (type(value) is float and value.is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def read_model_json(path: str | Path) -> ReconstructorModel:
     """Load a model; the epoch_losses training curve is optional."""
     doc = _load_json(path)
@@ -335,23 +320,14 @@ def read_model_json(path: str | Path) -> ReconstructorModel:
         # json.loads accepts the NaN and Infinity tokens.
         if not all(np.isfinite(a).all() for a in (*weights, *biases)):
             raise ValueError("weights and biases must be finite")
-        losses = doc.get("epoch_losses", [])
-        if not isinstance(losses, list) or not all(
-            type(x) in (int, float) and math.isfinite(x) for x in losses
-        ):
-            raise ValueError("epoch_losses must be a list of finite numbers")
         return ReconstructorModel(
-            kind=ReconstructorKind(doc["kind"]),
-            layer_sizes=[
-                _integer(s, f"layer_sizes[{i}]") for i, s in enumerate(doc["layer_sizes"])
-            ],
+            kind=doc["kind"],
+            layer_sizes=doc["layer_sizes"],
             weights=weights,
             biases=biases,
-            activation=Activation(doc["activation"]),
-            history_k=(
-                None if doc["history_k"] is None else _integer(doc["history_k"], "history_k")
-            ),
-            epoch_losses=[float(x) for x in losses],
+            activation=doc["activation"],
+            history_k=doc["history_k"],
+            epoch_losses=doc.get("epoch_losses", []),
         )
     except (ValueError, TypeError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -381,12 +357,12 @@ def read_params_json(path: str | Path) -> tuple[GammaParams, ThresholdSpec, int]
     if missing:
         raise FormatError(f"{path}: missing parameter fields {sorted(missing)}")
     try:
-        params = GammaParams(shape_alpha=float(doc["alpha"]), rate_beta=float(doc["rate"]))
-        threshold = ThresholdSpec(epsilon=float(doc["epsilon"]), theta=float(doc["theta"]))
-        sample_count = _integer(doc["sample_count"], "sample_count")
+        params = GammaParams(shape_alpha=doc["alpha"], rate_beta=doc["rate"])
+        threshold = ThresholdSpec(epsilon=doc["epsilon"], theta=doc["theta"])
+        sample_count = integer(doc["sample_count"], "sample_count")
         if sample_count < 0:
             raise ValueError(f"sample_count must be non-negative, got {sample_count}")
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     return params, threshold, sample_count
 

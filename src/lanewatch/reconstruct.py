@@ -37,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, integer, real
 
 __all__ = [
     "FrameStream",
@@ -145,13 +145,17 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.hidden_sizes is not None:
-            self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
+            self.hidden_sizes = tuple(
+                integer(h, f"hidden_sizes[{i}]") for i, h in enumerate(self.hidden_sizes)
+            )
             if any(h <= 0 for h in self.hidden_sizes):
-                raise ConfigError(f"hidden sizes must be positive, got {self.hidden_sizes}")
+                raise ConfigError(f"hidden_sizes must be positive, got {self.hidden_sizes}")
+        for name in ("epochs", "batch_size", "seed", "history_k"):
+            setattr(self, name, integer(getattr(self, name), name))
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size <= 0:
-            raise ConfigError(f"batch size must be positive, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
         if self.history_k <= 0:
             raise ConfigError(f"history_k must be positive, got {self.history_k}")
         self.activation = Activation(self.activation)
@@ -217,7 +221,15 @@ class ReconstructorModel:
     def __post_init__(self):
         self.kind = ReconstructorKind(self.kind)
         self.activation = Activation(self.activation)
-        self.layer_sizes = [int(s) for s in self.layer_sizes]
+        sizes, losses = self.layer_sizes, self.epoch_losses
+        self.layer_sizes = [integer(s, f"layer_sizes[{i}]") for i, s in enumerate(sizes)]
+        if self.history_k is not None:
+            self.history_k = integer(self.history_k, "history_k")
+        if not isinstance(losses, list):
+            raise ValueError(f"epoch_losses must be a list, got {losses!r}")
+        self.epoch_losses = [real(x, f"epoch_losses[{i}]") for i, x in enumerate(losses)]
+        if not all(map(math.isfinite, self.epoch_losses)):
+            raise ValueError("epoch_losses must be finite")
         if any(s <= 0 for s in self.layer_sizes):
             raise ValueError(f"layer sizes must be positive, got {self.layer_sizes}")
         n_links = len(self.layer_sizes) - 1
@@ -283,6 +295,19 @@ def _activate_grad(
     return g
 
 
+def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """np.empty, but starting on a 64-byte cache line.  np.empty starts
+    where malloc does, on 16 bytes, so a buffer's offset within its cache
+    line depended on every allocation made before it: a change elsewhere
+    in the package that only defined two functions made seq's SGD steps
+    about 5% slower.  Aligned, the step's speed no longer depends on
+    unrelated code; the trained bits are the same."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + 64, np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start : start + nbytes].view(dtype).reshape(shape)
+
+
 class _Workspace:
     """Buffers for one SGD step of up to `rows` examples, allocated once.
 
@@ -329,13 +354,13 @@ class _Workspace:
             for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))
         ]
         self.pre = [
-            np.empty((n, rows) if wide else (rows, n), dtype)
+            _aligned_empty((n, rows) if wide else (rows, n), dtype)
             for n, wide in zip(outs, self.wide)
         ]
         # Hidden layers only: the output layer is the identity.
-        self.post = [np.empty((rows, n), dtype) for n in outs[:-1]]
-        self.act_grad = [np.empty((rows, n), dtype) for n in outs[:-1]]
-        self.delta = [np.empty((rows, n), dtype) for n in outs]
+        self.post = [_aligned_empty((rows, n), dtype) for n in outs[:-1]]
+        self.act_grad = [_aligned_empty((rows, n), dtype) for n in outs[:-1]]
+        self.delta = [_aligned_empty((rows, n), dtype) for n in outs]
         shapes = [
             (n_in, n_out) if l == 0 and self.input_major else (n_out, n_in)
             for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))
@@ -346,9 +371,10 @@ class _Workspace:
         ]
         # A blocked layer's buffer holds one block and a lone last row.
         self.grad_w = [
-            np.empty((br + 1, s[1]) if br else s, dtype) for s, br in zip(shapes, self.block_rows)
+            _aligned_empty((br + 1, s[1]) if br else s, dtype)
+            for s, br in zip(shapes, self.block_rows)
         ]
-        self.grad_b = [np.empty(n, dtype) for n in outs]
+        self.grad_b = [_aligned_empty((n,), dtype) for n in outs]
 
 
 def _block_rows(n_rows: int, row_bytes: int) -> int:
@@ -529,8 +555,8 @@ def train_reconstructor(
         trained[0] = np.ascontiguousarray(weights[0].T)
     # Each batch is gathered from the float32 frame matrix straight into
     # these buffers; an autoencoder's target batch is its input batch.
-    x_rows = np.empty((rows, layer_sizes[0]), _TRAIN_DTYPE)
-    t_rows = x_rows if history_k is None else np.empty((rows, n_pixels), _TRAIN_DTYPE)
+    x_rows = _aligned_empty((rows, layer_sizes[0]), _TRAIN_DTYPE)
+    t_rows = x_rows if history_k is None else _aligned_empty((rows, n_pixels), _TRAIN_DTYPE)
     lags = np.arange(window)
     epoch_losses: list[float] = []
     for _ in range(hyper.epochs):

@@ -34,6 +34,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import integer, real
 from .reconstruct import FrameStream
 
 __all__ = [
@@ -142,17 +143,21 @@ class ScenarioSpec:
     intensity_max: float = 1.0
 
     def __post_init__(self):
+        self.track_seed = integer(self.track_seed, "track_seed")
+        self.n_frames = integer(self.n_frames, "n_frames")
+        for name in ("frame_rate_hz", "cycle_period_s", "intensity_max"):
+            setattr(self, name, real(getattr(self, name), name))
         self.conditions = frozenset(Condition(c) for c in self.conditions)
         if not self.conditions:
             raise ValueError("conditions cannot be empty; use {nominal}")
         if Condition.NOMINAL in self.conditions and len(self.conditions) > 1:
-            raise ValueError("nominal excludes every other condition")
+            raise ValueError("conditions: nominal excludes every other condition")
         if self.n_frames < 1:
             raise ValueError(f"n_frames must be positive, got {self.n_frames}")
         if not self.frame_rate_hz > 0.0:
-            raise ValueError(f"frame rate must be positive, got {self.frame_rate_hz}")
+            raise ValueError(f"frame_rate_hz must be positive, got {self.frame_rate_hz}")
         if not self.cycle_period_s > 0.0:
-            raise ValueError(f"cycle period must be positive, got {self.cycle_period_s}")
+            raise ValueError(f"cycle_period_s must be positive, got {self.cycle_period_s}")
         if not 0.0 <= self.intensity_max <= 1.0:
             raise ValueError(
                 f"intensity_max must lie in [0, 1], got {self.intensity_max}"

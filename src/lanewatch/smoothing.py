@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import integer
 from .reconstruct import ErrorSeries
 
 __all__ = ["ArFilterConfig", "ar_filter"]
@@ -26,6 +27,7 @@ class ArFilterConfig:
     order_k: int = DEFAULT_AR_ORDER
 
     def __post_init__(self):
+        self.order_k = integer(self.order_k, "order_k")
         if self.order_k < 1:
             raise ValueError(f"filter order must be at least 1, got {self.order_k}")
 

@@ -467,6 +467,31 @@ def test_fractional_int_field_exits_2(tmp_path, capsys, section, key, value):
         # The sweep comes from --reaction-r only; the file sets labelling.reaction_r.
         pytest.param("reaction_sweep", [25], "unknown config fields: ['reaction_sweep']",
                      id="reaction-sweep-key"),
+        # An object would be read as its keys, a string as its characters.
+        pytest.param("scenario", {"conditions": {"fog": 1}},
+                     "scenario.conditions must be a JSON array, got {'fog': 1}",
+                     id="conditions-object"),
+        pytest.param("scenario", {"conditions": "fog"},
+                     "scenario.conditions must be a JSON array, got 'fog'",
+                     id="conditions-string"),
+        # A null or a number is not a file name.
+        pytest.param("paths", {"frames": None, "misbehaviour": 5},
+                     "paths.frames must be a JSON string, got None", id="paths-null"),
+        # A number field takes no string or boolean, and no int beyond a float.
+        pytest.param("epsilon", "0.05", "epsilon must be a number, got '0.05'",
+                     id="epsilon-string"),
+        pytest.param("epsilon", 10**400, "epsilon is too large for a float",
+                     id="epsilon-huge-int"),
+        pytest.param("scenario", {"frame_rate_hz": True},
+                     "scenario.frame_rate_hz must be a number, got True",
+                     id="frame-rate-boolean"),
+        pytest.param("scenario", {"intensity_max": "1"},
+                     "scenario.intensity_max must be a number, got '1'",
+                     id="intensity-max-string"),
+        pytest.param("thresholds", [True, 0.5], "thresholds[0] must be a number, got True",
+                     id="threshold-boolean"),
+        pytest.param("thresholds", ["0.5"], "thresholds[0] must be a number, got '0.5'",
+                     id="threshold-string"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, key, value, message):

@@ -480,6 +480,22 @@ def test_params_json_sample_count_must_be_integral(tmp_path, token, expected):
         assert read_params_json(path)[2] == expected
 
 
+@pytest.mark.parametrize(
+    "field, token",
+    [("alpha", '"2.5"'), ("rate", "true"), ("epsilon", '"0.05"'), ("theta", "true"),
+     ("alpha", "1" + "0" * 400)],
+    ids=["alpha-string", "rate-true", "epsilon-string", "theta-true", "alpha-huge-int"],
+)
+def test_params_json_numbers_must_be_numbers(tmp_path, field, token):
+    # A string or a boolean is not read as a number.
+    tokens = {"alpha": "2.0", "rate": "3.0", "epsilon": "0.05", "theta": "0.01",
+              "sample_count": "400", field: token}
+    path = tmp_path / "params.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in tokens.items()) + "}\n")
+    with pytest.raises(FormatError, match=field):
+        read_params_json(path)
+
+
 # ----------------------------------------------------------------- fuzzing
 #
 # Each reader gets a valid file that a strategy then damages: cut short,

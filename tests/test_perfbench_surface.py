@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lanewatch import cli
+from lanewatch import cli, detector, evalkit, reconstruct
 from lanewatch.io import write_frames
 from lanewatch.reconstruct import (
     Activation,
@@ -153,6 +153,23 @@ def test_quickstart_config_loads(tmp_path):
     config.write_text(json.dumps(_quickstart_config_doc()))
     cfg = cli.load_config(str(config), argparse.Namespace())
     assert cfg.train_kind is ReconstructorKind.SAE
+
+
+def test_child_inputs_construct(monkeypatch):
+    # A constructor that rejects a value child.py passes fails a workload
+    # only in a benchmark run; these are the values it passes.
+    monkeypatch.setitem(sys.modules, "tracing", _tracing())
+    spec = importlib.util.spec_from_file_location("perfbench_child", CHILD)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    for degraded in (True, False):
+        stream, log, _ = child._drive(1, 3, degraded)
+        assert len(stream) == len(log) == 3
+    for kind, epochs in child.TRAIN_EPOCHS.items():
+        assert reconstruct.TrainConfig(epochs=epochs, seed=1).epochs == epochs, kind
+    detector.DetectorConfig(theta=0.01, healing_frames_h=child.HEALING_H)
+    for r in child.REACTION_PERIODS:
+        assert evalkit.LabellingConfig(reaction_r=r).reaction_r == r
 
 
 def test_cmd_train_calls_the_name_bound_in_cli(tmp_path, monkeypatch):
