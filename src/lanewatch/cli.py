@@ -24,7 +24,7 @@ from .smoothing import DEFAULT_AR_ORDER, ArFilterConfig, ar_filter
 
 _DEFAULT_FILES = {
     "frames": "frames.frm1",
-    "model": "model.json",
+    "model": "model.bin",
     "params": "params.json",
     "errors": "errors.csv",
     "misbehaviour": "misbehaviour.csv",
@@ -102,7 +102,11 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
         if getattr(args, k, None) is not None
     }
     if "thresholds" in flags:
-        flags["thresholds"] = [float(t) for t in flags["thresholds"].split(",") if t]
+        listed = flags["thresholds"]
+        try:
+            flags["thresholds"] = [float(t) for t in listed.split(",") if t]
+        except ValueError as exc:
+            raise ConfigError(f"thresholds: {exc} in '{listed}'") from exc
     if "reaction_r" in flags:
         # Empty items come from stray commas.
         listed = flags.pop("reaction_r")
@@ -139,6 +143,9 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
     epsilon = real(doc.get("epsilon", 0.05), "epsilon")
     if not 0.0 < epsilon < 1.0:
         raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
+    workdir = doc.get("workdir", ".")
+    if not isinstance(workdir, str):
+        raise ConfigError(f"workdir must be a JSON string, got {workdir!r}")
     thresholds = doc.get("thresholds")
     if thresholds is not None:
         thresholds = [
@@ -147,7 +154,7 @@ def _config_from_doc(doc: dict) -> PipelineConfig:
         if not thresholds:
             raise ConfigError("threshold list is empty")
     return PipelineConfig(
-        workdir=Path(doc.get("workdir", ".")),
+        workdir=Path(workdir),
         files={**_DEFAULT_FILES, **doc["paths"]},
         scenario=_section(ScenarioSpec, doc["scenario"], "scenario"),
         train_kind=train_kind,

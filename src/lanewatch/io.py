@@ -1,10 +1,17 @@
-"""File formats: frame binaries, CSV logs, and JSON artifacts.
+"""File formats: frame and model binaries, CSV logs, and JSON artifacts.
 
 Frame stream binary ("FRM1"): 4 magic bytes, then four little-endian u32
 fields (count, width, height, channels), then count*W*H*C little-endian
 IEEE-754 32-bit floats, frame-major, row-major, channel-last.  FrameFile
-is its one reader; read_frames loads a whole file through it.  Read
-errors carry the byte offset of the problem.
+is its one reader; read_frames loads a whole file through it.
+
+Model binary ("LWM1"): 4 magic bytes, a little-endian u32 header length,
+a UTF-8 JSON header of that length (kind, layer_sizes, activation,
+history_k, epoch_losses), then each weight (row-major (n_out, n_in)),
+then each bias, in layer order, as little-endian 32-bit floats.
+read_model_json checks the header, then that the body holds exactly the
+bytes layer_sizes call for, and reads the body in one piece.  Read
+errors of both binaries carry the byte offset of the problem.
 
 CSV files are LF-terminated with a fixed header; floats use Python's
 shortest round-trip representation.  Every CSV is written by _write_csv
@@ -56,6 +63,9 @@ __all__ = [
 FRAME_MAGIC = b"FRM1"
 _HEADER = struct.Struct("<IIII")
 _BODY_OFFSET = len(FRAME_MAGIC) + _HEADER.size
+MODEL_MAGIC = b"LWM1"
+_LENGTH = struct.Struct("<I")
+_MODEL_JSON_OFFSET = len(MODEL_MAGIC) + _LENGTH.size
 
 
 def write_frames(path: str | Path, stream: FrameStream) -> None:
@@ -71,6 +81,19 @@ def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
     """Load a whole FRM1 file as FrameFile(path)[:] reads it; frame_rate_hz
     is caller-supplied metadata, the format itself does not store it."""
     return FrameStream(frames=FrameFile(path)[:], frame_rate_hz=frame_rate_hz)
+
+
+def _head(f, magic: bytes, n: int) -> tuple[int, bytes]:
+    """The size of the binary file f and its first n bytes, which must
+    start with magic."""
+    size, head = os.fstat(f.fileno()).st_size, f.read(n)
+    if size < 4:
+        raise FormatError(f"{f.name}: truncated before magic", byte_offset=size)
+    if head[:4] != magic:
+        raise FormatError(f"{f.name}: bad magic {head[:4]!r}, expected {magic!r}", byte_offset=0)
+    if size < n:
+        raise FormatError(f"{f.name}: truncated header", byte_offset=size)
+    return size, head
 
 
 class FrameFile:
@@ -90,16 +113,7 @@ class FrameFile:
     def __init__(self, path: str | Path):
         self.path = path
         with open(path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
-            head = f.read(_BODY_OFFSET)
-        if size < 4:
-            raise FormatError(f"{path}: truncated before magic", byte_offset=size)
-        if head[:4] != FRAME_MAGIC:
-            raise FormatError(
-                f"{path}: bad magic {head[:4]!r}, expected {FRAME_MAGIC!r}", byte_offset=0
-            )
-        if size < _BODY_OFFSET:
-            raise FormatError(f"{path}: truncated header", byte_offset=size)
+            size, head = _head(f, FRAME_MAGIC, _BODY_OFFSET)
         count, width, height, channels = _HEADER.unpack_from(head, 4)
         if width == 0 or height == 0 or channels == 0:
             raise FormatError(
@@ -276,25 +290,26 @@ def read_labels_csv(path: str | Path) -> list[WindowLabel]:
 
 
 def write_model_json(path: str | Path, model: ReconstructorModel) -> None:
-    """Write the model's JSON document, json.dumps' text of it plus a
-    newline, as it goes: one json.dumps call per weight row, so that no
-    float list or text of a whole weight matrix is held at once."""
-    head = {
+    """Write the model as LWM1.  A float32 model's arrays are written as
+    they are; a weight or bias whose values change when rounded to
+    float32 raises ValueError."""
+    header = json.dumps({
         "kind": model.kind.value,
         "layer_sizes": model.layer_sizes,
-        "history_k": model.history_k,
         "activation": model.activation.value,
-    }
-    tail = {"biases": [b.tolist() for b in model.biases], "epoch_losses": model.epoch_losses}
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(json.dumps(head)[:-1] + ', "weights": [')
-        for l, w in enumerate(model.weights):
-            f.write(", [" if l else "[")
-            for r, row in enumerate(w):
-                f.write((", " if r else "") + json.dumps(row.tolist()))
-            f.write("]")
-        # The tail's object opens where the head's closed.
-        f.write("], " + json.dumps(tail)[1:] + "\n")
+        "history_k": model.history_k,
+        "epoch_losses": model.epoch_losses,
+    }).encode("utf-8")
+    arrays = []
+    for a in (*model.weights, *model.biases):
+        cells = np.ascontiguousarray(a, dtype="<f4")
+        if cells.dtype != a.dtype and not np.array_equal(cells, a):
+            raise ValueError(f"{path}: model values change when rounded to float32")
+        arrays.append(cells)
+    with open(path, "wb") as f:
+        f.write(MODEL_MAGIC + _LENGTH.pack(len(header)) + header)
+        for cells in arrays:
+            f.write(cells.data)
 
 
 def _load_json(path: str | Path) -> dict:
@@ -309,28 +324,65 @@ def _load_json(path: str | Path) -> dict:
 
 
 def read_model_json(path: str | Path) -> ReconstructorModel:
-    """Load a model; the epoch_losses training curve is optional."""
-    doc = _load_json(path)
-    missing = {"kind", "layer_sizes", "history_k", "activation", "weights", "biases"} - set(doc)
-    if missing:
-        raise FormatError(f"{path}: missing model fields {sorted(missing)}")
+    """Load an LWM1 model; its arrays are float32 views of one read of the
+    body, and the epoch_losses training curve is optional."""
+    with open(path, "rb") as f:
+        size, head = _head(f, MODEL_MAGIC, _MODEL_JSON_OFFSET)
+        (length,) = _LENGTH.unpack_from(head, 4)
+        body_at = _MODEL_JSON_OFFSET + length
+        if body_at > size:
+            raise FormatError(f"{path}: header length {length} runs past the end", byte_offset=4)
+        try:
+            text = f.read(length).decode("utf-8")
+            doc = json.loads(text)
+            if not isinstance(doc, dict):
+                raise ValueError("the header must be a JSON object")
+            missing = {"kind", "layer_sizes", "activation", "history_k"} - set(doc)
+            if missing:
+                raise ValueError(f"missing model fields {sorted(missing)}")
+            sizes = [integer(s, f"layer_sizes[{i}]") for i, s in enumerate(doc["layer_sizes"])]
+            if min(sizes, default=1) <= 0:
+                raise ValueError(f"layer sizes must be positive, got {sizes}")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text", _MODEL_JSON_OFFSET + exc.start) from exc
+        except json.JSONDecodeError as exc:
+            at = _MODEL_JSON_OFFSET + len(text[: exc.pos].encode("utf-8"))
+            raise FormatError(f"{path}: invalid JSON header: {exc.msg}", at) from exc
+        except (ValueError, TypeError) as exc:
+            raise FormatError(f"{path}: {exc}", _MODEL_JSON_OFFSET) from exc
+        # Each weight (n_out, n_in), then each bias, in layer order.
+        shapes = [(o, i) for i, o in zip(sizes, sizes[1:])] + [(o,) for o in sizes[1:]]
+        cells = sum(map(math.prod, shapes))
+        if size - body_at != 4 * cells:
+            raise FormatError(
+                f"{path}: expected {4 * cells} bytes of weights, found {size - body_at}",
+                byte_offset=body_at + min(size - body_at, 4 * cells),
+            )
+        body = np.fromfile(f, dtype="<f4", count=cells)
+    if len(body) != cells:
+        raise FormatError(f"{path}: truncated while reading", body_at + 4 * len(body))
+    # A float64 sum of float32 cells cannot overflow, so it is finite
+    # exactly when every cell is, and it needs no array of flags.
+    if not math.isfinite(body.sum(dtype=np.float64)):
+        i = int(np.flatnonzero(~np.isfinite(body))[0])
+        raise FormatError(f"{path}: weights must be finite", byte_offset=body_at + 4 * i)
+    arrays, at = [], 0
+    for shape in shapes:
+        arrays.append(body[at : at + math.prod(shape)].reshape(shape))
+        at += math.prod(shape)
+    n_links = len(sizes) - 1
     try:
-        weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-        # json.loads accepts the NaN and Infinity tokens.
-        if not all(np.isfinite(a).all() for a in (*weights, *biases)):
-            raise ValueError("weights and biases must be finite")
         return ReconstructorModel(
             kind=doc["kind"],
-            layer_sizes=doc["layer_sizes"],
-            weights=weights,
-            biases=biases,
+            layer_sizes=sizes,
+            weights=arrays[:n_links],
+            biases=arrays[n_links:],
             activation=doc["activation"],
             history_k=doc["history_k"],
             epoch_losses=doc.get("epoch_losses", []),
         )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"{path}: {exc}", _MODEL_JSON_OFFSET) from exc
 
 
 def write_params_json(

@@ -25,8 +25,7 @@ whole update.  The batch loss is one float32 dot of the output delta
 with itself.  Scoring runs in float64, every layer as a @ w.T whatever
 its form in training, so errors.csv does not depend on that choice, and
 SCORE_BLOCK_ROWS samples at a time, so its memory does not grow with the
-stream.  model.json holds the float32 values exactly; a model read back
-holds them as float64 and scores to the same bits.
+stream.
 """
 
 from __future__ import annotations
@@ -205,9 +204,8 @@ class ReconstructorModel:
     weights[l] has shape (layer_sizes[l+1], layer_sizes[l]); hidden layers
     apply the activation, the output layer is identity (clamped to [0, 1]
     only at reconstruction time, so training gradients stay exact).
-    Weights and biases are float32 as trained, or float64 as read from
-    model.json, which holds the same values; scoring runs in float64
-    either way, to the same bits.
+    Weights and biases are float32, as trained or as read back; scoring
+    runs in float64.
     """
 
     kind: ReconstructorKind

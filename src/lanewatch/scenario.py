@@ -29,6 +29,7 @@ bit-reproducible and does not depend on the chunk size.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from enum import Enum
 
@@ -295,7 +296,11 @@ def generate_scenario(
     shake_std = 0.0  # transient amplitude, fixed at the causing lapse's onset
     breathe_log = 0.0  # log of the slow sensor-gain factor
     breathe_kick = SENSOR_BREATHE_LOG_STD * math.sqrt(1.0 - SENSOR_BREATHE_PULL**2)
-    frames = np.empty((n, FRAME_HEIGHT, FRAME_WIDTH, 1), np.float32)
+    # The frames get an anonymous mmap of their own, which goes back to the
+    # system when the stream is dropped; a freed heap block of a drive's
+    # size can stay resident under later allocations.
+    shape = (n, FRAME_HEIGHT, FRAME_WIDTH, 1)
+    frames = np.frombuffer(mmap.mmap(-1, 4 * math.prod(shape)), np.float32).reshape(shape)
     flags = np.zeros(n, dtype=bool)
     intensities = np.empty(n, dtype=np.float64)
 

@@ -53,7 +53,7 @@ from lanewatch.scenario import ScenarioSpec, generate_scenario
 from lanewatch.smoothing import ArFilterConfig, ar_filter
 
 ARTIFACTS = [
-    "frames.frm1", "model.json", "params.json", "errors.csv",
+    "frames.frm1", "model.bin", "params.json", "errors.csv",
     "misbehaviour.csv", "intensity.csv", "alarms.csv",
     "report.json", "roc.csv", "pr.csv",
 ]
@@ -133,7 +133,7 @@ def test_cli_and_library_score_alike(tmp_path):
         assert main([command, "--config", str(config)]) == 0, command
     spec = load_config(str(config), argparse.Namespace()).scenario
     cli = read_error_csv(work / "errors.csv")
-    library = error_series(read_model_json(work / "model.json"), generate_scenario(spec)[0])
+    library = error_series(read_model_json(work / "model.bin"), generate_scenario(spec)[0])
     assert cli.start_index == library.start_index
     np.testing.assert_array_equal(cli.values, library.values)
 
@@ -159,7 +159,7 @@ def test_fit_scores_the_frame_file_like_the_whole_stream(tmp_path, monkeypatch, 
     assert main(["pipeline", "--config", str(config)]) == 0
     # train reads the drive whole; fit reads it block by block.
     assert len(reads) == 1
-    whole = error_series(read_model_json(work / "model.json"), read_frames(work / "frames.frm1"))
+    whole = error_series(read_model_json(work / "model.bin"), read_frames(work / "frames.frm1"))
     write_error_csv(tmp_path / "whole.csv", whole)
     assert (work / "errors.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
@@ -180,7 +180,7 @@ def test_fit_peak_rss_stays_below_the_drive(tmp_path):
     drive_bytes = stream.frames.nbytes  # one float32 copy of the drive, 16.4 MB
     model = train_reconstructor(FrameStream(frames=stream.frames[:40]), "sae",
                                 TrainConfig(epochs=0))
-    write_model_json(work / "model.json", model)
+    write_model_json(work / "model.bin", model)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"workdir": str(work)}))
     script = """
@@ -394,6 +394,13 @@ def test_bad_reaction_list_exits_2(tmp_path, capsys, command, raw, message):
     assert message in capsys.readouterr().err
 
 
+def test_bad_thresholds_flag_exits_2(tmp_path, capsys):
+    config = _write_config(tmp_path, "config.json", tmp_path)
+    assert main(["eval", "--config", str(config), "--thresholds", "0.1,abc"]) == 2
+    err = capsys.readouterr().err
+    assert "thresholds: could not convert string to float: 'abc' in '0.1,abc'" in err
+
+
 def test_float_train_fields_are_cast(tmp_path):
     doc = _config_doc(tmp_path)
     doc["scenario"]["n_frames"] = 30.0
@@ -492,6 +499,10 @@ def test_fractional_int_field_exits_2(tmp_path, capsys, section, key, value):
                      id="threshold-boolean"),
         pytest.param("thresholds", ["0.5"], "thresholds[0] must be a number, got '0.5'",
                      id="threshold-string"),
+        # A workdir is a path, not a number or null.
+        pytest.param("workdir", 5, "workdir must be a JSON string, got 5", id="workdir-number"),
+        pytest.param("workdir", None, "workdir must be a JSON string, got None",
+                     id="workdir-null"),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, key, value, message):
@@ -590,7 +601,18 @@ def test_constant_errors_exit_3(tmp_path):
         activation=Activation.RELU,
         history_k=None,
     )
-    write_model_json(tmp_path / "model.json", model)
+    write_model_json(tmp_path / "model.bin", model)
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"workdir": str(tmp_path)}))
     assert main(["fit", "--config", str(config)]) == 3
+
+
+def test_json_text_model_exits_2(tmp_path, capsys):
+    # Models used to be written as JSON text; such a file is not read.
+    write_frames(tmp_path / "frames.frm1",
+                 FrameStream(frames=np.full((12, 2, 2, 1), 0.5), frame_rate_hz=10.0))
+    (tmp_path / "model.bin").write_text('{"kind": "sae", "layer_sizes": [4, 2, 4]}\n')
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workdir": str(tmp_path)}))
+    assert main(["fit", "--config", str(config)]) == 2
+    assert "bad magic b'{\"ki', expected b'LWM1' (byte offset 0)" in capsys.readouterr().err

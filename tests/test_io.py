@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from lanewatch.evalkit import WindowKind, WindowLabel
 from lanewatch.gammafit import GammaParams, ThresholdSpec
 from lanewatch.io import (
     FRAME_MAGIC,
+    MODEL_MAGIC,
     FrameFile,
     read_error_csv,
     read_frames,
@@ -302,7 +305,26 @@ def test_curve_csv_layout(tmp_path):
     assert path.read_text() == "theta,fpr,tpr\n0.5,0.25,1.0\n"
 
 
-# --------------------------------------------------------------------- JSON
+# -------------------------------------------------------------------- model
+
+def _model_file(header, arrays=()) -> bytes:
+    """An LWM1 file: header is a JSON document or its raw bytes."""
+    text = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+    body = b"".join(np.asarray(a, dtype="<f4").tobytes() for a in arrays)
+    return MODEL_MAGIC + struct.pack("<I", len(text)) + text + body
+
+
+def _model_parts(path) -> tuple[dict, bytes]:
+    """The header document and the body bytes of an LWM1 file."""
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<I", data, 4)
+    return json.loads(data[8 : 8 + length]), data[8 + length :]
+
+
+def _tiny_model(kind=ReconstructorKind.SAE, **hyper) -> ReconstructorModel:
+    cfg = TrainConfig(**{"hidden_sizes": (2,), "epochs": 1, **hyper})
+    return train_reconstructor(_stream(n=12, w=2, h=2), kind, cfg)
+
 
 def test_model_json_round_trip_exact(tmp_path):
     stream = _stream(n=12, w=4, h=4)
@@ -311,12 +333,13 @@ def test_model_json_round_trip_exact(tmp_path):
         ReconstructorKind.SAE,
         TrainConfig(hidden_sizes=(4,), epochs=3, batch_size=4, seed=1),
     )
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     write_model_json(path, model)
     back = read_model_json(path)
     assert back.kind is model.kind
     assert back.layer_sizes == model.layer_sizes
     for w0, w1 in zip(model.weights, back.weights):
+        assert w1.dtype == np.float32
         np.testing.assert_array_equal(w0, w1)
     for b0, b1 in zip(model.biases, back.biases):
         np.testing.assert_array_equal(b0, b1)
@@ -330,6 +353,8 @@ def test_model_json_round_trip_exact(tmp_path):
     ids=["sae", "dae", "seq", "no-epoch-losses"],
 )
 def test_model_json_bytes_are_json_dumps_of_the_document(tmp_path, kind, epochs):
+    # The header is json.dumps of the model's document; the weights, then
+    # the biases, follow as raw little-endian float32.
     cfg = TrainConfig(hidden_sizes=(3,) if kind == "sae" else None, epochs=epochs, seed=4,
                       history_k=3)
     model = train_reconstructor(_stream(n=12, w=4, h=4), kind, cfg)
@@ -338,26 +363,22 @@ def test_model_json_bytes_are_json_dumps_of_the_document(tmp_path, kind, epochs)
     doc = {
         "kind": model.kind.value,
         "layer_sizes": model.layer_sizes,
-        "history_k": model.history_k,
         "activation": model.activation.value,
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
+        "history_k": model.history_k,
         "epoch_losses": model.epoch_losses,
     }
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     write_model_json(path, model)
-    assert path.read_bytes() == (json.dumps(doc) + "\n").encode("utf-8")
+    assert path.read_bytes() == _model_file(doc, [*model.weights, *model.biases])
 
 
 def test_model_json_without_epoch_losses_still_reads(tmp_path):
-    model = train_reconstructor(
-        _stream(n=12, w=2, h=2), ReconstructorKind.SAE, TrainConfig(hidden_sizes=(2,), epochs=2)
-    )
-    path = tmp_path / "model.json"
+    model = _tiny_model(epochs=2)
+    path = tmp_path / "model.bin"
     write_model_json(path, model)
-    doc = json.loads(path.read_text())
+    doc, body = _model_parts(path)
     del doc["epoch_losses"]
-    path.write_text(json.dumps(doc))
+    path.write_bytes(_model_file(doc) + body)
     back = read_model_json(path)
     assert back.epoch_losses == []
     np.testing.assert_array_equal(back.weights[0], model.weights[0])
@@ -368,47 +389,46 @@ def test_model_json_without_epoch_losses_still_reads(tmp_path):
     ids=["string", "object", "null", "nan", "inf", "string-entry", "nested"],
 )
 def test_model_json_rejects_bad_epoch_losses(tmp_path, losses):
-    model = train_reconstructor(
-        _stream(n=12, w=2, h=2), ReconstructorKind.SAE, TrainConfig(hidden_sizes=(2,), epochs=1)
-    )
-    path = tmp_path / "model.json"
-    write_model_json(path, model)
-    doc = json.loads(path.read_text())
+    path = tmp_path / "model.bin"
+    write_model_json(path, _tiny_model())
+    doc, body = _model_parts(path)
     doc["epoch_losses"] = "TOKEN"
     token = json.dumps(losses).replace('"NaN"', "NaN").replace('"Infinity"', "Infinity")
-    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
-    with pytest.raises(FormatError, match="epoch_losses"):
+    path.write_bytes(_model_file(json.dumps(doc).replace('"TOKEN"', token).encode()) + body)
+    with pytest.raises(FormatError, match="epoch_losses") as exc_info:
         read_model_json(path)
+    assert exc_info.value.byte_offset == 8
 
 
 def test_model_json_missing_field(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text('{"kind": "sae"}\n')
-    with pytest.raises(FormatError):
+    path = tmp_path / "model.bin"
+    path.write_bytes(_model_file({"kind": "sae"}))
+    with pytest.raises(FormatError, match="missing model fields"):
         read_model_json(path)
 
 
 def test_model_json_invalid_json(tmp_path):
-    path = tmp_path / "model.json"
-    path.write_text("{not json")
-    with pytest.raises(FormatError):
+    path = tmp_path / "model.bin"
+    path.write_bytes(_model_file(b"{not json"))
+    with pytest.raises(FormatError, match="invalid JSON header") as exc_info:
         read_model_json(path)
+    assert exc_info.value.byte_offset == 9
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("where", ["weights", "biases"])
 def test_model_json_rejects_non_finite(tmp_path, token, where):
-    model = train_reconstructor(
-        _stream(n=12, w=2, h=2), ReconstructorKind.SAE, TrainConfig(hidden_sizes=(2,), epochs=1)
-    )
-    path = tmp_path / "model.json"
+    model = _tiny_model()
+    getattr(model, where)[1].flat[-1] = float(token)
+    path = tmp_path / "model.bin"
     write_model_json(path, model)
-    doc = json.loads(path.read_text())
-    row = doc[where][0][0] if where == "weights" else doc[where][0]
-    row[0] = "TOKEN"
-    path.write_text(json.dumps(doc).replace('"TOKEN"', token))
-    with pytest.raises(FormatError, match="model.json"):
+    # The last cell of the second weight, or of the second bias.
+    cells = [*model.weights, *model.biases]
+    index = sum(a.size for a in cells[: 2 if where == "weights" else 4]) - 1
+    body_at = path.stat().st_size - 4 * sum(a.size for a in cells)
+    with pytest.raises(FormatError, match="model.bin: weights must be finite") as exc_info:
         read_model_json(path)
+    assert exc_info.value.byte_offset == body_at + 4 * index
 
 
 @pytest.mark.parametrize(
@@ -420,18 +440,79 @@ def test_model_json_rejects_non_finite(tmp_path, token, where):
 def test_model_json_integer_fields_must_be_integers(tmp_path, field, value):
     # Truncated or read as 1, each value would give the sizes the weights have.
     kind = ReconstructorKind.SAE if field == "layer_sizes" else ReconstructorKind.SEQ
-    cfg = TrainConfig(hidden_sizes=(2,) if kind is ReconstructorKind.SAE else None, epochs=1,
-                      history_k=1)
-    model = train_reconstructor(_stream(n=12, w=2, h=2), kind, cfg)
-    path = tmp_path / "model.json"
+    model = _tiny_model(kind, hidden_sizes=(2,) if kind is ReconstructorKind.SAE else None,
+                        history_k=1)
+    path = tmp_path / "model.bin"
     write_model_json(path, model)
-    doc = json.loads(path.read_text())
+    doc, body = _model_parts(path)
     assert doc[field] == ([4, 2, 4] if field == "layer_sizes" else 1)
     doc[field] = value
-    path.write_text(json.dumps(doc))
+    path.write_bytes(_model_file(doc) + body)
     with pytest.raises(FormatError, match=field):
         read_model_json(path)
 
+
+def test_write_model_json_refuses_to_round(tmp_path):
+    # A float64 weight is written only if float32 holds its values exactly.
+    model = _tiny_model()
+    model.weights[0] = model.weights[0].astype(np.float64)
+    write_model_json(tmp_path / "exact.bin", model)
+    model.weights[0][0, 0] = 0.1
+    with pytest.raises(ValueError, match="change when rounded to float32"):
+        write_model_json(tmp_path / "rounded.bin", model)
+
+
+@pytest.mark.parametrize("kind", ["sae", "dae", "seq"])
+def test_model_read_back_scores_like_the_trained_model(tmp_path, kind):
+    model = train_reconstructor(_stream(n=40, w=8, h=8, seed=2), kind,
+                                TrainConfig(epochs=2, seed=6, history_k=3))
+    write_model_json(tmp_path / "model.bin", model)
+    stream = _stream(n=30, w=8, h=8, seed=3)
+    write_error_csv(tmp_path / "trained.csv", error_series(model, stream))
+    write_error_csv(tmp_path / "read.csv",
+                    error_series(read_model_json(tmp_path / "model.bin"), stream))
+    assert (tmp_path / "read.csv").read_bytes() == (tmp_path / "trained.csv").read_bytes()
+
+
+def _seq_model_3072_1024() -> ReconstructorModel:
+    rng = np.random.default_rng(11)
+    return ReconstructorModel(
+        kind=ReconstructorKind.SEQ,
+        layer_sizes=[3072, 1024],
+        weights=[rng.standard_normal((1024, 3072), dtype=np.float32)],
+        biases=[rng.standard_normal(1024, dtype=np.float32)],
+        activation=Activation.RELU,
+        history_k=3,
+        epoch_losses=[0.5, 0.25],
+    )
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_model_json_peak_is_the_model(tmp_path):
+    # 12.6 MB of float32: the read holds one body, not a parse of it.
+    model = _seq_model_3072_1024()
+    nbytes = sum(a.nbytes for a in (*model.weights, *model.biases))
+    path = tmp_path / "model.bin"
+    write_model_json(path, model)
+    del model
+    assert _traced_peak(lambda: read_model_json(path)) <= 1.25 * nbytes
+
+
+def test_write_model_json_copies_no_weight(tmp_path):
+    model = _seq_model_3072_1024()
+    peak = _traced_peak(lambda: write_model_json(tmp_path / "model.bin", model))
+    assert peak < model.weights[0].nbytes / 100
+
+
+# --------------------------------------------------------------------- JSON
 
 def test_params_json_round_trip_exact(tmp_path):
     params = GammaParams(shape_alpha=2.5530000000000013, rate_beta=1234.567890123456)
@@ -681,32 +762,67 @@ def _json_files(draw, doc: dict) -> bytes:
     return draw(_damaged(json.dumps(doc).encode(), 16))
 
 
-def _model_doc() -> dict:
+@functools.cache
+def _model_header_and_body() -> tuple[dict, np.ndarray]:
     model = train_reconstructor(
         _stream(n=6, w=2, h=1), ReconstructorKind.SAE, TrainConfig(hidden_sizes=(1,), epochs=2)
     )
-    return {
+    header = {
         "kind": "sae",
         "layer_sizes": model.layer_sizes,
-        "history_k": None,
         "activation": "relu",
-        "weights": [w.tolist() for w in model.weights],
-        "biases": [b.tolist() for b in model.biases],
+        "history_k": None,
         "epoch_losses": model.epoch_losses,
     }
+    return header, np.concatenate([a.ravel() for a in (*model.weights, *model.biases)])
+
+
+@st.composite
+def _model_files(draw) -> bytes:
+    header, body = _model_header_and_body()
+    text = json.dumps(header).encode()
+    damage = draw(st.sampled_from(["intact", "header", "cell", "truncate", "magic", "length",
+                                   "bytes"]))
+    if damage == "header":
+        text = draw(_json_files(header))
+    if damage == "cell":
+        body = body.copy()
+        body[draw(st.integers(0, body.size - 1))] = draw(st.sampled_from([np.nan, np.inf,
+                                                                          -np.inf]))
+    data = _model_file(text, [body])
+    if damage == "truncate":
+        # Cut inside the magic, the length, the header or the body.
+        lo, hi = draw(st.sampled_from([(0, 4), (4, 8), (8, 8 + len(text)),
+                                       (8 + len(text), len(data))]))
+        return data[: draw(st.integers(lo, hi - 1))]
+    if damage == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda b: b != MODEL_MAGIC))
+        return magic + data[4:]
+    if damage == "length":
+        # Past the end of the file, or short of the header.
+        length = draw(st.one_of(st.integers(len(data) - 7, 2**32 - 1),
+                                st.integers(0, len(text) - 1)))
+        return data[:4] + struct.pack("<I", length) + data[8:]
+    if damage == "bytes":
+        return draw(_damaged(data, 8 + len(text)))
+    return data
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
+@given(_model_files())
 def test_read_model_json_fuzz_raises_only_format_error(tmp_path_factory, data):
-    path = tmp_path_factory.mktemp("fuzz") / "model.json"
-    path.write_bytes(data.draw(_json_files(_model_doc())))
+    path = tmp_path_factory.mktemp("fuzz") / "model.bin"
+    path.write_bytes(data)
     try:
         model = read_model_json(path)
-    except FormatError:
+    except FormatError as exc:
+        assert exc.byte_offset is not None
         return
-    assert all(np.isfinite(a).all() for a in (*model.weights, *model.biases))
+    arrays = (*model.weights, *model.biases)
+    assert all(a.dtype == np.float32 and np.isfinite(a).all() for a in arrays)
     assert all(math.isfinite(x) for x in model.epoch_losses)
+    (length,) = struct.unpack_from("<I", data, 4)
+    assert len(data) == 8 + length + 4 * sum(a.size for a in arrays)
 
 
 _PARAMS_DOC = {"alpha": 2.5, "rate": 40.0, "epsilon": 0.05, "theta": 0.11, "sample_count": 400}
@@ -731,21 +847,21 @@ def _load_config(path):
 
 
 @pytest.mark.parametrize(
-    "reader, text",
+    "reader, data",
     [
-        (read_error_csv, "frame_index,error\n0,0.5\xff\n"),
-        (read_misbehaviour_csv, "frame_index,misbehaviour\n0,\xff\n"),
-        (read_labels_csv, "start,length,kind\n0,30,\xff\n"),
-        (read_params_json, '{"alpha": "\xff"}\n'),
-        (read_model_json, '{"kind": "\xff"}\n'),
-        (_load_config, '{"seed": "\xff"}\n'),
+        (read_error_csv, b"frame_index,error\n0,0.5\xff\n"),
+        (read_misbehaviour_csv, b"frame_index,misbehaviour\n0,\xff\n"),
+        (read_labels_csv, b"start,length,kind\n0,30,\xff\n"),
+        (read_params_json, b'{"alpha": "\xff"}\n'),
+        (read_model_json, _model_file(b'{"kind": "\xff"}')),
+        (_load_config, b'{"seed": "\xff"}\n'),
     ],
     ids=["errors.csv", "misbehaviour.csv", "labels.csv", "params.json", "model.json",
          "config"],
 )
-def test_reader_rejects_non_utf8(tmp_path, reader, text):
+def test_reader_rejects_non_utf8(tmp_path, reader, data):
     # The \xff byte is never valid UTF-8.
     path = tmp_path / "input"
-    path.write_bytes(text.encode("latin-1"))
+    path.write_bytes(data)
     with pytest.raises(FormatError, match="not UTF-8"):
         reader(path)

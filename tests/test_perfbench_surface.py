@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lanewatch import cli, detector, evalkit, reconstruct
+from lanewatch import cli, detector, evalkit, io, reconstruct
 from lanewatch.io import write_frames
 from lanewatch.reconstruct import (
     Activation,
@@ -195,3 +195,29 @@ def test_cmd_train_calls_the_name_bound_in_cli(tmp_path, monkeypatch):
     config.write_text(json.dumps({"workdir": str(tmp_path), "train": {"epochs": 3}}))
     assert cli.main(["train", "--config", str(config)]) == 0
     assert calls == [(4, ReconstructorKind.SAE, 3)]
+
+
+def test_cli_model_io_calls_the_names_bound_in_io(tmp_path, monkeypatch):
+    # The io.write_model_json and io.read_model_json spans time the CLI's
+    # model I/O only while cmd_train and cmd_fit look the names up in io.
+    write_frames(tmp_path / "frames.frm1", FrameStream(
+        frames=np.random.default_rng(2).random((40, 2, 2, 1)), frame_rate_hz=10.0))
+    calls = []
+
+    def recorded(name):
+        original = getattr(io, name)
+
+        def wrapper(path, *args):
+            calls.append((name, Path(path).name))
+            return original(path, *args)
+
+        return wrapper
+
+    for name in ("write_model_json", "read_model_json"):
+        monkeypatch.setattr(io, name, recorded(name))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workdir": str(tmp_path), "train": {"epochs": 1}}))
+    assert cli.main(["train", "--config", str(config)]) == 0
+    assert calls == [("write_model_json", "model.bin")]
+    assert cli.main(["fit", "--config", str(config)]) == 0
+    assert calls[1:] == [("read_model_json", "model.bin")]

@@ -438,7 +438,7 @@ def test_multi_block_scoring_matches_one_block(tmp_path, monkeypatch, kind, bloc
     shift = cfg.history_k if kind == "seq" else 0
     stream = _noise_stream(23, n_samples + shift, w=8, h=8)
     one_block = error_series(model, stream).values
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.bin"
     write_model_json(path, model)
     read_back = read_model_json(path)
     monkeypatch.setattr(reconstruct_module, "_ROW_BLOCK_BYTES", 3 * 192 * 8)
@@ -447,8 +447,8 @@ def test_multi_block_scoring_matches_one_block(tmp_path, monkeypatch, kind, bloc
     # Short sample blocks may round the column-blocked product differently
     # in the last bit.
     np.testing.assert_allclose(in_memory, one_block, rtol=1e-12, atol=0.0)
-    # The float32 model and its float64 read-back score to the same bits.
-    assert model.weights[0].dtype == np.float32 and read_back.weights[0].dtype == np.float64
+    # The float32 model and its float32 read-back score to the same bits.
+    assert model.weights[0].dtype == read_back.weights[0].dtype == np.float32
     np.testing.assert_array_equal(error_series(read_back, stream).values, in_memory)
 
 
