@@ -11,10 +11,11 @@ import argparse
 import time
 
 from lanewatch.evalkit import alarms_per_theta, label_windows, pooled_counts
-from lanewatch.experiment import calibrate, score_drive, train_nominal
+from lanewatch.experiment import calibrate, nominal_drive, score_drive, train_nominal
 from lanewatch.gammafit import estimate_threshold
 from lanewatch.reconstruct import TrainConfig
 from lanewatch.scenario import ScenarioSpec
+from lanewatch.smoothing import ArFilterConfig
 
 
 def parse_args(argv=None):
@@ -43,7 +44,11 @@ def main(argv=None) -> int:
     n_frames = args.train_seeds * args.train_frames
     print(f"[{time.time() - t0:5.1f}s] trained on {n_frames} nominal frames")
 
-    params = calibrate(model, range(1500, 1500 + args.calibration_seeds), args.stream_frames)
+    drives = (
+        nominal_drive(seed, args.stream_frames)
+        for seed in range(1500, 1500 + args.calibration_seeds)
+    )
+    params, _ = calibrate(model, drives, ArFilterConfig())
     print(
         f"[{time.time() - t0:5.1f}s] fitted shape {params.shape_alpha:.3f} "
         f"rate {params.rate_beta:.1f} on {args.calibration_seeds} drives"

@@ -14,9 +14,16 @@ import time
 import numpy as np
 
 from lanewatch.evalkit import LabellingConfig, evaluate, threshold_grid
-from lanewatch.experiment import calibrate, score_drive, train_nominal, worst_case_spec
+from lanewatch.experiment import (
+    calibrate,
+    nominal_drive,
+    score_drive,
+    train_nominal,
+    worst_case_spec,
+)
 from lanewatch.gammafit import estimate_threshold
 from lanewatch.reconstruct import TrainConfig
+from lanewatch.smoothing import ArFilterConfig
 
 HEALING_H = 60
 
@@ -39,7 +46,8 @@ def main(argv=None) -> int:
 
     hyper = TrainConfig(epochs=args.epochs, seed=0)
     model = train_nominal(range(1000, 1006), 900, "sae", hyper)
-    params = calibrate(model, range(1500, 1508), 600)
+    drives = (nominal_drive(seed, 600) for seed in range(1500, 1508))
+    params, _ = calibrate(model, drives, ArFilterConfig())
     theta_eps = estimate_threshold(params, args.epsilon).theta
     print(f"[{time.time() - t0:5.1f}s] calibrated, theta({args.epsilon}) = {theta_eps:.6f}")
 

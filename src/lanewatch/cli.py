@@ -1,5 +1,9 @@
 """Command-line pipeline: simulate, train, fit, detect, label, eval.
 
+simulate writes the evaluation drive and two nominal drives; train and fit
+run the `experiment` chain on the nominal ones, and fit then scores the
+evaluation drive for detect and eval.
+
 One JSON config file feeds every subcommand; a handful of flags override
 single values for ad-hoc sweeps (flags win over the file).  Exit codes:
 0 success, 2 usage/config/file-format error, 3 numerical or
@@ -17,13 +21,16 @@ from . import io
 from .detector import DetectorConfig, run_detector_verbose
 from .errors import ConfigError, ConvergenceError, DegenerateDataError, integer, real
 from .evalkit import LabellingConfig, WindowKind, evaluate, label_windows, threshold_grid
-from .gammafit import estimate_threshold, fit_gamma_mle
+from .experiment import calibrate, nominal_drive
+from .gammafit import estimate_threshold
 from .reconstruct import ReconstructorKind, TrainConfig, error_series, train_reconstructor
 from .scenario import ScenarioSpec, generate_scenario
 from .smoothing import DEFAULT_AR_ORDER, ArFilterConfig, ar_filter
 
 _DEFAULT_FILES = {
     "frames": "frames.frm1",
+    "train": "train.frm1",
+    "calibration": "calibration.frm1",
     "model": "model.bin",
     "params": "params.json",
     "errors": "errors.csv",
@@ -183,14 +190,17 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
     io.write_frames(cfg.path("frames"), stream)
     io.write_misbehaviour_csv(cfg.path("misbehaviour"), log)
     io.write_intensity_csv(cfg.path("intensity"), intensities)
-    print(
-        f"simulated {len(stream)} frames, {log.count} misbehaviours "
-        f"-> {cfg.path('frames')}"
-    )
+    del stream
+    # Each nominal drive is written and dropped before the next is generated.
+    seed, n_frames = 1000 * cfg.scenario.track_seed, cfg.scenario.n_frames
+    for name, track_seed in (("train", seed), ("calibration", seed + 100)):
+        io.write_frames(cfg.path(name), nominal_drive(track_seed, n_frames))
+    print(f"simulated {n_frames} frames, {log.count} misbehaviours -> {cfg.path('frames')}; "
+          f"nominal drives -> {cfg.path('train')}, {cfg.path('calibration')}")
 
 
 def cmd_train(cfg: PipelineConfig) -> None:
-    stream = io.read_frames(cfg.path("frames"), frame_rate_hz=cfg.scenario.frame_rate_hz)
+    stream = io.read_frames(cfg.path("train"), frame_rate_hz=cfg.scenario.frame_rate_hz)
     n_frames = len(stream)
     model = train_reconstructor(stream, cfg.train_kind, cfg.train)
     # The drive goes back to the system before the model is written.
@@ -198,20 +208,17 @@ def cmd_train(cfg: PipelineConfig) -> None:
     io.write_model_json(cfg.path("model"), model)
     final = model.epoch_losses[-1] if model.epoch_losses else float("nan")
     print(
-        f"trained {cfg.train_kind.value} on {n_frames} frames, "
+        f"trained {cfg.train_kind.value} on {n_frames} nominal frames, "
         f"final epoch loss {final:.6g} -> {cfg.path('model')}"
     )
 
 
 def cmd_fit(cfg: PipelineConfig) -> None:
-    # Scoring reads the frames one block at a time, not the whole drive.
-    frames = io.FrameFile(cfg.path("frames"))
-    raw = error_series(io.read_model_json(cfg.path("model")), frames)
-    io.write_error_csv(cfg.path("errors"), raw)
-    smoothed = ar_filter(raw, cfg.ar)
-    params = fit_gamma_mle(smoothed)
+    model = io.read_model_json(cfg.path("model"))
+    params, n_samples = calibrate(model, [io.FrameFile(cfg.path("calibration"))], cfg.ar)
     threshold = estimate_threshold(params, cfg.epsilon)
-    io.write_params_json(cfg.path("params"), params, threshold, len(smoothed))
+    io.write_params_json(cfg.path("params"), params, threshold, n_samples)
+    io.write_error_csv(cfg.path("errors"), error_series(model, io.FrameFile(cfg.path("frames"))))
     print(
         f"fitted gamma shape {params.shape_alpha:.6g} rate {params.rate_beta:.6g}; "
         f"theta {threshold.theta:.6g} at epsilon {threshold.epsilon:g} "
@@ -321,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--thresholds", help="comma list of sweep thresholds")
         return p
 
-    add("simulate", "generate a scenario: frames, misbehaviour log, intensity trace",
-        seed=True)
-    add("train", "train the reconstructor on the frame file", seed=True)
-    add("fit", "fit the nominal error distribution and derive the alarm threshold",
-        epsilon=True, ar_k=True)
+    add("simulate", "generate the evaluation drive (frames, misbehaviour log, intensity "
+        "trace) and the nominal training and calibration drives", seed=True)
+    add("train", "train the reconstructor on the nominal training drive", seed=True)
+    add("fit", "fit the gamma to the nominal calibration drive's errors, derive the alarm "
+        "threshold, and score the evaluation drive", epsilon=True, ar_k=True)
     add("detect", "run the online detector, writing per-frame decisions", ar_k=True)
     add("label", "label evaluation windows from the misbehaviour log", reaction=True)
     add("eval", "score detector output against labelled windows and sweep curves",

@@ -1,6 +1,6 @@
-"""The seeded self-assessment chain: train on nominal drives, calibrate the
-gamma on other nominal drives, score drives for evaluation.  A drive is
-named by its track seed, so every step is deterministic."""
+"""The seeded self-assessment chain, which the CLI runs too: train on nominal
+drives, calibrate the gamma on other nominal drives, score drives for
+evaluation.  A drive is named by its track seed, so steps are deterministic."""
 
 from __future__ import annotations
 
@@ -20,10 +20,11 @@ from .reconstruct import (
     train_reconstructor,
 )
 from .scenario import Condition, MisbehaviourLog, ScenarioSpec, generate_scenario
-from .smoothing import ar_filter
+from .smoothing import ArFilterConfig, ar_filter
 
 __all__ = [
     "ScoredDrive",
+    "nominal_drive",
     "train_nominal",
     "calibrate",
     "worst_case_spec",
@@ -39,7 +40,8 @@ class ScoredDrive:
     smoothed: ErrorSeries
 
 
-def _nominal_drive(seed: int, n_frames: int) -> FrameStream:
+def nominal_drive(seed: int, n_frames: int) -> FrameStream:
+    """The misbehaviour-free drive on track `seed`."""
     stream, log, _ = generate_scenario(ScenarioSpec(track_seed=seed, n_frames=n_frames))
     if log.count:
         raise DegenerateDataError(f"nominal drive {seed} has {log.count} misbehaviours")
@@ -54,7 +56,7 @@ def train_nominal(
     beside it."""
     pool = None
     for i, seed in enumerate(seeds):
-        drive = _nominal_drive(seed, n_frames).frames
+        drive = nominal_drive(seed, n_frames).frames
         if pool is None:
             pool = np.empty((len(seeds), *drive.shape), np.float32)
         pool[i] = drive
@@ -63,13 +65,14 @@ def train_nominal(
     return train_reconstructor(FrameStream(frames=frames, frame_rate_hz=10.0), kind, hyper)
 
 
-def calibrate(model: ReconstructorModel, seeds, n_frames: int) -> GammaParams:
-    """Gamma fit on the pooled smoothed errors of one nominal drive per seed."""
-    smoothed = [
-        ar_filter(error_series(model, _nominal_drive(seed, n_frames))).values
-        for seed in seeds
-    ]
-    return fit_gamma_mle(np.concatenate(smoothed))
+def calibrate(model: ReconstructorModel, drives, ar: ArFilterConfig) -> tuple[GammaParams, int]:
+    """Gamma fit on the pooled smoothed errors of nominal drives, and the
+    pooled sample count.  A drive is a FrameStream or an io.FrameFile;
+    both are scored block by block."""
+    # map lets go of each drive before it asks for the next one.
+    smoothed = map(lambda d: ar_filter(error_series(model, d), ar).values, drives)
+    pooled = np.concatenate(list(smoothed))
+    return fit_gamma_mle(pooled), pooled.size
 
 
 def worst_case_spec(seed: int, n_frames: int) -> ScenarioSpec:

@@ -9,10 +9,17 @@ import numpy as np
 import pytest
 
 from lanewatch.evalkit import label_windows, threshold_grid
-from lanewatch.experiment import calibrate, score_drive, train_nominal, worst_case_spec
+from lanewatch.experiment import (
+    calibrate,
+    nominal_drive,
+    score_drive,
+    train_nominal,
+    worst_case_spec,
+)
 from lanewatch.gammafit import estimate_threshold
 from lanewatch.reconstruct import ReconstructorKind, TrainConfig
 from lanewatch.scenario import ScenarioSpec
+from lanewatch.smoothing import ArFilterConfig
 
 TRAIN_SEEDS = (1000, 1001, 1002, 1003, 1004, 1005)
 CALIBRATION_SEEDS = tuple(range(1500, 1508))
@@ -36,7 +43,8 @@ def nominal_model():
 @pytest.fixture(scope="session")
 def calibration(nominal_model):
     """Gamma fit on pooled smoothed nominal errors plus both thresholds."""
-    params = calibrate(nominal_model, CALIBRATION_SEEDS, 600)
+    drives = (nominal_drive(seed, 600) for seed in CALIBRATION_SEEDS)
+    params, _ = calibrate(nominal_model, drives, ArFilterConfig())
     return {
         "params": params,
         "th05": estimate_threshold(params, 0.05).theta,

@@ -53,7 +53,7 @@ from lanewatch.scenario import ScenarioSpec, generate_scenario
 from lanewatch.smoothing import ArFilterConfig, ar_filter
 
 ARTIFACTS = [
-    "frames.frm1", "model.bin", "params.json", "errors.csv",
+    "frames.frm1", "train.frm1", "calibration.frm1", "model.bin", "params.json", "errors.csv",
     "misbehaviour.csv", "intensity.csv", "alarms.csv",
     "report.json", "roc.csv", "pr.csv",
 ]
@@ -98,6 +98,9 @@ def test_pipeline_produces_all_artifacts(pipeline_dir):
     report = json.loads((work / "report.json").read_text())
     assert set(report["counts"]) == {"tp", "fp", "tn", "fn"}
     assert report["counts"]["tp"] + report["counts"]["fn"] >= 1
+    # Trained and calibrated on nominal drives only, the detector flags the
+    # drive's misbehaviour.
+    assert report["counts"]["tp"] >= 1
     assert report["theta"] > 0.0
     assert report["epsilon"] == 0.05
 
@@ -121,6 +124,23 @@ def test_stepwise_matches_pipeline(pipeline_dir, tmp_path):
         assert main([command, "--config", str(config)]) == 0, command
     for name in ARTIFACTS:
         assert (work_a / name).read_bytes() == (work_c / name).read_bytes(), name
+
+
+def test_nominal_artifacts_do_not_depend_on_the_evaluation_conditions(pipeline_dir, tmp_path):
+    # train and fit read only the nominal drives, so what they write is the
+    # same whatever conditions the evaluation drive is simulated under.
+    work_a, _ = pipeline_dir
+    work_n = tmp_path / "out"
+    work_n.mkdir()
+    doc = _config_doc(work_n)
+    doc["scenario"]["conditions"] = ["nominal"]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    for command in ("simulate", "train", "fit"):
+        assert main([command, "--config", str(config)]) == 0, command
+    assert (work_a / "frames.frm1").read_bytes() != (work_n / "frames.frm1").read_bytes()
+    for name in ("model.bin", "params.json", "train.frm1", "calibration.frm1"):
+        assert (work_a / name).read_bytes() == (work_n / name).read_bytes(), name
 
 
 def test_cli_and_library_score_alike(tmp_path):
@@ -176,7 +196,9 @@ def test_fit_peak_rss_stays_below_the_drive(tmp_path):
     stream = FrameStream(
         frames=np.random.default_rng(24).random((4000, 32, 32, 1)), frame_rate_hz=10.0
     )
-    write_frames(work / "frames.frm1", stream)
+    # fit scores the calibration drive, then the evaluation drive.
+    for name in ("frames.frm1", "calibration.frm1"):
+        write_frames(work / name, stream)
     drive_bytes = stream.frames.nbytes  # one float32 copy of the drive, 16.4 MB
     model = train_reconstructor(FrameStream(frames=stream.frames[:40]), "sae",
                                 TrainConfig(epochs=0))
@@ -591,8 +613,9 @@ def test_constant_errors_exit_3(tmp_path):
     # Identical frames plus an all-zero model give a constant error series;
     # the distribution fit must refuse it and the CLI must say so with a
     # numerical-error exit, not a crash.
-    write_frames(tmp_path / "frames.frm1",
-                 FrameStream(frames=np.full((12, 2, 2, 1), 0.5), frame_rate_hz=10.0))
+    stream = FrameStream(frames=np.full((12, 2, 2, 1), 0.5), frame_rate_hz=10.0)
+    for name in ("frames.frm1", "calibration.frm1"):
+        write_frames(tmp_path / name, stream)
     model = ReconstructorModel(
         kind=ReconstructorKind.SAE,
         layer_sizes=[4, 2, 4],

@@ -175,7 +175,7 @@ def test_child_inputs_construct(monkeypatch):
 def test_cmd_train_calls_the_name_bound_in_cli(tmp_path, monkeypatch):
     # The quickstart workload measures training throughput by replacing
     # cli.train_reconstructor, so cmd_train must look the name up there.
-    write_frames(tmp_path / "frames.frm1",
+    write_frames(tmp_path / "train.frm1",
                  FrameStream(frames=np.full((4, 2, 2, 1), 0.5), frame_rate_hz=10.0))
     model = ReconstructorModel(
         kind=ReconstructorKind.SAE,
@@ -200,8 +200,10 @@ def test_cmd_train_calls_the_name_bound_in_cli(tmp_path, monkeypatch):
 def test_cli_model_io_calls_the_names_bound_in_io(tmp_path, monkeypatch):
     # The io.write_model_json and io.read_model_json spans time the CLI's
     # model I/O only while cmd_train and cmd_fit look the names up in io.
-    write_frames(tmp_path / "frames.frm1", FrameStream(
-        frames=np.random.default_rng(2).random((40, 2, 2, 1)), frame_rate_hz=10.0))
+    stream = FrameStream(frames=np.random.default_rng(2).random((40, 2, 2, 1)),
+                         frame_rate_hz=10.0)
+    for name in ("frames.frm1", "train.frm1", "calibration.frm1"):
+        write_frames(tmp_path / name, stream)
     calls = []
 
     def recorded(name):
