@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import time
 
+from lanewatch.detector import DEFAULT_HEALING_FRAMES
 from lanewatch.evalkit import alarms_per_theta, label_windows, pooled_counts
 from lanewatch.experiment import calibrate, nominal_drive, score_drive, train_nominal
 from lanewatch.gammafit import estimate_threshold
@@ -26,7 +27,7 @@ def parse_args(argv=None):
     parser.add_argument("--train-frames", type=int, default=900)
     parser.add_argument("--stream-frames", type=int, default=600)
     parser.add_argument("--epochs", type=int, default=120)
-    parser.add_argument("--healing-h", type=int, default=60)
+    parser.add_argument("--healing-h", type=int, default=DEFAULT_HEALING_FRAMES)
     parser.add_argument(
         "--epsilons", default="0.10,0.05,0.02,0.01",
         help="comma list of target false-alarm rates",

@@ -25,8 +25,6 @@ from lanewatch.gammafit import estimate_threshold
 from lanewatch.reconstruct import TrainConfig
 from lanewatch.smoothing import ArFilterConfig
 
-HEALING_H = 60
-
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -61,7 +59,7 @@ def main(argv=None) -> int:
     smoothed = [d.smoothed for d in drives]
     grid = threshold_grid(np.concatenate([s.values for s in smoothed]), args.grid_size)
     results = evaluate([d.log for d in drives], smoothed, theta_eps, grid,
-                       LabellingConfig(healing_h=HEALING_H), reaction_rs)
+                       LabellingConfig(), reaction_rs)
 
     print(f"\n{'r':>4} {'AUC-ROC':>8} {'AUC-PR':>8} {'TPR@eps':>8} {'FPR@eps':>8}")
     for r, (_, report, sweep) in zip(reaction_rs, results, strict=True):

@@ -5,9 +5,10 @@ run the `experiment` chain on the nominal ones, and fit then scores the
 evaluation drive for detect and eval.
 
 One JSON config file feeds every subcommand; a handful of flags override
-single values for ad-hoc sweeps (flags win over the file).  Exit codes:
-0 success, 2 usage/config/file-format error, 3 numerical or
-degenerate-data error.
+single values for ad-hoc sweeps (flags win over the file).  COMMANDS and
+_FLAGS are the only tables of subcommands and flags; PipelineConfig holds
+the defaults and checks its own fields.  Exit codes: 0 success, 2
+usage/config/file-format error, 3 numerical or degenerate-data error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .experiment import calibrate, nominal_drive
 from .gammafit import estimate_threshold
 from .reconstruct import ReconstructorKind, TrainConfig, error_series, train_reconstructor
 from .scenario import ScenarioSpec, generate_scenario
-from .smoothing import DEFAULT_AR_ORDER, ArFilterConfig, ar_filter
+from .smoothing import ArFilterConfig, ar_filter
 
 _DEFAULT_FILES = {
     "frames": "frames.frm1",
@@ -46,10 +47,11 @@ _DEFAULT_FILES = {
 
 @dataclass
 class PipelineConfig:
-    """Everything the subcommands need, with spec-mirroring defaults."""
+    """Everything the subcommands need, with spec-mirroring defaults; files
+    overrides some of _DEFAULT_FILES.  Each section type checks itself."""
 
     workdir: Path = Path(".")
-    files: dict = field(default_factory=lambda: dict(_DEFAULT_FILES))
+    files: dict = field(default_factory=dict)
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
     train_kind: ReconstructorKind = ReconstructorKind.SAE
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -59,12 +61,40 @@ class PipelineConfig:
     thresholds: list[float] | None = None
     reaction_sweep: list[int] | None = None
 
+    def __post_init__(self):
+        _take(self.files, _DEFAULT_FILES, "paths")
+        for key, value in self.files.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"paths.{key} must be a JSON string, got {value!r}")
+        self.files = {**_DEFAULT_FILES, **self.files}
+        if not isinstance(self.workdir, (str, Path)):
+            raise ConfigError(f"workdir must be a JSON string, got {self.workdir!r}")
+        self.workdir = Path(self.workdir)
+        self.train_kind = ReconstructorKind(self.train_kind)
+        self.epsilon = real(self.epsilon, "epsilon")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+        if self.thresholds is not None:
+            listed = _array(self.thresholds, "thresholds")
+            self.thresholds = [real(t, f"thresholds[{i}]") for i, t in enumerate(listed)]
+            if not self.thresholds:
+                raise ConfigError("threshold list is empty")
+
     def path(self, name: str) -> Path:
         return self.workdir / self.files[name]
 
 
-_SECTIONS = ("paths", "scenario", "train", "labelling")
-_TOP_LEVEL_KEYS = {"seed", "workdir", "epsilon", "ar_k", "thresholds", *_SECTIONS}
+_SECTIONS = {"scenario": ScenarioSpec, "train": TrainConfig, "labelling": LabellingConfig}
+_TOP_LEVEL_KEYS = {"seed", "workdir", "epsilon", "ar_k", "thresholds", "paths", *_SECTIONS}
+
+# Each flag: its config key and argparse dest -> its argparse spec.
+_FLAGS = {
+    "seed": {"type": int, "help": "override the global seed"},
+    "epsilon": {"type": float, "help": "target nominal false-alarm rate"},
+    "ar_k": {"type": int, "help": "smoothing window length"},
+    "reaction_r": {"help": "reaction period override; eval accepts a comma list for a sweep"},
+    "thresholds": {"help": "comma list of sweep thresholds"},
+}
 
 
 def _take(section: dict, known, where: str) -> None:
@@ -100,14 +130,10 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
     wins over the defaults)."""
     doc = io._load_json(path) if path is not None else {}
     _take(doc, _TOP_LEVEL_KEYS, "config")
-    for name in _SECTIONS:
+    for name in ("paths", *_SECTIONS):
         if not isinstance(doc.setdefault(name, {}), dict):
             raise ConfigError(f"{name} must be a JSON object")
-    flags = {
-        k: getattr(args, k)
-        for k in ("seed", "epsilon", "ar_k", "thresholds", "reaction_r")
-        if getattr(args, k, None) is not None
-    }
+    flags = {k: getattr(args, k) for k in _FLAGS if getattr(args, k, None) is not None}
     if "thresholds" in flags:
         listed = flags["thresholds"]
         try:
@@ -142,36 +168,17 @@ def load_config(path: str | None, args: argparse.Namespace) -> PipelineConfig:
 
 
 def _config_from_doc(doc: dict) -> PipelineConfig:
-    _take(doc["paths"], _DEFAULT_FILES, "paths")
-    for key, value in doc["paths"].items():
-        if not isinstance(value, str):
-            raise ConfigError(f"paths.{key} must be a JSON string, got {value!r}")
-    train_kind = ReconstructorKind(doc["train"].pop("kind", "sae"))
-    epsilon = real(doc.get("epsilon", 0.05), "epsilon")
-    if not 0.0 < epsilon < 1.0:
-        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-    workdir = doc.get("workdir", ".")
-    if not isinstance(workdir, str):
-        raise ConfigError(f"workdir must be a JSON string, got {workdir!r}")
-    thresholds = doc.get("thresholds")
-    if thresholds is not None:
-        thresholds = [
-            real(t, f"thresholds[{i}]") for i, t in enumerate(_array(thresholds, "thresholds"))
-        ]
-        if not thresholds:
-            raise ConfigError("threshold list is empty")
-    return PipelineConfig(
-        workdir=Path(workdir),
-        files={**_DEFAULT_FILES, **doc["paths"]},
-        scenario=_section(ScenarioSpec, doc["scenario"], "scenario"),
-        train_kind=train_kind,
-        train=_section(TrainConfig, doc["train"], "train"),
-        epsilon=epsilon,
-        ar=ArFilterConfig(order_k=integer(doc.get("ar_k", DEFAULT_AR_ORDER), "ar_k")),
-        labelling=_section(LabellingConfig, doc["labelling"], "labelling"),
-        thresholds=thresholds,
-        reaction_sweep=doc.get("reaction_sweep"),
-    )
+    """The config of the keys the document sets; PipelineConfig fills in
+    the rest and checks its own fields."""
+    keys = ("workdir", "epsilon", "thresholds", "reaction_sweep")
+    values = {k: doc[k] for k in keys if k in doc}
+    if "kind" in doc["train"]:
+        values["train_kind"] = doc["train"].pop("kind")
+    for name, cls in _SECTIONS.items():
+        values[name] = _section(cls, doc[name], name)
+    if "ar_k" in doc:
+        values["ar"] = ArFilterConfig(order_k=integer(doc["ar_k"], "ar_k"))
+    return PipelineConfig(files=doc["paths"], **values)
 
 
 def _require_workdir(cfg: PipelineConfig) -> None:
@@ -297,6 +304,22 @@ def cmd_pipeline(cfg: PipelineConfig) -> None:
     cmd_eval(cfg)
 
 
+# Each subcommand: name -> (handler, help line, the _FLAGS it takes).
+COMMANDS = {
+    "simulate": (cmd_simulate, "generate the evaluation drive (frames, misbehaviour log, "
+                 "intensity trace) and the nominal training and calibration drives", {"seed"}),
+    "train": (cmd_train, "train the reconstructor on the nominal training drive", {"seed"}),
+    "fit": (cmd_fit, "fit the gamma to the nominal calibration drive's errors, derive the "
+            "alarm threshold, and score the evaluation drive", {"epsilon", "ar_k"}),
+    "detect": (cmd_detect, "run the online detector, writing per-frame decisions", {"ar_k"}),
+    "label": (cmd_label, "label evaluation windows from the misbehaviour log", {"reaction_r"}),
+    "eval": (cmd_eval, "score detector output against labelled windows and sweep curves",
+             {"ar_k", "reaction_r", "thresholds"}),
+    "pipeline": (cmd_pipeline, "simulate, train, fit, detect, and eval in one go",
+                 {"seed", "epsilon", "ar_k"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lanewatch",
@@ -308,49 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, *, seed=False, epsilon=False, ar_k=False,
-            reaction=False, thresholds=False):
+    for name, (_, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file; defaults apply without it")
-        if seed:
-            p.add_argument("--seed", type=int, help="override the global seed")
-        if epsilon:
-            p.add_argument("--epsilon", type=float, help="target nominal false-alarm rate")
-        if ar_k:
-            p.add_argument("--ar-k", dest="ar_k", type=int, help="smoothing window length")
-        if reaction:
-            p.add_argument(
-                "--reaction-r",
-                help="reaction period override; eval accepts a comma list for a sweep",
-            )
-        if thresholds:
-            p.add_argument("--thresholds", help="comma list of sweep thresholds")
-        return p
-
-    add("simulate", "generate the evaluation drive (frames, misbehaviour log, intensity "
-        "trace) and the nominal training and calibration drives", seed=True)
-    add("train", "train the reconstructor on the nominal training drive", seed=True)
-    add("fit", "fit the gamma to the nominal calibration drive's errors, derive the alarm "
-        "threshold, and score the evaluation drive", epsilon=True, ar_k=True)
-    add("detect", "run the online detector, writing per-frame decisions", ar_k=True)
-    add("label", "label evaluation windows from the misbehaviour log", reaction=True)
-    add("eval", "score detector output against labelled windows and sweep curves",
-        ar_k=True, reaction=True, thresholds=True)
-    add("pipeline", "simulate, train, fit, detect, and eval in one go",
-        seed=True, epsilon=True, ar_k=True)
+        # In _FLAGS order, whatever the order of the set.
+        for flag, spec in _FLAGS.items():
+            if flag in flags:
+                p.add_argument("--" + flag.replace("_", "-"), dest=flag, **spec)
     return parser
-
-
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "train": cmd_train,
-    "fit": cmd_fit,
-    "detect": cmd_detect,
-    "label": cmd_label,
-    "eval": cmd_eval,
-    "pipeline": cmd_pipeline,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -359,7 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, args)
         _require_workdir(cfg)
-        COMMANDS[args.command](cfg)
+        COMMANDS[args.command][0](cfg)
         return 0
     # DegenerateDataError is a ValueError, so it is caught first;
     # ConfigError and FormatError are ValueErrors too.

@@ -15,6 +15,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import integer, real
 from .reconstruct import ErrorSeries
 
 __all__ = [
@@ -41,6 +42,8 @@ class DetectorConfig:
     healing_frames_h: int = DEFAULT_HEALING_FRAMES
 
     def __post_init__(self):
+        self.theta = real(self.theta, "theta")
+        self.healing_frames_h = integer(self.healing_frames_h, "healing_frames_h")
         if not self.theta > 0.0:
             raise ValueError(f"threshold must be positive, got {self.theta}")
         if self.healing_frames_h < 1:

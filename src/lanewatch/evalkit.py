@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .detector import DetectorConfig, run_detector
+from .detector import DEFAULT_HEALING_FRAMES, DetectorConfig, run_detector
 from .errors import DegenerateDataError, integer
 from .reconstruct import ErrorSeries
 from .scenario import MisbehaviourLog
@@ -57,7 +57,7 @@ class LabellingConfig:
     window_a: int = 30
     window_b: int = 30
     reaction_r: int = 50
-    healing_h: int = 60
+    healing_h: int = DEFAULT_HEALING_FRAMES
 
     def __post_init__(self):
         for name in ("window_a", "window_b", "reaction_r", "healing_h"):
@@ -81,6 +81,8 @@ class WindowLabel:
     kind: WindowKind
 
     def __post_init__(self):
+        for name in ("start", "length"):
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         if self.start < 0:
             raise ValueError(f"window start cannot be negative, got {self.start}")
         if self.length < 1:
@@ -382,7 +384,7 @@ def sweep_curves(
     labels: list[WindowLabel],
     smoothed: ErrorSeries,
     thetas: list[float],
-    h: int = 60,
+    h: int = DEFAULT_HEALING_FRAMES,
 ) -> ThresholdSweep:
     """Run the detector on one drive at every threshold and sweep the
     curves with pooled_sweep."""

@@ -6,12 +6,13 @@ IEEE-754 32-bit floats, frame-major, row-major, channel-last.  FrameFile
 is its one reader; read_frames loads a whole file through it.
 
 Model binary ("LWM1"): 4 magic bytes, a little-endian u32 header length,
-a UTF-8 JSON header of that length (kind, layer_sizes, activation,
-history_k, epoch_losses), then each weight (row-major (n_out, n_in)),
-then each bias, in layer order, as little-endian 32-bit floats.
-read_model_json checks the header, then that the body holds exactly the
-bytes layer_sizes call for, and reads the body in one piece.  Read
-errors of both binaries carry the byte offset of the problem.
+a UTF-8 JSON header of that length, then each weight (row-major (n_out,
+n_in)), then each bias, in layer order, as little-endian 32-bit floats.
+The header holds ReconstructorModel's non-array fields in declaration
+order; a field with a default may be absent.  read_model_json checks the
+header, then that the body holds exactly the bytes layer_sizes call for,
+and reads the body in one piece.  Read errors of both binaries carry the
+byte offset of the problem.
 
 CSV files are LF-terminated with a fixed header; floats use Python's
 shortest round-trip representation.  Every CSV is written by _write_csv
@@ -29,6 +30,7 @@ import math
 import mmap
 import os
 import struct
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,6 +68,8 @@ _BODY_OFFSET = len(FRAME_MAGIC) + _HEADER.size
 MODEL_MAGIC = b"LWM1"
 _LENGTH = struct.Struct("<I")
 _MODEL_JSON_OFFSET = len(MODEL_MAGIC) + _LENGTH.size
+# The LWM1 header's fields; the weights and biases are the body.
+_MODEL_HEADER = [f for f in fields(ReconstructorModel) if f.name not in ("weights", "biases")]
 
 
 def write_frames(path: str | Path, stream: FrameStream) -> None:
@@ -293,13 +297,8 @@ def write_model_json(path: str | Path, model: ReconstructorModel) -> None:
     """Write the model as LWM1.  A float32 model's arrays are written as
     they are; a weight or bias whose values change when rounded to
     float32 raises ValueError."""
-    header = json.dumps({
-        "kind": model.kind.value,
-        "layer_sizes": model.layer_sizes,
-        "activation": model.activation.value,
-        "history_k": model.history_k,
-        "epoch_losses": model.epoch_losses,
-    }).encode("utf-8")
+    # A str enum dumps as its value.
+    header = json.dumps({f.name: getattr(model, f.name) for f in _MODEL_HEADER}).encode("utf-8")
     arrays = []
     for a in (*model.weights, *model.biases):
         cells = np.ascontiguousarray(a, dtype="<f4")
@@ -325,7 +324,7 @@ def _load_json(path: str | Path) -> dict:
 
 def read_model_json(path: str | Path) -> ReconstructorModel:
     """Load an LWM1 model; its arrays are float32 views of one read of the
-    body, and the epoch_losses training curve is optional."""
+    body."""
     with open(path, "rb") as f:
         size, head = _head(f, MODEL_MAGIC, _MODEL_JSON_OFFSET)
         (length,) = _LENGTH.unpack_from(head, 4)
@@ -337,7 +336,8 @@ def read_model_json(path: str | Path) -> ReconstructorModel:
             doc = json.loads(text)
             if not isinstance(doc, dict):
                 raise ValueError("the header must be a JSON object")
-            missing = {"kind", "layer_sizes", "activation", "history_k"} - set(doc)
+            missing = {f.name for f in _MODEL_HEADER if f.name not in doc
+                       and f.default is MISSING and f.default_factory is MISSING}
             if missing:
                 raise ValueError(f"missing model fields {sorted(missing)}")
             sizes = [integer(s, f"layer_sizes[{i}]") for i, s in enumerate(doc["layer_sizes"])]
@@ -371,15 +371,10 @@ def read_model_json(path: str | Path) -> ReconstructorModel:
         arrays.append(body[at : at + math.prod(shape)].reshape(shape))
         at += math.prod(shape)
     n_links = len(sizes) - 1
+    header = {f.name: doc[f.name] for f in _MODEL_HEADER if f.name in doc}
     try:
         return ReconstructorModel(
-            kind=doc["kind"],
-            layer_sizes=sizes,
-            weights=arrays[:n_links],
-            biases=arrays[n_links:],
-            activation=doc["activation"],
-            history_k=doc["history_k"],
-            epoch_losses=doc.get("epoch_losses", []),
+            **{**header, "layer_sizes": sizes}, weights=arrays[:n_links], biases=arrays[n_links:]
         )
     except (ValueError, TypeError) as exc:
         raise FormatError(f"{path}: {exc}", _MODEL_JSON_OFFSET) from exc

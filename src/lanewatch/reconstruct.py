@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, integer, real
+from .errors import ConfigError, ConvergenceError, integer, real
 
 __all__ = [
     "FrameStream",
@@ -76,6 +76,7 @@ class FrameStream:
     frame_rate_hz: float = 30.0
 
     def __post_init__(self):
+        self.frame_rate_hz = real(self.frame_rate_hz, "frame_rate_hz")
         if not self.frame_rate_hz > 0.0:
             raise ValueError(f"frame rate must be positive, got {self.frame_rate_hz}")
         self.frames = np.ascontiguousarray(self.frames, dtype=np.float32)
@@ -108,6 +109,7 @@ class ErrorSeries:
     start_index: int = 0
 
     def __post_init__(self):
+        self.start_index = integer(self.start_index, "start_index")
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
         # NaN fails the comparison, so this also rejects it.
         if not np.all((self.values >= 0.0) & (self.values < np.inf)):
@@ -124,9 +126,9 @@ class ErrorSeries:
 class TrainConfig:
     """Hyperparameters for reconstructor training.
 
-    hidden_sizes=None selects a per-kind default; for the deep autoencoder
-    it must name exactly three sizes (encoder, bottleneck, decoder), for
-    the shallow one exactly one.  The learning rate is fixed per kind:
+    hidden_sizes=None selects a per-kind default; an autoencoder takes as
+    many sizes as its default has, the sequence predictor any number.  The
+    learning rate is fixed per kind:
     the sequence predictor's affine map sees the full concatenated pixel
     vector and diverges at the step size the autoencoders want.
     history_k only applies to the sequence predictor.  Training reads the
@@ -246,11 +248,10 @@ class ReconstructorModel:
                 raise ValueError(
                     f"bias {l} has shape {self.biases[l].shape}, expected {(n_out,)}"
                 )
-        if self.kind is ReconstructorKind.SAE and len(self.layer_sizes) != 3:
-            raise ValueError("shallow autoencoder must have exactly one hidden layer")
-        if self.kind is ReconstructorKind.DAE and len(self.layer_sizes) != 5:
-            raise ValueError("deep autoencoder must have exactly five node layers")
-        if self.kind in (ReconstructorKind.SAE, ReconstructorKind.DAE):
+        if self.kind is not ReconstructorKind.SEQ:
+            n_layers = len(_DEFAULT_HIDDEN[self.kind]) + 2
+            if len(sizes) != n_layers:
+                raise ValueError(f"{self.kind.value} takes {n_layers} layer sizes, got {sizes}")
             if self.layer_sizes[0] != self.layer_sizes[-1]:
                 raise ValueError("autoencoder input and output sizes must match")
             if self.history_k not in (None, 1):
@@ -522,10 +523,9 @@ def train_reconstructor(
     n_pixels = frames.shape[1]
     window = history_k or 1  # frames per input row
     hidden = hyper.hidden_sizes if hyper.hidden_sizes is not None else _DEFAULT_HIDDEN[kind]
-    if kind is ReconstructorKind.SAE and len(hidden) != 1:
-        raise ConfigError(f"shallow autoencoder takes one hidden size, got {hidden}")
-    if kind is ReconstructorKind.DAE and len(hidden) != 3:
-        raise ConfigError(f"deep autoencoder takes three hidden sizes, got {hidden}")
+    depth = len(_DEFAULT_HIDDEN[kind])
+    if kind is not ReconstructorKind.SEQ and len(hidden) != depth:
+        raise ConfigError(f"{kind.value} takes hidden_sizes of length {depth}, got {hidden}")
     layer_sizes = [window * n_pixels, *hidden, n_pixels]
     learning_rate = _DEFAULT_LEARNING_RATE[kind]
 
@@ -586,6 +586,10 @@ def train_reconstructor(
 
     if ws.input_major:
         weights[0][...] = trained[0].T
+    # A float64 sum of float32 cells is finite exactly when every cell is.
+    cells = sum(a.sum(dtype=np.float64) for a in trained + biases)
+    if not math.isfinite(sum(epoch_losses) + cells):
+        raise ConvergenceError(f"{kind.value} training diverged: non-finite loss or weights")
     return ReconstructorModel(
         kind=kind,
         layer_sizes=layer_sizes,

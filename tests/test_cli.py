@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lanewatch import io
-from lanewatch.cli import PipelineConfig, load_config, main
+from lanewatch import io, reconstruct
+from lanewatch.cli import COMMANDS, PipelineConfig, load_config, main
 from lanewatch.detector import DetectorConfig, run_detector
 from lanewatch.evalkit import (
     LabellingConfig,
@@ -609,6 +610,38 @@ def test_unknown_command_exits_2():
     assert exc_info.value.code == 2
 
 
+_SUBCOMMAND_FLAGS = {
+    "simulate": {"--seed"},
+    "train": {"--seed"},
+    "fit": {"--epsilon", "--ar-k"},
+    "detect": {"--ar-k"},
+    "label": {"--reaction-r"},
+    "eval": {"--ar-k", "--reaction-r", "--thresholds"},
+    "pipeline": {"--seed", "--epsilon", "--ar-k"},
+}
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_FLAGS))
+def test_each_subcommand_takes_its_flags(command, capsys):
+    assert list(COMMANDS) == list(_SUBCOMMAND_FLAGS)
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--help"])
+    assert exc_info.value.code == 0
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert flags == {"--config", *_SUBCOMMAND_FLAGS[command]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["train", "--epsilon", "0.1"], ["simulate", "--ar-k", "5"], ["detect", "--seed", "1"],
+     ["label", "--thresholds", "0.1"], ["pipeline", "--reaction-r", "10"]],
+)
+def test_flag_outside_the_subcommand_exits_2(argv):
+    with pytest.raises(SystemExit) as exc_info:
+        main(argv)
+    assert exc_info.value.code == 2
+
+
 def test_constant_errors_exit_3(tmp_path):
     # Identical frames plus an all-zero model give a constant error series;
     # the distribution fit must refuse it and the CLI must say so with a
@@ -639,3 +672,17 @@ def test_json_text_model_exits_2(tmp_path, capsys):
     config.write_text(json.dumps({"workdir": str(tmp_path)}))
     assert main(["fit", "--config", str(config)]) == 2
     assert "bad magic b'{\"ki', expected b'LWM1' (byte offset 0)" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverged_training_exits_3_without_a_model(tmp_path, monkeypatch, capsys):
+    # At a learning rate of 1e40 one batch leaves non-finite weights.
+    monkeypatch.setitem(reconstruct._DEFAULT_LEARNING_RATE, ReconstructorKind.SAE, 1e40)
+    frames = np.random.default_rng(0).random((64, 4, 4, 1))
+    write_frames(tmp_path / "train.frm1", FrameStream(frames=frames))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workdir": str(tmp_path),
+                                  "train": {"epochs": 1, "batch_size": 64}}))
+    assert main(["train", "--config", str(config)]) == 3
+    assert "sae training diverged" in capsys.readouterr().err
+    assert not (tmp_path / "model.bin").exists()

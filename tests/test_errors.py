@@ -6,9 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lanewatch.cli import PipelineConfig
+from lanewatch.detector import DetectorConfig
 from lanewatch.errors import integer, real
-from lanewatch.evalkit import LabellingConfig
-from lanewatch.reconstruct import TrainConfig
+from lanewatch.evalkit import LabellingConfig, WindowKind, WindowLabel
+from lanewatch.reconstruct import ErrorSeries, FrameStream, TrainConfig
 from lanewatch.scenario import ScenarioSpec
 from lanewatch.smoothing import ArFilterConfig
 
@@ -23,10 +25,26 @@ from lanewatch.smoothing import ArFilterConfig
         (lambda: ScenarioSpec(frame_rate_hz="10"), "frame_rate_hz must be a number, got '10'"),
         (lambda: LabellingConfig(window_a=1.5), "window_a must be an integer, got 1.5"),
         (lambda: ArFilterConfig(order_k=True), "order_k must be an integer, got True"),
+        (lambda: DetectorConfig(theta=True), "theta must be a number, got True"),
+        (lambda: DetectorConfig(theta="0.1"), "theta must be a number, got '0.1'"),
+        (lambda: DetectorConfig(theta=0.1, healing_frames_h=2.5),
+         "healing_frames_h must be an integer, got 2.5"),
+        (lambda: WindowLabel(start=1.5, length=30, kind=WindowKind.NORMAL),
+         "start must be an integer, got 1.5"),
+        (lambda: WindowLabel(start=0, length=True, kind=WindowKind.NORMAL),
+         "length must be an integer, got True"),
+        (lambda: ErrorSeries(values=[0.1, 0.2, 0.3], start_index=1.5),
+         "start_index must be an integer, got 1.5"),
+        (lambda: FrameStream(frames=np.zeros((1, 2, 2, 1)), frame_rate_hz="10"),
+         "frame_rate_hz must be a number, got '10'"),
+        (lambda: PipelineConfig(epsilon="0.05"), "epsilon must be a number, got '0.05'"),
+        (lambda: PipelineConfig(thresholds=[True]), "thresholds[0] must be a number, got True"),
     ],
     ids=["hidden-size-fractional", "epochs-boolean", "batch-size-fractional",
          "n-frames-fractional", "frame-rate-string", "window-a-fractional",
-         "order-k-boolean"],
+         "order-k-boolean", "theta-boolean", "theta-string", "healing-fractional",
+         "window-start-fractional", "window-length-boolean", "start-index-fractional",
+         "stream-frame-rate-string", "epsilon-string", "threshold-boolean"],
 )
 def test_library_constructors_reject_what_the_config_rejects(build, message):
     with pytest.raises(ValueError) as caught:

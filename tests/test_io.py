@@ -384,6 +384,22 @@ def test_model_json_without_epoch_losses_still_reads(tmp_path):
     np.testing.assert_array_equal(back.weights[0], model.weights[0])
 
 
+@pytest.mark.parametrize("kind", [ReconstructorKind.SAE, ReconstructorKind.SEQ])
+def test_model_json_without_history_k(tmp_path, kind):
+    # history_k has a default, so the header may leave it out: an
+    # autoencoder reads back without one, a sequence predictor is refused.
+    path = tmp_path / "model.bin"
+    write_model_json(path, _tiny_model(kind, history_k=1))
+    doc, body = _model_parts(path)
+    del doc["history_k"]
+    path.write_bytes(_model_file(doc) + body)
+    if kind is ReconstructorKind.SAE:
+        assert read_model_json(path).history_k is None
+    else:
+        with pytest.raises(FormatError, match="sequence predictor needs a positive history_k"):
+            read_model_json(path)
+
+
 @pytest.mark.parametrize(
     "losses", ["0.5", {"0": 0.5}, None, ["NaN"], ["Infinity"], [0.5, "x"], [[0.5]]],
     ids=["string", "object", "null", "nan", "inf", "string-entry", "nested"],

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import lanewatch.reconstruct as reconstruct_module
-from lanewatch.errors import ConfigError
+from lanewatch.errors import ConfigError, ConvergenceError
 from lanewatch.io import FrameFile, read_model_json, write_frames, write_model_json
 from lanewatch.reconstruct import (
     Activation,
@@ -355,6 +355,22 @@ def test_hidden_size_arity_enforced():
         train_reconstructor(stream, "sae", TrainConfig(hidden_sizes=(8, 8), epochs=1))
     with pytest.raises(ConfigError):
         train_reconstructor(stream, "dae", TrainConfig(hidden_sizes=(8,), epochs=1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "rate, n_frames, epochs",
+    [(1e6, 200, 3), (1e40, 64, 1)],
+    ids=["non-finite-loss", "finite-loss-non-finite-weights"],
+)
+def test_diverged_training_raises_convergence_error(monkeypatch, rate, n_frames, epochs):
+    # At rate 1e6 the epoch losses overflow.  At 1e40 (inf in float32) the
+    # one batch's loss is computed before its update and stays finite, but
+    # the update leaves non-finite weights.
+    monkeypatch.setitem(_DEFAULT_LEARNING_RATE, ReconstructorKind.SAE, rate)
+    with pytest.raises(ConvergenceError, match="sae training diverged"):
+        train_reconstructor(_noise_stream(9, n_frames), "sae",
+                            TrainConfig(epochs=epochs, batch_size=64))
 
 
 # ------------------------------------------------------------------ scoring
