@@ -20,7 +20,7 @@ stay unlabelled and never contribute counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -161,28 +161,24 @@ def label_windows(m: MisbehaviourLog, cfg: LabellingConfig | None = None) -> lis
     return labels
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
-    """Confusion counts with the derived metrics.
-
-    Ratio fields are None when their denominator is zero.
-    """
+    """Confusion counts with the metrics that compute_metrics derives
+    from them; a ratio is None when its denominator is zero."""
 
     tp: int = 0
     fp: int = 0
     tn: int = 0
     fn: int = 0
-    tpr: float | None = None
-    fpr: float | None = None
-    precision: float | None = None
-    f1: float | None = None
+    tpr: float | None = field(init=False)
+    fpr: float | None = field(init=False)
+    precision: float | None = field(init=False)
+    f1: float | None = field(init=False)
 
-    def with_metrics(self) -> "EvalReport":
-        """Fill the ratio fields from the counts; returns self."""
-        self.tpr, self.fpr, self.precision, self.f1 = compute_metrics(
-            self.tp, self.fp, self.tn, self.fn
-        )
-        return self
+    def __post_init__(self):
+        metrics = compute_metrics(self.tp, self.fp, self.tn, self.fn)
+        for name, value in zip(("tpr", "fpr", "precision", "f1"), metrics):
+            object.__setattr__(self, name, value)
 
     def to_json_dict(self, sweep: ThresholdSweep | None = None) -> dict:
         """Counts and metrics, with the curves and areas of sweep; the
@@ -224,26 +220,26 @@ def score_windows(
     if any(alarm_list[i] >= alarm_list[i + 1] for i in range(len(alarm_list) - 1)):
         raise ValueError("alarms must be sorted strictly ascending")
     alarm_arr = np.asarray(alarm_list, dtype=np.int64)
-    report = EvalReport()
+    tp = fp = tn = fn = 0
     last_fp_alarm: int | None = None
     for w in sorted(labels, key=lambda w: w.start):
         if w.kind is WindowKind.ANOMALOUS:
             lo = np.searchsorted(alarm_arr, w.start, side="left")
             if lo < alarm_arr.size and alarm_arr[lo] <= w.end:
-                report.tp += 1
+                tp += 1
             else:
-                report.fn += 1
+                fn += 1
         elif w.kind is WindowKind.NORMAL:
             lo = np.searchsorted(alarm_arr, w.start, side="left")
             if lo < alarm_arr.size and alarm_arr[lo] <= w.end:
                 first = int(alarm_arr[lo])
                 if last_fp_alarm is not None and first - last_fp_alarm <= h:
                     continue  # excluded: neither FP nor TN
-                report.fp += 1
+                fp += 1
                 last_fp_alarm = first
             else:
-                report.tn += 1
-    return report
+                tn += 1
+    return EvalReport(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def compute_metrics(
@@ -313,15 +309,12 @@ def pooled_counts(
     alarms_per_drive: list[list[int]],
     h: int,
 ) -> EvalReport:
-    """Confusion counts summed over drives, with the metrics filled in."""
-    report = EvalReport()
+    """Confusion counts summed over drives, with the metrics of the sums."""
+    tp = fp = tn = fn = 0
     for labels, alarms in zip(labels_per_drive, alarms_per_drive, strict=True):
         drive = score_windows(labels, alarms, h)
-        report.tp += drive.tp
-        report.fp += drive.fp
-        report.tn += drive.tn
-        report.fn += drive.fn
-    return report.with_metrics()
+        tp, fp, tn, fn = tp + drive.tp, fp + drive.fp, tn + drive.tn, fn + drive.fn
+    return EvalReport(tp=tp, fp=fp, tn=tn, fn=fn)
 
 
 def pooled_sweep(

@@ -1,8 +1,8 @@
 """Gamma fitting and alarm-threshold calibration for reconstruction errors.
 
-Scalar special-function numerics live here too (log-gamma, digamma,
-trigamma, regularized incomplete gamma) so the fit has no dependency on
-scipy.  The distribution uses the RATE convention throughout:
+Log-gamma is math.lgamma.  Digamma, the regularized lower incomplete
+gamma and one bisection, which solves both the MLE shape and the
+quantile, live here, so the fit needs no scipy.  Rate convention:
 
     pdf(x) = rate**shape / Gamma(shape) * x**(shape - 1) * exp(-rate * x)
 
@@ -23,8 +23,6 @@ __all__ = [
     "ThresholdSpec",
     "log_gamma",
     "digamma",
-    "trigamma",
-    "gamma_pdf",
     "gamma_cdf",
     "gamma_inverse_cdf",
     "fit_gamma_mle",
@@ -72,40 +70,14 @@ class ThresholdSpec:
             raise ValueError(f"theta must be finite and positive, got {self.theta}")
 
 
-# Lanczos approximation, g = 7 with 9 coefficients. Relative error is
-# below 1e-13 over the range used here (arguments up to ~1e3).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-
 def log_gamma(z: float) -> float:
     """Natural log of the gamma function, z > 0."""
     if not z > 0.0:
         raise ValueError(f"log_gamma requires z > 0, got {z}")
-    if z < 0.5:
-        # Reflection keeps the Lanczos series in its accurate range.
-        # sin(pi*z) > 0 on (0, 1) so the log is safe.
-        return math.log(math.pi / math.sin(math.pi * z)) - log_gamma(1.0 - z)
-    z -= 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        series += _LANCZOS_COEFFS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (z + 0.5) * math.log(t) - t + math.log(series)
+    return math.lgamma(z)
 
 
-# The asymptotic series below are accurate once the argument exceeds this;
+# The asymptotic series below is accurate once the argument exceeds this;
 # smaller arguments are lifted by the recurrence first.
 _PSI_SHIFT = 10.0
 
@@ -138,52 +110,6 @@ def digamma(z: float) -> float:
         )
     )
     return acc + math.log(z) - 0.5 * inv - series
-
-
-def trigamma(z: float) -> float:
-    """Second derivative of log_gamma, z > 0."""
-    if not z > 0.0:
-        raise ValueError(f"trigamma requires z > 0, got {z}")
-    acc = 0.0
-    while z < _PSI_SHIFT:
-        acc += 1.0 / (z * z)
-        z += 1.0
-    inv = 1.0 / z
-    inv2 = inv * inv
-    series = inv * (
-        1.0
-        + inv * (
-            0.5
-            + inv * (
-                1.0 / 6.0
-                - inv2 * (
-                    1.0 / 30.0
-                    - inv2 * (
-                        1.0 / 42.0
-                        - inv2 * (
-                            1.0 / 30.0
-                            - inv2 * (
-                                5.0 / 66.0
-                                - inv2 * (691.0 / 2730.0 - inv2 * (7.0 / 6.0))
-                            )
-                        )
-                    )
-                )
-            )
-        )
-    )
-    return acc + series
-
-
-def gamma_pdf(x: float, p: GammaParams) -> float:
-    """Density at x > 0 under the rate convention."""
-    if not x > 0.0:
-        raise ValueError(f"gamma pdf is defined for x > 0, got {x}")
-    a = p.shape_alpha
-    lam = p.rate_beta
-    # Log space: Gamma(a) and lam**a overflow long before the ratio does.
-    log_pdf = a * math.log(lam) + (a - 1.0) * math.log(x) - lam * x - log_gamma(a)
-    return math.exp(log_pdf)
 
 
 _SERIES_EPS = 1e-15
@@ -236,67 +162,42 @@ def gamma_cdf(x: float, p: GammaParams) -> float:
     return _reg_lower_gamma(p.shape_alpha, p.rate_beta * x)
 
 
-def _cdf_or_zero(x: float, p: GammaParams) -> float:
-    return 0.0 if x <= 0.0 else gamma_cdf(x, p)
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f bracketed by f(lo) < 0 <= f(hi): halves the bracket until
+    its ends are adjacent floats and returns the upper end."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def gamma_inverse_cdf(prob: float, p: GammaParams) -> float:
-    """Quantile function: the x with gamma_cdf(x, p) == prob.
-
-    Bisection brackets the root, then Newton polishes using the pdf as the
-    cdf derivative.  Newton steps that would leave the bracket fall back to
-    its midpoint, so the iteration cannot escape or stagnate outside.
-    """
+    """Quantile function: the x with gamma_cdf(x, p) >= prob > gamma_cdf
+    at the float below x, bracketed by doubling from the mean."""
     if not 0.0 < prob < 1.0:
         raise ValueError(f"probability must lie in (0, 1), got {prob}")
-    lo = 0.0
-    hi = p.mean
+    lo, hi = 0.0, p.mean
     for _ in range(300):
-        if _cdf_or_zero(hi, p) >= prob:
+        if gamma_cdf(hi, p) >= prob:
             break
         lo, hi = hi, hi * 2.0
     else:
         raise ConvergenceError("failed to bracket the gamma quantile")
-    # Coarse bisection localizes the root for Newton.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _cdf_or_zero(mid, p) < prob:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-3 * hi:
-            break
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        f = _cdf_or_zero(x, p) - prob
-        if f < 0.0:
-            lo = max(lo, x)
-        else:
-            hi = min(hi, x)
-        if abs(f) <= 1e-14:
-            break
-        x_new = x - f / gamma_pdf(x, p)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * max(abs(x), abs(x_new)):
-            x = x_new
-            break
-        x = x_new
-    return x
-
-
-_MLE_REL_TOL = 1e-10
-_MLE_MAX_ITER = 100
+    return _bisect(lambda x: gamma_cdf(x, p) - prob, lo, hi)
 
 
 def fit_gamma_mle(errors) -> GammaParams:
     """Maximum-likelihood gamma fit to strictly positive error values.
 
-    Accepts an ErrorSeries or any 1-d array-like.  The rate has a closed
-    form given the shape, so only the shape needs iteration: a Newton
-    solve of log(shape) - digamma(shape) = s where s = log(mean) - mean(log),
-    started from the closed-form approximation
-    shape0 = (3 - s + sqrt((s - 3)**2 + 24 s)) / (12 s).
+    Accepts an ErrorSeries or any 1-d array-like.  The rate is shape/mean,
+    so only the shape is solved for: log(shape) - digamma(shape) = s with
+    s = log(mean) - mean(log).  The left side falls from +inf to 0, so
+    halving and doubling the closed-form approximation
+    (3 - s + sqrt((s - 3)**2 + 24 s)) / (12 s) brackets the root.
     """
     values = np.asarray(getattr(errors, "values", errors), dtype=float).ravel()
     if values.size < 2:
@@ -311,15 +212,17 @@ def fit_gamma_mle(errors) -> GammaParams:
     # stray 1e-16 on constant data, so treat that as zero spread too.
     if not s > 1e-12:
         raise DegenerateDataError("error values have (near) zero spread; gamma fit undefined")
-    alpha = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(_MLE_MAX_ITER):
-        step = (math.log(alpha) - digamma(alpha) - s) / (1.0 / alpha - trigamma(alpha))
-        while alpha - step <= 0.0:
-            step *= 0.5
-        alpha -= step
-        if abs(step) / alpha < _MLE_REL_TOL:
-            return GammaParams(shape_alpha=alpha, rate_beta=alpha / mean)
-    raise ConvergenceError("gamma shape estimate did not converge in 100 iterations")
+
+    def excess(a: float) -> float:
+        return s - (math.log(a) - digamma(a))
+
+    lo = hi = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
+    while excess(lo) >= 0.0:
+        lo *= 0.5
+    while excess(hi) < 0.0:
+        hi *= 2.0
+    alpha = _bisect(excess, lo, hi)
+    return GammaParams(shape_alpha=alpha, rate_beta=alpha / mean)
 
 
 def estimate_threshold(p: GammaParams, epsilon: float) -> ThresholdSpec:

@@ -184,10 +184,18 @@ def test_scoring_hand_case():
     labels = label_windows(_log(400, [200]))
     # One alarm inside the anomalous window, one in a normal window, one
     # in the reaction zone (ignored).
-    report = score_windows(labels, [40, 130, 160], 60).with_metrics()
+    report = score_windows(labels, [40, 130, 160], 60)
     assert (report.tp, report.fp, report.tn, report.fn) == (1, 1, 5, 0)
     assert report.tpr == 1.0
     assert report.fpr == pytest.approx(1 / 6)
+
+
+def test_scored_report_carries_the_metrics_of_its_counts():
+    # One alarm, inside the anomalous window: every ratio is defined.
+    report = score_windows(label_windows(_log(400, [200])), [130], 60)
+    counts = (report.tp, report.fp, report.tn, report.fn)
+    assert counts == (1, 0, 6, 0)
+    assert (report.tpr, report.fpr, report.precision, report.f1) == compute_metrics(*counts)
 
 
 def test_consecutive_false_positives_excluded():
@@ -251,7 +259,7 @@ def test_metrics_reject_negative_counts():
 
 
 def test_report_json_shape():
-    report = EvalReport(tp=2, fp=1, tn=3, fn=0).with_metrics()
+    report = EvalReport(tp=2, fp=1, tn=3, fn=0)
     sweep = ThresholdSweep(roc_rows=[(0.5, 0.25, 1.0)], pr_rows=[(0.5, 1.0, 0.5)],
                            roc_curve=[(0.0, 0.0), (0.25, 1.0), (1.0, 1.0)],
                            pr_curve=[(0.0, 0.5), (1.0, 0.5), (1.0, 0.25)],
