@@ -2,7 +2,8 @@
 
 simulate writes the evaluation drive and two nominal drives; train and fit
 run the `experiment` chain on the nominal ones, and fit then scores the
-evaluation drive for detect and eval.
+evaluation drive and smooths it with the filter theta was calibrated on.
+detect and eval read that series from errors.csv as it is.
 
 One JSON config file feeds every subcommand; a handful of flags override
 single values for ad-hoc sweeps (flags win over the file).  COMMANDS and
@@ -186,12 +187,6 @@ def _require_workdir(cfg: PipelineConfig) -> None:
         raise ConfigError(f"output directory does not exist: {cfg.workdir}")
 
 
-def _smoothed_errors(cfg: PipelineConfig):
-    """The errors fit wrote, smoothed; errors.csv holds repr floats, so
-    this equals smoothing the freshly computed series."""
-    return ar_filter(io.read_error_csv(cfg.path("errors")), cfg.ar)
-
-
 def cmd_simulate(cfg: PipelineConfig) -> None:
     stream, log, intensities = generate_scenario(cfg.scenario)
     io.write_frames(cfg.path("frames"), stream)
@@ -199,15 +194,16 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
     io.write_intensity_csv(cfg.path("intensity"), intensities)
     del stream
     # Each nominal drive is written and dropped before the next is generated.
+    # Neither reuses the evaluation drive's track seed s, not even at s = 0.
     seed, n_frames = 1000 * cfg.scenario.track_seed, cfg.scenario.n_frames
-    for name, track_seed in (("train", seed), ("calibration", seed + 100)):
+    for name, track_seed in (("train", seed + 1), ("calibration", seed + 100)):
         io.write_frames(cfg.path(name), nominal_drive(track_seed, n_frames))
     print(f"simulated {n_frames} frames, {log.count} misbehaviours -> {cfg.path('frames')}; "
           f"nominal drives -> {cfg.path('train')}, {cfg.path('calibration')}")
 
 
 def cmd_train(cfg: PipelineConfig) -> None:
-    stream = io.read_frames(cfg.path("train"), frame_rate_hz=cfg.scenario.frame_rate_hz)
+    stream = io.read_frames(cfg.path("train"))
     n_frames = len(stream)
     model = train_reconstructor(stream, cfg.train_kind, cfg.train)
     # The drive goes back to the system before the model is written.
@@ -225,7 +221,8 @@ def cmd_fit(cfg: PipelineConfig) -> None:
     params, n_samples = calibrate(model, [io.FrameFile(cfg.path("calibration"))], cfg.ar)
     threshold = estimate_threshold(params, cfg.epsilon)
     io.write_params_json(cfg.path("params"), params, threshold, n_samples)
-    io.write_error_csv(cfg.path("errors"), error_series(model, io.FrameFile(cfg.path("frames"))))
+    raw = error_series(model, io.FrameFile(cfg.path("frames")))
+    io.write_error_csv(cfg.path("errors"), ar_filter(raw, cfg.ar))
     print(
         f"fitted gamma shape {params.shape_alpha:.6g} rate {params.rate_beta:.6g}; "
         f"theta {threshold.theta:.6g} at epsilon {threshold.epsilon:g} "
@@ -234,7 +231,7 @@ def cmd_fit(cfg: PipelineConfig) -> None:
 
 
 def cmd_detect(cfg: PipelineConfig) -> None:
-    smoothed = _smoothed_errors(cfg)
+    smoothed = io.read_error_csv(cfg.path("errors"))
     _, threshold, _ = io.read_params_json(cfg.path("params"))
     detector = DetectorConfig(
         theta=threshold.theta, healing_frames_h=cfg.labelling.healing_h
@@ -254,7 +251,7 @@ def cmd_label(cfg: PipelineConfig) -> None:
 
 
 def cmd_eval(cfg: PipelineConfig) -> None:
-    smoothed = _smoothed_errors(cfg)
+    smoothed = io.read_error_csv(cfg.path("errors"))
     _, threshold, _ = io.read_params_json(cfg.path("params"))
     log = io.read_misbehaviour_csv(cfg.path("misbehaviour"))
     thetas = cfg.thresholds if cfg.thresholds is not None else threshold_grid(smoothed.values)
@@ -309,12 +306,12 @@ COMMANDS = {
     "simulate": (cmd_simulate, "generate the evaluation drive (frames, misbehaviour log, "
                  "intensity trace) and the nominal training and calibration drives", {"seed"}),
     "train": (cmd_train, "train the reconstructor on the nominal training drive", {"seed"}),
-    "fit": (cmd_fit, "fit the gamma to the nominal calibration drive's errors, derive the "
-            "alarm threshold, and score the evaluation drive", {"epsilon", "ar_k"}),
-    "detect": (cmd_detect, "run the online detector, writing per-frame decisions", {"ar_k"}),
+    "fit": (cmd_fit, "fit the gamma to the nominal calibration drive's smoothed errors, derive "
+            "the alarm threshold, and score and smooth the evaluation drive", {"epsilon", "ar_k"}),
+    "detect": (cmd_detect, "run the online detector, writing per-frame decisions", set()),
     "label": (cmd_label, "label evaluation windows from the misbehaviour log", {"reaction_r"}),
     "eval": (cmd_eval, "score detector output against labelled windows and sweep curves",
-             {"ar_k", "reaction_r", "thresholds"}),
+             {"reaction_r", "thresholds"}),
     "pipeline": (cmd_pipeline, "simulate, train, fit, detect, and eval in one go",
                  {"seed", "epsilon", "ar_k"}),
 }

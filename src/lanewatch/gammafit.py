@@ -86,9 +86,18 @@ def digamma(z: float) -> float:
     """First derivative of log_gamma, z > 0."""
     if not z > 0.0:
         raise ValueError(f"digamma requires z > 0, got {z}")
+    return math.log(z) - _log_minus_digamma(z)
+
+
+def _log_minus_digamma(z: float) -> float:
+    """log(z) - digamma(z), z > 0, as a sum of positive terms, so it keeps its
+    relative precision as z grows: 1/z - log1p(1/z) for each recurrence
+    step that lifts z past _PSI_SHIFT, then 1/(2z) and the Bernoulli
+    series at the lifted z.  fit_gamma_mle solves it equal to s."""
     acc = 0.0
     while z < _PSI_SHIFT:
-        acc -= 1.0 / z
+        inv = 1.0 / z
+        acc += inv - math.log1p(inv)
         z += 1.0
     inv = 1.0 / z
     inv2 = inv * inv
@@ -109,7 +118,7 @@ def digamma(z: float) -> float:
             )
         )
     )
-    return acc + math.log(z) - 0.5 * inv - series
+    return acc + 0.5 * inv + series
 
 
 _SERIES_EPS = 1e-15
@@ -214,7 +223,7 @@ def fit_gamma_mle(errors) -> GammaParams:
         raise DegenerateDataError("error values have (near) zero spread; gamma fit undefined")
 
     def excess(a: float) -> float:
-        return s - (math.log(a) - digamma(a))
+        return s - _log_minus_digamma(a)
 
     lo = hi = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
     while excess(lo) >= 0.0:

@@ -15,12 +15,14 @@ and reads the body in one piece.  Read errors of both binaries carry the
 byte offset of the problem.
 
 CSV files are LF-terminated with a fixed header; floats use Python's
-shortest round-trip representation.  Every CSV is written by _write_csv
-and read by _read_rows, which checks each row's column count, with
-cells parsed by _parse.  The fitted-parameters JSON instead prints 17
-significant digits so the decimal literals are exact float64 round-trips
-even for consumers with naive parsers.  The numbers of a JSON artifact
-are checked by the type they build (errors.integer and errors.real).
+shortest round-trip representation.  The error CSV's header names the
+smoothed series, frame_index,smoothed_error, so a raw frame_index,error
+file is refused.  Every CSV is written by _write_csv and read by
+_read_rows, which checks each row's column count, with cells parsed by
+_parse.  The fitted-parameters JSON instead prints 17 significant digits
+so the decimal literals are exact float64 round-trips even for consumers
+with naive parsers.  The numbers of a JSON artifact are checked by the
+type they build (errors.integer and errors.real).
 """
 
 from __future__ import annotations
@@ -81,10 +83,9 @@ def write_frames(path: str | Path, stream: FrameStream) -> None:
         f.write(np.ascontiguousarray(stream.frames, dtype="<f4").data)
 
 
-def read_frames(path: str | Path, frame_rate_hz: float = 30.0) -> FrameStream:
-    """Load a whole FRM1 file as FrameFile(path)[:] reads it; frame_rate_hz
-    is caller-supplied metadata, the format itself does not store it."""
-    return FrameStream(frames=FrameFile(path)[:], frame_rate_hz=frame_rate_hz)
+def read_frames(path: str | Path) -> FrameStream:
+    """Load a whole FRM1 file as FrameFile(path)[:] reads it."""
+    return FrameStream(frames=FrameFile(path)[:])
 
 
 def _head(f, magic: bytes, n: int) -> tuple[int, bytes]:
@@ -218,13 +219,13 @@ def _parse(path, line_no, cell: str, kind: type[int] | type[float]) -> int | flo
 
 def write_error_csv(path: str | Path, series: ErrorSeries) -> None:
     rows = zip(series.frame_indices(), series.values)
-    _write_csv(path, "frame_index,error", (f"{i},{float(v)!r}" for i, v in rows))
+    _write_csv(path, "frame_index,smoothed_error", (f"{i},{float(v)!r}" for i, v in rows))
 
 
 def read_error_csv(path: str | Path) -> ErrorSeries:
     indices: list[int] = []
     values: list[float] = []
-    for line_no, (index, value) in _read_rows(path, "frame_index,error"):
+    for line_no, (index, value) in _read_rows(path, "frame_index,smoothed_error"):
         indices.append(_parse(path, line_no, index, int))
         values.append(_parse(path, line_no, value, float))
     if not indices:

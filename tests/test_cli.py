@@ -28,6 +28,7 @@ from lanewatch.evalkit import (
     sweep_curves,
     threshold_grid,
 )
+from lanewatch.experiment import calibrate, nominal_drive
 from lanewatch.io import (
     read_error_csv,
     read_frames,
@@ -145,16 +146,17 @@ def test_nominal_artifacts_do_not_depend_on_the_evaluation_conditions(pipeline_d
 
 
 def test_cli_and_library_score_alike(tmp_path):
-    # FRM1 and the library's frames are both float32, so the CLI's errors
-    # equal the library's for the same drive, to the last bit.
+    # FRM1 and the library's frames are both float32, so the CLI's smoothed
+    # errors equal the library's for the same drive, to the last bit.
     work = tmp_path / "out"
     work.mkdir()
     config = _write_config(tmp_path, "config.json", work)
     for command in ("simulate", "train", "fit"):
         assert main([command, "--config", str(config)]) == 0, command
-    spec = load_config(str(config), argparse.Namespace()).scenario
+    cfg = load_config(str(config), argparse.Namespace())
     cli = read_error_csv(work / "errors.csv")
-    library = error_series(read_model_json(work / "model.bin"), generate_scenario(spec)[0])
+    raw = error_series(read_model_json(work / "model.bin"), generate_scenario(cfg.scenario)[0])
+    library = ar_filter(raw, cfg.ar)
     assert cli.start_index == library.start_index
     np.testing.assert_array_equal(cli.values, library.values)
 
@@ -181,8 +183,40 @@ def test_fit_scores_the_frame_file_like_the_whole_stream(tmp_path, monkeypatch, 
     # train reads the drive whole; fit reads it block by block.
     assert len(reads) == 1
     whole = error_series(read_model_json(work / "model.bin"), read_frames(work / "frames.frm1"))
-    write_error_csv(tmp_path / "whole.csv", whole)
+    write_error_csv(tmp_path / "whole.csv", ar_filter(whole))
     assert (work / "errors.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_fit_writes_the_errors_smoothed_like_its_calibration(pipeline_dir, tmp_path):
+    # fit smooths the evaluation drive with the filter theta was calibrated
+    # on, so errors.csv holds what detect and eval compare with theta.
+    work, _ = pipeline_dir
+    for name in ("frames.frm1", "calibration.frm1", "model.bin"):
+        (tmp_path / name).write_bytes((work / name).read_bytes())
+    config = _write_config(tmp_path, "config.json", tmp_path)
+    assert main(["fit", "--config", str(config), "--ar-k", "3"]) == 0
+    model, ar = read_model_json(tmp_path / "model.bin"), ArFilterConfig(order_k=3)
+    expected = ar_filter(error_series(model, read_frames(tmp_path / "frames.frm1")), ar)
+    written = read_error_csv(tmp_path / "errors.csv")
+    assert written.start_index == expected.start_index
+    np.testing.assert_array_equal(written.values, expected.values)
+    params, _ = calibrate(model, [read_frames(tmp_path / "calibration.frm1")], ar)
+    assert read_params_json(tmp_path / "params.json")[0] == params
+    # The default k = 10 smooths differently, so the check bites.
+    assert not np.array_equal(written.values, read_error_csv(work / "errors.csv").values)
+
+
+def test_nominal_drives_are_not_the_evaluation_drive_at_seed_0(tmp_path):
+    # The training drive sits at track seed 1000·s + 1, so at the default
+    # s = 0 it is not the evaluation drive's own track.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workdir": str(tmp_path),
+                                  "scenario": {"n_frames": 300, "conditions": ["nominal"]}}))
+    assert main(["simulate", "--config", str(config)]) == 0
+    names = ("frames.frm1", "train.frm1", "calibration.frm1")
+    assert len({(tmp_path / name).read_bytes() for name in names}) == 3
+    np.testing.assert_array_equal(read_frames(tmp_path / "train.frm1").frames,
+                                  nominal_drive(1, 300).frames)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="VmHWM is read from /proc on Linux")
@@ -286,7 +320,7 @@ def test_labelling_healing_h_drives_detect_and_eval(pipeline_dir, tmp_path):
     assert main(["detect", "--config", str(config)]) == 0
     assert main(["eval", "--config", str(config)]) == 0
 
-    smoothed = ar_filter(read_error_csv(tmp_path / "errors.csv"))
+    smoothed = read_error_csv(tmp_path / "errors.csv")
     _, threshold, _ = read_params_json(tmp_path / "params.json")
     theta = threshold.theta
     expected = run_detector(smoothed, DetectorConfig(theta=theta, healing_frames_h=20))
@@ -604,6 +638,21 @@ def test_non_finite_error_exits_2(pipeline_dir, tmp_path, capsys, cell):
         assert "errors.csv" in capsys.readouterr().err, command
 
 
+def test_raw_error_header_exits_2(pipeline_dir, tmp_path, capsys):
+    # An errors.csv written before fit smoothed the series holds raw errors
+    # under the old header; it is refused rather than compared with theta.
+    work, _ = pipeline_dir
+    _copy_inputs(work, tmp_path)
+    errors = (tmp_path / "errors.csv").read_text().splitlines()
+    errors[0] = "frame_index,error"
+    (tmp_path / "errors.csv").write_text("\n".join(errors) + "\n")
+    config = _write_config(tmp_path, "config.json", tmp_path)
+    for command in ("detect", "eval"):
+        assert main([command, "--config", str(config)]) == 2, command
+        err = capsys.readouterr().err
+        assert "header 'frame_index,error', expected 'frame_index,smoothed_error'" in err, command
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc_info:
         main(["frobnicate"])
@@ -614,9 +663,9 @@ _SUBCOMMAND_FLAGS = {
     "simulate": {"--seed"},
     "train": {"--seed"},
     "fit": {"--epsilon", "--ar-k"},
-    "detect": {"--ar-k"},
+    "detect": set(),
     "label": {"--reaction-r"},
-    "eval": {"--ar-k", "--reaction-r", "--thresholds"},
+    "eval": {"--reaction-r", "--thresholds"},
     "pipeline": {"--seed", "--epsilon", "--ar-k"},
 }
 
@@ -634,7 +683,8 @@ def test_each_subcommand_takes_its_flags(command, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["train", "--epsilon", "0.1"], ["simulate", "--ar-k", "5"], ["detect", "--seed", "1"],
-     ["label", "--thresholds", "0.1"], ["pipeline", "--reaction-r", "10"]],
+     ["label", "--thresholds", "0.1"], ["pipeline", "--reaction-r", "10"],
+     ["detect", "--ar-k", "3"], ["eval", "--ar-k", "3"]],
 )
 def test_flag_outside_the_subcommand_exits_2(argv):
     with pytest.raises(SystemExit) as exc_info:

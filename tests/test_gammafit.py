@@ -20,6 +20,7 @@ from lanewatch.errors import DegenerateDataError
 from lanewatch.gammafit import (
     GammaParams,
     ThresholdSpec,
+    _log_minus_digamma,
     digamma,
     estimate_threshold,
     fit_gamma_mle,
@@ -185,6 +186,25 @@ def test_mle_first_order_conditions():
     assert p.shape_alpha / p.rate_beta == pytest.approx(float(x.mean()), rel=1e-12)
     s = math.log(float(x.mean())) - float(np.mean(np.log(x)))
     assert math.log(p.shape_alpha) - digamma(p.shape_alpha) == pytest.approx(s, rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", [0.5, 2.0, 15.0, 230.0, 2000.0])
+def test_mle_shape_is_the_mpmath_root(shape):
+    # log(shape) and digamma(shape) both sit near log(shape), so taking
+    # their difference by subtraction would lose digits as the shape grows.
+    x = np.random.default_rng(1).gamma(shape=shape, size=2000)
+    s = math.log(float(x.mean())) - float(np.mean(np.log(x)))
+    alpha = fit_gamma_mle(x).shape_alpha
+    with mpmath.workdps(50):
+        root = mpmath.findroot(lambda a: mpmath.log(a) - mpmath.digamma(a) - s, alpha)
+        assert abs(float((alpha - root) / root)) <= 1e-15
+
+
+def test_log_minus_digamma_matches_mpmath():
+    with mpmath.workdps(50):
+        for z in np.geomspace(0.3, 1e4, 301):
+            ref = mpmath.log(z) - mpmath.digamma(z)
+            assert abs(float((_log_minus_digamma(float(z)) - ref) / ref)) <= 1.2e-15, z
 
 
 def test_mle_recovers_known_parameters():

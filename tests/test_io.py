@@ -64,7 +64,7 @@ def test_frames_round_trip_exact(tmp_path):
     stream = _stream()
     path = tmp_path / "frames.frm1"
     write_frames(path, stream)
-    back = read_frames(path, frame_rate_hz=10.0)
+    back = read_frames(path)
     assert len(back) == 5
     assert back.frames.shape == (5, 3, 4, 1)
     # Streams and FRM1 both hold float32, so the round trip is exact.
@@ -224,7 +224,7 @@ def test_error_csv_round_trip(tmp_path):
 
 def test_error_csv_rejects_gap(tmp_path):
     path = tmp_path / "errors.csv"
-    path.write_text("frame_index,error\n0,0.1\n2,0.2\n")
+    path.write_text("frame_index,smoothed_error\n0,0.1\n2,0.2\n")
     with pytest.raises(FormatError):
         read_error_csv(path)
 
@@ -232,7 +232,7 @@ def test_error_csv_rejects_gap(tmp_path):
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-0.1"])
 def test_error_csv_rejects_non_finite_or_negative(tmp_path, cell):
     path = tmp_path / "errors.csv"
-    path.write_text(f"frame_index,error\n0,0.1\n1,{cell}\n")
+    path.write_text(f"frame_index,smoothed_error\n0,0.1\n1,{cell}\n")
     with pytest.raises(FormatError, match="errors.csv"):
         read_error_csv(path)
 
@@ -673,7 +673,7 @@ _error_cells = st.one_of(
 def _error_files(draw) -> bytes:
     start = draw(st.integers(-3, 3))
     cells = draw(st.lists(_error_cells, max_size=6))
-    header = draw(st.sampled_from(["frame_index,error", "frame_index,err", ""]))
+    header = draw(st.sampled_from(["frame_index,smoothed_error", "frame_index,error", ""]))
     lines = [header] + [f"{start + i},{cell}" for i, cell in enumerate(cells)]
     data = ("\n".join(lines) + "\n").encode()
     return draw(_damaged(data, len(header)))
@@ -865,7 +865,7 @@ def _load_config(path):
 @pytest.mark.parametrize(
     "reader, data",
     [
-        (read_error_csv, b"frame_index,error\n0,0.5\xff\n"),
+        (read_error_csv, b"frame_index,smoothed_error\n0,0.5\xff\n"),
         (read_misbehaviour_csv, b"frame_index,misbehaviour\n0,\xff\n"),
         (read_labels_csv, b"start,length,kind\n0,30,\xff\n"),
         (read_params_json, b'{"alpha": "\xff"}\n'),
