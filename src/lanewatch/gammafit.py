@@ -1,8 +1,8 @@
 """Gamma fitting and alarm-threshold calibration for reconstruction errors.
 
-Log-gamma is math.lgamma.  Digamma, the regularized lower incomplete
-gamma and one bisection, which solves both the MLE shape and the
-quantile, live here, so the fit needs no scipy.  Rate convention:
+Log-gamma is math.lgamma.  log(z) - digamma(z), the regularized lower
+incomplete gamma and one bisection, which solves both the MLE shape and
+the quantile, live here, so the fit needs no scipy.  Rate convention:
 
     pdf(x) = rate**shape / Gamma(shape) * x**(shape - 1) * exp(-rate * x)
 
@@ -22,7 +22,6 @@ __all__ = [
     "GammaParams",
     "ThresholdSpec",
     "log_gamma",
-    "digamma",
     "gamma_cdf",
     "gamma_inverse_cdf",
     "fit_gamma_mle",
@@ -80,13 +79,6 @@ def log_gamma(z: float) -> float:
 # The asymptotic series below is accurate once the argument exceeds this;
 # smaller arguments are lifted by the recurrence first.
 _PSI_SHIFT = 10.0
-
-
-def digamma(z: float) -> float:
-    """First derivative of log_gamma, z > 0."""
-    if not z > 0.0:
-        raise ValueError(f"digamma requires z > 0, got {z}")
-    return math.log(z) - _log_minus_digamma(z)
 
 
 def _log_minus_digamma(z: float) -> float:

@@ -85,7 +85,7 @@ def write_frames(path: str | Path, stream: FrameStream) -> None:
 
 def read_frames(path: str | Path) -> FrameStream:
     """Load a whole FRM1 file as FrameFile(path)[:] reads it."""
-    return FrameStream(frames=FrameFile(path)[:])
+    return FrameFile(path)._read(slice(None))
 
 
 def _head(f, magic: bytes, n: int) -> tuple[int, bytes]:
@@ -141,6 +141,10 @@ class FrameFile:
         return self.shape[0]
 
     def __getitem__(self, frames: slice) -> np.ndarray:
+        return self._read(frames).frames
+
+    def _read(self, frames: slice) -> FrameStream:
+        """The frames of the slice, validated once, as a FrameStream."""
         start, stop, step = frames.indices(len(self))
         if step != 1:
             raise ValueError(f"FrameFile reads contiguous frames only, got step {step}")
@@ -156,7 +160,7 @@ class FrameFile:
         block = np.frombuffer(body, dtype="<f4").reshape(shape)
         block.flags.writeable = False
         try:
-            return FrameStream(frames=block).frames
+            return FrameStream(frames=block)
         except ValueError:
             # Only now is the first bad cell looked for, to name its frame
             # and byte offset.  NaN fails both comparisons, so this also

@@ -14,18 +14,19 @@ from the generator to the trainer, and the SGD steps run in float32
 inside buffers allocated once per training call.  A model holds float32
 weights and biases: every weight matrix but an input-major first layer
 trains in the model's own array, so no second copy of the weights
-exists.  Each training layer takes one of three forms, chosen from its
-sizes and the batch rows (see _Workspace): an input-major first layer at
-most 64 wide (sae's 1024-32, dae's 1024-64) multiplies a @ W with
-W = w.T; a wide layer, both sizes above the batch (seq's one layer,
-dae's 64-1024), w @ a.T; every other layer a @ w.T.  A weight larger
-than _ROW_BLOCK_BYTES (seq's) is drawn, updated and upcast for scoring
-in row blocks of that size; its blocked update has the bits of one
-whole update.  The batch loss is one float32 dot of the output delta
-with itself.  Scoring runs in float64, every layer as a @ w.T whatever
-its form in training, so errors.csv does not depend on that choice, and
-SCORE_BLOCK_ROWS samples at a time, so its memory does not grow with the
-stream.
+exists.  A weight larger than _ROW_BLOCK_BYTES (seq's) is drawn, updated
+and upcast for scoring in row blocks of that size; its blocked update
+has the bits of one whole update.
+
+Training and scoring run separate forward passes.  Training's _forward
+writes each layer into a workspace in one of three forms chosen from
+its sizes and the batch rows (see _Workspace): input-major a @ W with
+W = w.T, wide w @ a.T, or a @ w.T.  The batch loss is one float32 dot
+of the output delta with itself.  error_series runs its own float64
+loop, every layer as a @ w.T whatever its form in training, so
+errors.csv does not depend on that choice, SCORE_BLOCK_ROWS samples at
+a time in buffers allocated once per call, so its memory does not grow
+with the stream.
 """
 
 from __future__ import annotations
@@ -182,14 +183,14 @@ _INPUT_MAJOR_MAX_OUT = 64
 # A weight matrix larger than this is handled in row blocks of this size:
 # its float64 initial draws, its float32 gradient, each block held in L2
 # between its product and its update (see _Workspace), and its float64
-# upcast when scoring (see _forward).  With the defaults only seq's
+# upcast when scoring (see error_series).  With the defaults only seq's
 # 3072-1024 weight is larger: 16 gradient blocks of 64 rows, 32 draw and
 # scoring blocks of 32 rows.
 _ROW_BLOCK_BYTES = 768 * 1024
 
 # Scoring upcasts this many samples at a time to float64 (one more in a
 # last block that would otherwise hold a single sample), so its
-# temporaries stay the same size whatever the length of the stream.
+# buffers stay the same size whatever the length of the stream.
 SCORE_BLOCK_ROWS = 256
 
 _DEFAULT_LEARNING_RATE = {
@@ -271,7 +272,7 @@ class ReconstructorModel:
         return self.history_k if self.kind is ReconstructorKind.SEQ else 1
 
 
-def _activate(z: np.ndarray, activation: Activation, out: np.ndarray | None = None) -> np.ndarray:
+def _activate(z: np.ndarray, activation: Activation, out: np.ndarray) -> np.ndarray:
     if activation is Activation.RELU:
         return np.maximum(z, 0.0, out=out)
     # tanh form of the sigmoid avoids exp overflow for large |z|
@@ -342,7 +343,6 @@ class _Workspace:
 
     standard=True keeps every layer batch-major with (n_out, n_in)
     weights and full gradients, for the step that takes no workspace.
-    Scoring uses no workspace and keeps a @ w.T (see _forward).
     """
 
     def __init__(self, layer_sizes: list[int], rows: int, dtype, standard: bool = False):
@@ -398,32 +398,21 @@ def _forward(
     biases: list[np.ndarray],
     activation: Activation,
     x: np.ndarray,
-    ws: _Workspace | None = None,
+    ws: _Workspace,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Return (pre-activations, post-activations); post[0] is the input.
 
-    Every returned array is batch-major, (m, n).  With a workspace each
-    layer is written into its buffers in the form it chose (see
-    _Workspace); a wide layer's feature-major buffer is returned as the
-    transposed view.  Without one, as when scoring, every layer is a @ w.T
-    into fresh arrays in the dtype of a and w together, so scores
-    (errors.csv) do not depend on the workspace's choice.  There a weight
-    is cast one row block at a time (see _block_rows), each block's product
-    written into its columns of z: a float32 weight scored in float64
-    needs no whole float64 copy, and a weight that fits in one block
-    gives the bits of one product."""
+    Each layer is written into the workspace's buffers in the form it
+    chose (see _Workspace).  Every returned array is batch-major, (m, n):
+    a wide layer's feature-major buffer is returned as the transposed
+    view."""
     m = len(x)
     pre: list[np.ndarray] = []
     post: list[np.ndarray] = [x]
     a = x
     last = len(weights) - 1
     for l, (w, b) in enumerate(zip(weights, biases)):
-        if ws is None:
-            z = np.empty((m, len(w)), np.result_type(a, w))
-            step = _block_rows(len(w), w.shape[1] * z.itemsize)
-            for r0, r1 in _row_ranges(len(w), step):
-                np.matmul(a, w[r0:r1].astype(z.dtype, copy=False).T, out=z[:, r0:r1])
-        elif l == 0 and ws.input_major:
+        if l == 0 and ws.input_major:
             z = np.matmul(a, w, out=ws.pre[0][:m])
         elif ws.wide[l]:
             z = np.matmul(w, a.T, out=ws.pre[l][:, :m]).T
@@ -431,7 +420,7 @@ def _forward(
             z = np.matmul(a, w.T, out=ws.pre[l][:m])
         z += b
         pre.append(z)
-        a = z if l == last else _activate(z, activation, None if ws is None else ws.post[l][:m])
+        a = z if l == last else _activate(z, activation, ws.post[l][:m])
         post.append(a)
     return pre, post
 
@@ -449,19 +438,17 @@ def _loss_and_grads(
 
     The arithmetic runs in the dtype of the inputs; the loss is one dot of
     the flat output delta with itself, divided by its size.  Without a
-    workspace every weight and gradient is (n_out, n_in), in fresh arrays.
-    With one, each layer takes the workspace's form (see _Workspace): an
-    input-major first layer's weights and gradient are (n_in, n_out); the
-    returned gradient lists are the workspace's own buffers, overwritten
-    by its next step; a blocked layer's weight gradient is left to
-    _apply_blocked, which reads the layer's delta from ws.delta.
+    workspace the step makes a standard one: every weight and gradient
+    (n_out, n_in).  With one, each layer takes the workspace's form (see
+    _Workspace): an input-major first layer's weights and gradient are
+    (n_in, n_out); the returned gradient lists are the workspace's own
+    buffers, overwritten by its next step; a blocked layer's weight
+    gradient is left to _apply_blocked, which reads its delta from ws.delta.
     """
     if ws is None:
         sizes = [x.shape[1], *(len(b) for b in biases)]
-        pre, post = _forward(weights, biases, activation, x)
         ws = _Workspace(sizes, len(x), np.result_type(x, *weights), standard=True)
-    else:
-        pre, post = _forward(weights, biases, activation, x, ws)
+    pre, post = _forward(weights, biases, activation, x, ws)
     m = len(x)
     delta = np.subtract(post[-1], target, out=ws.delta[-1][:m])
     flat = delta.reshape(-1)
@@ -601,18 +588,6 @@ def train_reconstructor(
     )
 
 
-def _block_errors(
-    model: ReconstructorModel, inputs: np.ndarray, targets: np.ndarray
-) -> np.ndarray:
-    """Float64 errors of one block of float32 samples; its temporaries are
-    freed before the next block allocates."""
-    _, post = _forward(model.weights, model.biases, model.activation, inputs.astype(np.float64))
-    diff = np.clip(post[-1], 0.0, 1.0, out=post[-1])
-    np.subtract(targets, diff, out=diff)
-    diff *= diff
-    return np.mean(diff, axis=1)
-
-
 def error_series(model: ReconstructorModel, stream) -> ErrorSeries:
     """Per-frame reconstruction errors over a stream, computed in float64.
 
@@ -623,21 +598,45 @@ def error_series(model: ReconstructorModel, stream) -> ErrorSeries:
     also be an io.FrameFile, which reads each slice from disk.  Each error
     depends only on its own sample, so the values are those of scoring
     the whole stream at once.
+
+    The float64 buffers are allocated once per call, and a block of m
+    samples writes into their first m rows.  A weight is cast one row
+    block at a time (see _block_rows), each block's product written into
+    its columns of the layer's buffer: a float32 weight needs no whole
+    float64 copy, and a weight that fits in one block gives the bits of
+    one product.
     """
     if len(stream) == 0:
         raise ValueError("cannot score an empty stream")
     k = model.history_k if model.kind is ReconstructorKind.SEQ else None
     n_samples = _sample_count(len(stream), k)
     k = k or 0
-    blocks = []
+    rows = min(n_samples, SCORE_BLOCK_ROWS + 1)
+    x = np.empty((rows, model.layer_sizes[0]))
+    layers = [np.empty((rows, n)) for n in model.layer_sizes[1:]]
+    values = np.empty(n_samples)
     for a, b in _row_ranges(n_samples, SCORE_BLOCK_ROWS):
+        m = b - a
         # Samples a ... b-1 read frames a ... b+k-1.
-        frames = stream.frames[a : b + k].reshape(b - a + k, -1)
+        frames = stream.frames[a : b + k].reshape(m + k, -1)
         n_pixels = frames.shape[1]
         # Row i of the inputs holds sample a+i's frames, oldest first: a
-        # strided view of the block, not a copy.
-        inputs = np.lib.stride_tricks.sliding_window_view(
+        # strided view of the block, cast into x without another copy.
+        x[:m] = np.lib.stride_tricks.sliding_window_view(
             frames.reshape(-1), model.input_window * n_pixels
-        )[::n_pixels]
-        blocks.append(_block_errors(model, inputs[: b - a], frames[k:]))
-    return ErrorSeries(values=np.concatenate(blocks), start_index=k)
+        )[::n_pixels][:m]
+        out = x[:m]
+        for l, (w, bias) in enumerate(zip(model.weights, model.biases)):
+            inputs, out = out, layers[l][:m]
+            step = _block_rows(len(w), w.shape[1] * out.itemsize)
+            for r0, r1 in _row_ranges(len(w), step):
+                np.matmul(inputs, w[r0:r1].astype(out.dtype, copy=False).T, out=out[:, r0:r1])
+            out += bias
+            if l < len(layers) - 1:
+                _activate(out, model.activation, out)
+        np.clip(out, 0.0, 1.0, out=out)
+        # seq's targets stay float32: a float64 copy would add a buffer.
+        np.subtract(frames[k:], out, out=out)
+        out *= out
+        np.mean(out, axis=1, out=values[a:b])
+    return ErrorSeries(values=values, start_index=k)

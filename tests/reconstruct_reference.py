@@ -1,16 +1,17 @@
-"""Single-frame references for `lanewatch.reconstruct.error_series`.
+"""References for `lanewatch.reconstruct.error_series`.
 
-`error_series` scores a whole stream in float64 blocks of samples.  These
-helpers reconstruct and score one frame at a time with the model's own
-forward pass, so they are slow but easy to read; tests assert that the
-blocked scores equal them.
+`error_series` scores a whole stream in float64 blocks of samples, in
+buffers it allocates once.  `forward` here is a plain float64 forward pass
+with a fresh array per layer, and `reconstruct` applies it to one frame.
+They are slow but easy to read, and they share no code with the loop they
+check; tests assert that the blocked scores equal them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from lanewatch.reconstruct import ReconstructorModel, _forward
+from lanewatch.reconstruct import Activation, ReconstructorModel
 
 
 def reconstruction_error(x: np.ndarray, x_prime: np.ndarray) -> float:
@@ -19,6 +20,20 @@ def reconstruction_error(x: np.ndarray, x_prime: np.ndarray) -> float:
         raise ValueError(f"frame shapes differ: {x.shape} vs {x_prime.shape}")
     diff = x - x_prime
     return float(np.mean(diff * diff))
+
+
+def forward(model: ReconstructorModel, inputs: np.ndarray) -> np.ndarray:
+    """Float64 reconstructions of an (n, input size) matrix of samples,
+    clamped to [0, 1]: each layer a @ w.T + b, then the activation."""
+    a = np.asarray(inputs, dtype=np.float64)
+    relu = model.activation is Activation.RELU
+    last = len(model.weights) - 1
+    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
+        a = a @ w.astype(np.float64).T + b
+        if l < last:
+            # The sigmoid in the tanh form the model computes.
+            a = np.maximum(a, 0.0) if relu else (np.tanh(a * 0.5) + 1.0) * 0.5
+    return np.clip(a, 0.0, 1.0)
 
 
 def reconstruct(model: ReconstructorModel, history: np.ndarray) -> np.ndarray:
@@ -40,5 +55,4 @@ def reconstruct(model: ReconstructorModel, history: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input size {flat.shape[1]} does not match model input {model.layer_sizes[0]}"
         )
-    _, post = _forward(model.weights, model.biases, model.activation, flat)
-    return np.clip(post[-1], 0.0, 1.0)[0].reshape(history.shape[1:])
+    return forward(model, flat)[0].reshape(history.shape[1:])

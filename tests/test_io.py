@@ -87,6 +87,23 @@ def test_read_frames_is_read_only(tmp_path):
     assert not FrameFile(path)[0:3].flags.writeable
 
 
+def test_read_frames_validates_the_body_once(tmp_path, monkeypatch):
+    # Each FrameStream takes one min/max pass over its frames; a second
+    # stream around the first would read a drive's body twice.
+    path = tmp_path / "frames.frm1"
+    write_frames(path, _stream())
+    built = []
+    validate = FrameStream.__post_init__
+
+    def counted(self):
+        built.append(len(self.frames))
+        validate(self)
+
+    monkeypatch.setattr(FrameStream, "__post_init__", counted)
+    read_frames(path)
+    assert built == [5]
+
+
 def test_frames_rewrite_is_byte_identical(tmp_path):
     stream = _stream(seed=7)
     a, b = tmp_path / "a.frm1", tmp_path / "b.frm1"

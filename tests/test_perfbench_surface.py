@@ -23,14 +23,17 @@ from pathlib import Path
 import numpy as np
 
 from lanewatch import cli, detector, evalkit, io, reconstruct
+from lanewatch.gammafit import GammaParams, ThresholdSpec
 from lanewatch.io import write_frames
 from lanewatch.reconstruct import (
     Activation,
+    ErrorSeries,
     FrameStream,
     ReconstructorKind,
     ReconstructorModel,
     train_reconstructor,
 )
+from lanewatch.scenario import MisbehaviourLog
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 CHILD = PERFBENCH / "child.py"
@@ -223,3 +226,45 @@ def test_cli_model_io_calls_the_names_bound_in_io(tmp_path, monkeypatch):
     assert calls == [("write_model_json", "model.bin")]
     assert cli.main(["fit", "--config", str(config)]) == 0
     assert calls[1:] == [("read_model_json", "model.bin")]
+
+
+def test_every_detector_fold_calls_the_traced_name(tmp_path, monkeypatch):
+    # The tracer wraps only detector.run_detector_verbose, wherever a
+    # package module binds it, so the detector.run_detector span sees a
+    # fold only if it calls that function object.  A run_detector that
+    # skipped the decision list would hide every sweep fold from the span.
+    [(module_name, fn_name)] = [
+        (m, f) for m, f, span, _ in _tracing().TARGETS if span == "detector.run_detector"
+    ]
+    original = getattr(importlib.import_module(f"lanewatch.{module_name}"), fn_name)
+    folds = []
+
+    def counted(smoothed, cfg):
+        folds.append(cfg.theta)
+        return original(smoothed, cfg)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lanewatch"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    flags = np.zeros(900, dtype=bool)
+    flags[[300, 700]] = True
+    log = MisbehaviourLog(flags=flags)
+    smoothed = ErrorSeries(values=np.random.default_rng(4).random(900) * 0.01)
+    theta, thetas = 0.006, [0.003, 0.005, 0.009]
+    detector.run_detector(smoothed, detector.DetectorConfig(theta=theta))
+    assert folds == [theta]
+    evalkit.alarms_per_theta([smoothed, smoothed], thetas, 60)
+    assert folds[1:] == [t for t in thetas for _ in range(2)]
+    evalkit.sweep_curves(evalkit.label_windows(log), smoothed, thetas)
+    assert folds[7:] == thetas
+    evalkit.evaluate([log], [smoothed], theta, thetas, evalkit.LabellingConfig(), [10, 50])
+    assert folds[10:] == [theta, *thetas]
+    io.write_error_csv(tmp_path / "errors.csv", smoothed)
+    io.write_params_json(tmp_path / "params.json", GammaParams(2.0, 400.0),
+                         ThresholdSpec(epsilon=0.05, theta=theta), 900)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"workdir": str(tmp_path)}))
+    assert cli.main(["detect", "--config", str(config)]) == 0
+    assert folds[14:] == [theta]

@@ -32,7 +32,7 @@ from lanewatch.reconstruct import (
     _loss_and_grads,
     _row_ranges,
 )
-from reconstruct_reference import reconstruct, reconstruction_error
+from reconstruct_reference import forward, reconstruct, reconstruction_error
 
 
 def _frame(pixels: np.ndarray, w: int = 4, h: int = 4) -> np.ndarray:
@@ -152,7 +152,8 @@ def test_loss_is_mean_squared_residual(dtype, rtol):
     for rows in (32, 13):
         x = rng.random((rows, sizes[0])).astype(dtype)
         target = rng.random((rows, sizes[-1])).astype(dtype)
-        out = _forward(weights, biases, Activation.RELU, x)[1][-1]
+        standard = _Workspace(sizes, rows, dtype, standard=True)
+        out = _forward(weights, biases, Activation.RELU, x, standard)[1][-1]
         want = float(np.mean((out.astype(np.float64) - target.astype(np.float64)) ** 2))
         plain = _loss_and_grads(weights, biases, Activation.RELU, x, target)[0]
         stepped = _loss_and_grads(held, biases, Activation.RELU, x, target, ws)[0]
@@ -406,14 +407,7 @@ def _whole_stream_errors(model, stream):
     k = model.history_k if model.kind is ReconstructorKind.SEQ else 0
     n = len(frames)
     inputs = np.concatenate([frames[j : n - k + j] for j in range(k)], axis=1) if k else frames
-    relu = model.activation is Activation.RELU
-    a = inputs
-    for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w.astype(np.float64).T + b
-        if l < len(model.weights) - 1:
-            # The sigmoid in the tanh form the model computes.
-            a = np.maximum(a, 0.0) if relu else (np.tanh(a * 0.5) + 1.0) * 0.5
-    diffs = frames[k:] - np.clip(a, 0.0, 1.0)
+    diffs = frames[k:] - forward(model, inputs)
     return np.mean(diffs * diffs, axis=1)
 
 
