@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import io
 from .detector import DetectorConfig, run_detector_verbose
-from .errors import ConfigError, ConvergenceError, DegenerateDataError, integer, real
+from .errors import ConfigError, ConvergenceError, DegenerateDataError, FormatError, integer, real
 from .evalkit import LabellingConfig, WindowKind, evaluate, label_windows, threshold_grid
 from .experiment import calibrate, nominal_drive
 from .gammafit import estimate_threshold
@@ -254,6 +254,10 @@ def cmd_eval(cfg: PipelineConfig) -> None:
     smoothed = io.read_error_csv(cfg.path("errors"))
     _, threshold, _ = io.read_params_json(cfg.path("params"))
     log = io.read_misbehaviour_csv(cfg.path("misbehaviour"))
+    end = smoothed.start_index + len(smoothed)
+    if end != len(log):
+        raise FormatError(f"{cfg.path('errors')} covers frames {smoothed.start_index} to "
+                          f"{end - 1} but {cfg.path('misbehaviour')} holds {len(log)}; rerun fit")
     thetas = cfg.thresholds if cfg.thresholds is not None else threshold_grid(smoothed.values)
     swept = cfg.reaction_sweep or []
     (labels, report, sweep), *swept_results = evaluate(
@@ -264,22 +268,18 @@ def cmd_eval(cfg: PipelineConfig) -> None:
     doc["epsilon"] = threshold.epsilon
     doc["theta"] = threshold.theta
     doc["reaction_r"] = cfg.labelling.reaction_r
-    if sweep is not None:
-        io.write_curve_csv(cfg.path("roc"), "threshold,fpr,tpr", sweep.roc_rows)
-        io.write_curve_csv(cfg.path("pr"), "threshold,recall,precision", sweep.pr_rows)
+    # Header-only without a sweep, so no curve of an earlier run is left.
+    roc_rows, pr_rows = (sweep.roc_rows, sweep.pr_rows) if sweep else ([], [])
+    io.write_curve_csv(cfg.path("roc"), "threshold,fpr,tpr", roc_rows)
+    io.write_curve_csv(cfg.path("pr"), "threshold,recall,precision", pr_rows)
     if cfg.reaction_sweep is not None:
-        table = []
-        for r, (_, r_report, r_sweep) in zip(swept, swept_results, strict=True):
-            r_doc = r_report.to_json_dict(r_sweep)
-            table.append(
-                {
-                    "reaction_r": r,
-                    "auc_roc": r_doc["curves"]["auc_roc"],
-                    "auc_pr": r_doc["curves"]["auc_pr"],
-                    "counts": r_doc["counts"],
-                }
-            )
-        doc["reaction_sweep"] = table
+        doc["reaction_sweep"] = [
+            {"reaction_r": r, "auc_roc": r_sweep.auc_roc if r_sweep else None,
+             "auc_pr": r_sweep.auc_pr if r_sweep else None,
+             "counts": {"tp": r_counts.tp, "fp": r_counts.fp, "tn": r_counts.tn,
+                        "fn": r_counts.fn}}
+            for r, (_, r_counts, r_sweep) in zip(swept, swept_results, strict=True)
+        ]
     io.write_report_json(cfg.path("report"), doc)
     tpr = "n.a." if report.tpr is None else f"{report.tpr:.3f}"
     fpr = "n.a." if report.fpr is None else f"{report.fpr:.3f}"

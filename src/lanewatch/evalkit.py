@@ -39,7 +39,6 @@ __all__ = [
     "label_windows",
     "score_windows",
     "compute_metrics",
-    "anchored_curves",
     "pooled_counts",
     "pooled_sweep",
     "sweep_curves",
@@ -71,7 +70,6 @@ class WindowKind(str, Enum):
     NORMAL = "normal"
     REACTION = "reaction"
     HEALING = "healing"
-    UNLABELLED = "unlabelled"
 
 
 @dataclass(frozen=True)
@@ -273,37 +271,6 @@ class ThresholdSweep:
     auc_pr: float
 
 
-def _trapezoid_area(curve: list[tuple[float, float]]) -> float:
-    """Area under a polyline, integrated in the given point order."""
-    return float(np.trapezoid([p[1] for p in curve], [p[0] for p in curve]))
-
-
-def anchored_curves(
-    roc_points: list[tuple[float, float]],
-    pr_points: list[tuple[float, float]],
-    prevalence: float,
-) -> tuple[list[tuple[float, float]], list[tuple[float, float]], float, float]:
-    """Anchor (fpr, tpr) and (recall, precision) operating points and
-    integrate them; returns (roc_curve, pr_curve, auc_roc, auc_pr).
-
-    The ROC polyline is anchored at (0,0) and (1,1).  The PR polyline is
-    anchored at recall 0 with the precision of the lowest-recall point and
-    ends at recall 1 with the label prevalence (anomalous windows over
-    anomalous plus normal windows), after any real recall-1 points.
-    Areas are trapezoidal.
-    """
-    roc_curve = sorted(set(roc_points) | {(0.0, 0.0), (1.0, 1.0)})
-    if pr_points:
-        lowest_recall_precision = min(pr_points)[1]
-    else:
-        # No threshold produced an alarm inside a counted window; the flat
-        # prevalence line is the only honest curve left.
-        lowest_recall_precision = prevalence
-    pr_curve = sorted(set(pr_points) | {(0.0, lowest_recall_precision)})
-    pr_curve.append((1.0, prevalence))
-    return roc_curve, pr_curve, _trapezoid_area(roc_curve), _trapezoid_area(pr_curve)
-
-
 def pooled_counts(
     labels_per_drive: list[list[WindowLabel]],
     alarms_per_drive: list[list[int]],
@@ -327,8 +294,12 @@ def pooled_sweep(
 
     alarms_per_theta[i][j] holds the alarms of drive j at thetas[i], so
     one detector pass per threshold can be scored against several
-    labellings.  Rows come in ascending theta; the curves are anchored
-    and integrated by anchored_curves.
+    labellings.  Rows come in ascending theta.  The ROC polyline is
+    anchored at (0,0) and (1,1).  The PR polyline is anchored at recall 0
+    with the precision of the lowest-recall point and ends at recall 1
+    with the label prevalence (anomalous windows over anomalous plus
+    normal windows), after any real recall-1 points.  Areas are
+    trapezoidal, integrated in curve order.
     """
     if not thetas:
         raise ValueError("threshold sweep needs at least one threshold")
@@ -350,15 +321,19 @@ def pooled_sweep(
         roc_rows.append((theta, report.fpr, report.tpr))
         if report.precision is not None:
             pr_rows.append((theta, report.tpr, report.precision))
-    return ThresholdSweep(
-        roc_rows,
-        pr_rows,
-        *anchored_curves(
-            [(fpr, tpr) for _, fpr, tpr in roc_rows],
-            [(recall, precision) for _, recall, precision in pr_rows],
-            n_anomalous / (n_anomalous + n_normal),
-        ),
+    prevalence = n_anomalous / (n_anomalous + n_normal)
+    roc_curve = sorted({(fpr, tpr) for _, fpr, tpr in roc_rows} | {(0.0, 0.0), (1.0, 1.0)})
+    pr_points = {(recall, precision) for _, recall, precision in pr_rows}
+    # No PR point means no threshold alarmed inside a counted window; the
+    # flat prevalence line is then the only honest curve left.
+    lowest_recall_precision = min(pr_points)[1] if pr_points else prevalence
+    pr_curve = sorted(pr_points | {(0.0, lowest_recall_precision)})
+    pr_curve.append((1.0, prevalence))
+    auc_roc, auc_pr = (
+        float(np.trapezoid([y for _, y in curve], [x for x, _ in curve]))
+        for curve in (roc_curve, pr_curve)
     )
+    return ThresholdSweep(roc_rows, pr_rows, roc_curve, pr_curve, auc_roc, auc_pr)
 
 
 def alarms_per_theta(

@@ -44,6 +44,7 @@ from lanewatch.io import (
 from lanewatch.reconstruct import (
     SCORE_BLOCK_ROWS,
     Activation,
+    ErrorSeries,
     FrameStream,
     ReconstructorKind,
     ReconstructorModel,
@@ -51,7 +52,7 @@ from lanewatch.reconstruct import (
     error_series,
     train_reconstructor,
 )
-from lanewatch.scenario import ScenarioSpec, generate_scenario
+from lanewatch.scenario import MisbehaviourLog, ScenarioSpec, generate_scenario
 from lanewatch.smoothing import ArFilterConfig, ar_filter
 
 ARTIFACTS = [
@@ -336,9 +337,48 @@ def test_labelling_healing_h_drives_detect_and_eval(pipeline_dir, tmp_path):
     assert (tmp_path / "roc.csv").read_bytes() == (tmp_path / "expected_roc.csv").read_bytes()
 
 
+def test_eval_without_sweep_empties_the_curve_files(pipeline_dir, tmp_path):
+    # A drive without misbehaviours has no anomalous window, so there is no
+    # sweep; the curves of the degraded drive evaluated before must not be
+    # left beside its report.
+    work, _ = pipeline_dir
+    _copy_inputs(work, tmp_path)
+    config = _write_config(tmp_path, "config.json", tmp_path)
+    assert main(["eval", "--config", str(config)]) == 0
+    assert len((tmp_path / "roc.csv").read_text().splitlines()) > 1
+    n_frames = len(read_misbehaviour_csv(tmp_path / "misbehaviour.csv"))
+    io.write_misbehaviour_csv(tmp_path / "misbehaviour.csv",
+                              MisbehaviourLog(flags=np.zeros(n_frames, dtype=bool)))
+    assert main(["eval", "--config", str(config)]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["curves"]["auc_roc"] is None
+    assert (tmp_path / "roc.csv").read_text() == "threshold,fpr,tpr\n"
+    assert (tmp_path / "pr.csv").read_text() == "threshold,recall,precision\n"
+
+
+def test_eval_exits_2_when_errors_and_log_cover_different_frames(pipeline_dir, tmp_path, capsys):
+    work, _ = pipeline_dir
+    _copy_inputs(work, tmp_path)
+    config = _write_config(tmp_path, "config.json", tmp_path)
+    log = read_misbehaviour_csv(tmp_path / "misbehaviour.csv")
+    smoothed = read_error_csv(tmp_path / "errors.csv")
+    # A series that starts late, as seq's does at its history length,
+    # still covers the log when it runs to its last frame.
+    write_error_csv(tmp_path / "errors.csv",
+                    ErrorSeries(values=smoothed.values[3:], start_index=3))
+    assert main(["eval", "--config", str(config)]) == 0
+    # A log simulated at another length than the one fit scored.
+    for flags in (np.concatenate([log.flags, np.zeros(500, dtype=bool)]), log.flags[:-1]):
+        io.write_misbehaviour_csv(tmp_path / "misbehaviour.csv", MisbehaviourLog(flags=flags))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "errors.csv" in err and "misbehaviour.csv" in err and "rerun fit" in err
+
+
 def test_eval_line_counts_scored_windows(pipeline_dir, capsys):
-    # Reaction, healing and unlabelled windows are labelled but never
-    # scored, so the line reports both totals.
+    # Reaction and healing windows are labelled but never scored, so the
+    # line reports both totals.
     work, config = pipeline_dir
     capsys.readouterr()
     assert main(["eval", "--config", str(config)]) == 0

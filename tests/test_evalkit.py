@@ -23,7 +23,6 @@ from lanewatch.evalkit import (
     ThresholdSweep,
     WindowKind,
     WindowLabel,
-    anchored_curves,
     compute_metrics,
     evaluate,
     label_windows,
@@ -337,13 +336,25 @@ def test_pr_curve_anchors():
     assert sweep.auc_pr == pytest.approx(1.0, abs=1e-15)
 
 
+def _tiles(kinds):
+    """Hand-built labels: one 10-frame window per kind, back to back."""
+    return [WindowLabel(start=10 * i, length=10, kind=kind) for i, kind in enumerate(kinds)]
+
+
 def test_pr_anchor_follows_real_recall_one_points():
-    # Recall 1 is reached at precision 0.8 above the 0.4 prevalence: the
-    # curve holds 1.0 to recall 0.5, falls to 0.8 at recall 1, then drops
-    # to the anchor; area 0.5 * 1.0 + 0.5 * (1.0 + 0.8) / 2 = 0.95.
-    _, pr, _, auc_pr = anchored_curves([(0.2, 1.0)], [(1.0, 0.8), (0.5, 1.0)], 0.4)
-    assert pr == [(0.0, 1.0), (0.5, 1.0), (1.0, 0.8), (1.0, 0.4)]
-    assert auc_pr == pytest.approx(0.95, abs=1e-15)
+    # Four anomalous and six normal windows: prevalence 0.4.  At 0.9 two
+    # anomalous windows alarm (recall 0.5, precision 1); at 0.1 all four
+    # do, plus the normal window 10-19 (recall 1 at precision 0.8).
+    A, N = WindowKind.ANOMALOUS, WindowKind.NORMAL
+    labels = _tiles([A, N, A, N, A, N, A, N, N, N])
+    sweep = pooled_sweep([labels], [0.9, 0.1], [[[5, 25]], [[5, 15, 25, 45, 65]]], 60)
+    assert sweep.pr_rows == [(0.1, 1.0, 0.8), (0.9, 0.5, 1.0)]
+    # The curve holds 1.0 to recall 0.5, falls to 0.8 at recall 1, then
+    # drops to the anchor; area 0.5 * 1.0 + 0.5 * (1.0 + 0.8) / 2 = 0.95.
+    assert sweep.pr_curve == [(0.0, 1.0), (0.5, 1.0), (1.0, 0.8), (1.0, 0.4)]
+    assert sweep.auc_pr == pytest.approx(0.95, abs=1e-15)
+    assert sweep.roc_curve == [(0.0, 0.0), (0.0, 0.5), (1 / 6, 1.0), (1.0, 1.0)]
+    assert sweep.auc_roc == pytest.approx(1 / 6 * 0.75 + 5 / 6, abs=1e-15)
 
 
 def test_pooled_sweep_two_drives_by_hand():
@@ -418,14 +429,18 @@ def test_threshold_grid_drops_duplicates_and_non_positive():
     assert grid == pytest.approx([0.385, 1.0], abs=1e-12)
 
 
-def test_anchored_curves_without_defined_precision():
-    # No threshold alarmed inside a counted window, so no PR point exists;
-    # the PR curve falls back to the flat prevalence line.
-    roc, pr, auc_roc, auc_pr = anchored_curves([(0.0, 0.0)], [], 0.25)
-    assert roc == [(0.0, 0.0), (1.0, 1.0)]
-    assert pr == [(0.0, 0.25), (1.0, 0.25)]
-    assert auc_roc == pytest.approx(0.5, abs=1e-15)
-    assert auc_pr == pytest.approx(0.25, abs=1e-15)
+def test_pooled_sweep_without_defined_precision():
+    # No threshold alarms inside a counted window (the one alarm lands in
+    # the reaction window), so no PR point exists; the PR curve falls back
+    # to the flat prevalence line, 1 anomalous over 4 counted windows.
+    labels = _tiles([WindowKind.NORMAL] * 3 + [WindowKind.ANOMALOUS, WindowKind.REACTION])
+    sweep = pooled_sweep([labels], [0.1, 0.2], [[[45]], [[]]], 60)
+    assert sweep.roc_rows == [(0.1, 0.0, 0.0), (0.2, 0.0, 0.0)]
+    assert sweep.pr_rows == []
+    assert sweep.roc_curve == [(0.0, 0.0), (1.0, 1.0)]
+    assert sweep.pr_curve == [(0.0, 0.25), (1.0, 0.25)]
+    assert sweep.auc_roc == pytest.approx(0.5, abs=1e-15)
+    assert sweep.auc_pr == pytest.approx(0.25, abs=1e-15)
 
 
 def test_window_label_validation():

@@ -293,10 +293,12 @@ def test_labels_csv_round_trip(tmp_path):
 
 
 def test_labels_csv_rejects_unknown_kind(tmp_path):
+    # label never writes "unlabelled": frames outside every window get no row.
     path = tmp_path / "labels.csv"
-    path.write_text("start,length,kind\n0,30,bogus\n")
-    with pytest.raises(FormatError):
-        read_labels_csv(path)
+    for kind in ("bogus", "unlabelled"):
+        path.write_text(f"start,length,kind\n0,30,{kind}\n")
+        with pytest.raises(FormatError, match=f"unknown kind '{kind}'"):
+            read_labels_csv(path)
 
 
 @pytest.mark.parametrize("row", ["-1,5,normal", "1,0,normal"])
