@@ -6,6 +6,7 @@ The CLI maps these onto exit codes: ConfigError and FormatError exit 2,
 DegenerateDataError and ConvergenceError exit 3.
 """
 
+import math
 import numbers
 
 
@@ -43,12 +44,14 @@ def integer(value, name: str) -> int:
 
 
 def real(value, name: str) -> float:
-    """A number: an int or a float passes as a float; a boolean, a string
-    or an int too large for a float raises ValueError.  Finiteness and
-    range are the caller's."""
+    """A finite number, as a float: a boolean, a string, NaN, an infinity
+    (which would pass any "> 0" range check) or an int too large for a
+    float raises ValueError.  Range is the caller's."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
-            return float(value)
+            if math.isfinite(value):
+                return float(value)
         except OverflowError:
             raise ValueError(f"{name} is too large for a float, got {value!r}") from None
+        raise ValueError(f"{name} must be finite, got {value}")
     raise ValueError(f"{name} must be a number, got {value!r}")

@@ -38,11 +38,10 @@ class GammaParams:
 
     def __post_init__(self):
         for name in ("shape_alpha", "rate_beta"):
-            object.__setattr__(self, name, real(getattr(self, name), name))
-        if not (math.isfinite(self.shape_alpha) and self.shape_alpha > 0.0):
-            raise ValueError(f"shape must be finite and positive, got {self.shape_alpha}")
-        if not (math.isfinite(self.rate_beta) and self.rate_beta > 0.0):
-            raise ValueError(f"rate must be finite and positive, got {self.rate_beta}")
+            value = real(getattr(self, name), name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+            object.__setattr__(self, name, value)
 
     @property
     def mean(self) -> float:
@@ -65,8 +64,8 @@ class ThresholdSpec:
             object.__setattr__(self, name, real(getattr(self, name), name))
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not (math.isfinite(self.theta) and self.theta > 0.0):
-            raise ValueError(f"theta must be finite and positive, got {self.theta}")
+        if not self.theta > 0.0:
+            raise ValueError(f"theta must be positive, got {self.theta}")
 
 
 def log_gamma(z: float) -> float:

@@ -19,10 +19,12 @@ shortest round-trip representation.  The error CSV's header names the
 smoothed series, frame_index,smoothed_error, so a raw frame_index,error
 file is refused.  Every CSV is written by _write_csv and read by
 _read_rows, which checks each row's column count, with cells parsed by
-_parse.  The fitted-parameters JSON instead prints 17 significant digits
-so the decimal literals are exact float64 round-trips even for consumers
-with naive parsers.  The numbers of a JSON artifact are checked by the
-type they build (errors.integer and errors.real).
+_parse; the per-frame ones, frame_index,<column>, by _write_series and
+_read_series, which checks each row's frame index.  The fitted-parameters
+JSON instead prints 17 significant digits so the decimal literals are
+exact float64 round-trips even for consumers with naive parsers.  The
+numbers of a JSON artifact are checked by the type they build
+(errors.integer and errors.real).
 """
 
 from __future__ import annotations
@@ -213,34 +215,54 @@ def _read_rows(path: str | Path, header: str):
         yield line_no, cells
 
 
-def _parse(path, line_no, cell: str, kind: type[int] | type[float]) -> int | float:
+def _flag(cell: str) -> bool:
+    """A misbehaviour flag: the integer 0 or 1."""
+    if int(cell) not in (0, 1):
+        raise ValueError(cell)
+    return int(cell) == 1
+
+
+def _parse(path, line_no, cell: str, kind) -> int | float | bool:
+    """cell parsed by kind: int, float or _flag."""
     try:
         return kind(cell)
     except ValueError as exc:
-        noun = "integer" if kind is int else "number"
+        noun = {int: "integer", float: "number"}.get(kind, "flag (0 or 1)")
         raise FormatError(f"{path}: line {line_no}: bad {noun} '{cell}'") from exc
 
 
+def _write_series(path: str | Path, column: str, start: int, cells) -> None:
+    """A per-frame CSV: one frame_index,<column> row per cell, the first
+    at frame start.  A Python float's str is its shortest round trip."""
+    rows = enumerate(cells, start)
+    _write_csv(path, f"frame_index,{column}", (f"{i},{cell}" for i, cell in rows))
+
+
+def _read_series(path: str | Path, column: str, kind, start: int | None = None):
+    """The first frame index and the cells, parsed as kind, of a per-frame
+    CSV.  Each row's index must be one more than the row's before it,
+    counting from start, or from the first row's index when start is None;
+    a row that breaks the count names its line, before its cell is read."""
+    cells = []
+    for line_no, (index, cell) in _read_rows(path, f"frame_index,{column}"):
+        idx = _parse(path, line_no, index, int)
+        start = idx if start is None else start
+        if idx != start + len(cells):
+            raise FormatError(
+                f"{path}: line {line_no}: frame index {idx}, expected {start + len(cells)}"
+            )
+        cells.append(_parse(path, line_no, cell, kind))
+    return start, cells
+
+
 def write_error_csv(path: str | Path, series: ErrorSeries) -> None:
-    rows = zip(series.frame_indices(), series.values)
-    _write_csv(path, "frame_index,smoothed_error", (f"{i},{float(v)!r}" for i, v in rows))
+    _write_series(path, "smoothed_error", series.start_index, series.values.tolist())
 
 
 def read_error_csv(path: str | Path) -> ErrorSeries:
-    indices: list[int] = []
-    values: list[float] = []
-    for line_no, (index, value) in _read_rows(path, "frame_index,smoothed_error"):
-        indices.append(_parse(path, line_no, index, int))
-        values.append(_parse(path, line_no, value, float))
-    if not indices:
+    start, values = _read_series(path, "smoothed_error", float)
+    if not values:
         raise FormatError(f"{path}: no data rows")
-    start = indices[0]
-    for offset, idx in enumerate(indices):
-        if idx != start + offset:
-            raise FormatError(
-                f"{path}: frame indices must be contiguous, "
-                f"saw {idx} where {start + offset} was expected"
-            )
     try:
         return ErrorSeries(values=np.asarray(values), start_index=start)
     except ValueError as exc:
@@ -248,35 +270,20 @@ def read_error_csv(path: str | Path) -> ErrorSeries:
 
 
 def write_misbehaviour_csv(path: str | Path, log: MisbehaviourLog) -> None:
-    rows = enumerate(log.flags)
-    _write_csv(path, "frame_index,misbehaviour", (f"{i},{int(f)}" for i, f in rows))
+    _write_series(path, "misbehaviour", 0, log.flags.astype(int).tolist())
 
 
 def read_misbehaviour_csv(path: str | Path) -> MisbehaviourLog:
-    flags: list[bool] = []
-    for line_no, (index, flag) in _read_rows(path, "frame_index,misbehaviour"):
-        idx = _parse(path, line_no, index, int)
-        if idx != len(flags):
-            raise FormatError(
-                f"{path}: line {line_no}: frame index {idx}, expected {len(flags)}"
-            )
-        value = _parse(path, line_no, flag, int)
-        if value not in (0, 1):
-            raise FormatError(f"{path}: line {line_no}: flag must be 0 or 1, got {value}")
-        flags.append(bool(value))
+    _, flags = _read_series(path, "misbehaviour", _flag, start=0)
     return MisbehaviourLog(flags=np.asarray(flags, dtype=bool))
 
 
 def write_intensity_csv(path: str | Path, trace: np.ndarray) -> None:
-    rows = enumerate(np.asarray(trace, dtype=float))
-    _write_csv(path, "frame_index,intensity", (f"{i},{float(v)!r}" for i, v in rows))
+    _write_series(path, "intensity", 0, np.asarray(trace, dtype=float).tolist())
 
 
-def write_decision_csv(
-    path: str | Path, start_index: int, decisions: list[Decision]
-) -> None:
-    rows = enumerate(decisions, start=start_index)
-    _write_csv(path, "frame_index,decision", (f"{i},{d.value}" for i, d in rows))
+def write_decision_csv(path: str | Path, start_index: int, decisions: list[Decision]) -> None:
+    _write_series(path, "decision", start_index, (d.value for d in decisions))
 
 
 def write_labels_csv(path: str | Path, labels: list[WindowLabel]) -> None:

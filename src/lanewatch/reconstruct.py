@@ -2,10 +2,10 @@
 
 Reconstructors are small fully-connected networks trained by mini-batch
 SGD to reproduce nominal camera frames: a shallow autoencoder (one hidden
-layer), a deep autoencoder (five node layers), and a sequence predictor
-that maps the previous k frames to the next one.  The per-frame error is
-the mean pixel-wise squared difference between a frame and its
-reconstruction.
+layer), a deep autoencoder (five node layers), and a sequence predictor,
+an affine map (no hidden layer) from the previous k frames to the next
+one.  The per-frame error is the mean pixel-wise squared difference
+between a frame and its reconstruction.
 
 Training is deterministic given the seed: weight initialization and the
 per-epoch batch shuffle both draw from one seeded generator, so two runs
@@ -119,23 +119,19 @@ class ErrorSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def frame_indices(self) -> np.ndarray:
-        return np.arange(self.start_index, self.start_index + self.values.size)
-
 
 @dataclass
 class TrainConfig:
     """Hyperparameters for reconstructor training.
 
-    hidden_sizes=None selects a per-kind default; an autoencoder takes as
-    many sizes as its default has, the sequence predictor any number.  The
-    learning rate is fixed per kind:
-    the sequence predictor's affine map sees the full concatenated pixel
-    vector and diverges at the step size the autoencoders want.
-    history_k only applies to the sequence predictor.  Training reads the
-    stream's float32 frames and computes in float32; the returned model
-    holds the float32 weights and biases SGD updated, and scoring runs in
-    float64.
+    hidden_sizes=None selects a per-kind default; every kind takes as many
+    sizes as its default has (see _DEFAULT_HIDDEN).  The learning rate is
+    fixed per kind: the sequence predictor's affine map sees the full
+    concatenated pixel vector and diverges at the step size the
+    autoencoders want.  history_k only applies to the sequence predictor.
+    Training reads the stream's float32 frames and computes in float32;
+    the returned model holds the float32 weights and biases SGD updated,
+    and scoring runs in float64.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
@@ -229,10 +225,11 @@ class ReconstructorModel:
         if not isinstance(losses, list):
             raise ValueError(f"epoch_losses must be a list, got {losses!r}")
         self.epoch_losses = [real(x, f"epoch_losses[{i}]") for i, x in enumerate(losses)]
-        if not all(map(math.isfinite, self.epoch_losses)):
-            raise ValueError("epoch_losses must be finite")
         if any(s <= 0 for s in self.layer_sizes):
             raise ValueError(f"layer sizes must be positive, got {self.layer_sizes}")
+        n_layers = len(_DEFAULT_HIDDEN[self.kind]) + 2
+        if len(sizes) != n_layers:
+            raise ValueError(f"{self.kind.value} takes {n_layers} layer sizes, got {sizes}")
         n_links = len(self.layer_sizes) - 1
         if len(self.weights) != n_links or len(self.biases) != n_links:
             raise ValueError(
@@ -249,14 +246,6 @@ class ReconstructorModel:
                 raise ValueError(
                     f"bias {l} has shape {self.biases[l].shape}, expected {(n_out,)}"
                 )
-        if self.kind is not ReconstructorKind.SEQ:
-            n_layers = len(_DEFAULT_HIDDEN[self.kind]) + 2
-            if len(sizes) != n_layers:
-                raise ValueError(f"{self.kind.value} takes {n_layers} layer sizes, got {sizes}")
-            if self.layer_sizes[0] != self.layer_sizes[-1]:
-                raise ValueError("autoencoder input and output sizes must match")
-            if self.history_k not in (None, 1):
-                raise ValueError("history_k applies only to the sequence predictor")
         if self.kind is ReconstructorKind.SEQ:
             if self.history_k is None or self.history_k <= 0:
                 raise ValueError("sequence predictor needs a positive history_k")
@@ -265,11 +254,15 @@ class ReconstructorModel:
                     f"sequence input size {self.layer_sizes[0]} must equal "
                     f"history_k * output size = {self.history_k * self.layer_sizes[-1]}"
                 )
+        elif self.history_k is not None:
+            raise ValueError("history_k applies only to the sequence predictor")
+        elif self.layer_sizes[0] != self.layer_sizes[-1]:
+            raise ValueError("autoencoder input and output sizes must match")
 
     @property
     def input_window(self) -> int:
         """Number of past frames one reconstruction consumes."""
-        return self.history_k if self.kind is ReconstructorKind.SEQ else 1
+        return self.history_k or 1
 
 
 def _activate(z: np.ndarray, activation: Activation, out: np.ndarray) -> np.ndarray:
@@ -283,14 +276,12 @@ def _activate(z: np.ndarray, activation: Activation, out: np.ndarray) -> np.ndar
     return a
 
 
-def _activate_grad(
-    z: np.ndarray, a: np.ndarray, activation: Activation, out: np.ndarray
-) -> np.ndarray:
+def _activate_grad(z: np.ndarray, a: np.ndarray, activation: Activation) -> np.ndarray:
     """Derivative of the activation at pre-activation z, whose activation
-    is a, written into out."""
+    is a, written over z."""
     if activation is Activation.RELU:
-        return np.greater(z, 0.0, out=out)
-    g = np.subtract(1.0, a, out=out)
+        return np.greater(z, 0.0, out=z)
+    g = np.subtract(1.0, a, out=z)
     g *= a
     return g
 
@@ -358,7 +349,6 @@ class _Workspace:
         ]
         # Hidden layers only: the output layer is the identity.
         self.post = [_aligned_empty((rows, n), dtype) for n in outs[:-1]]
-        self.act_grad = [_aligned_empty((rows, n), dtype) for n in outs[:-1]]
         self.delta = [_aligned_empty((rows, n), dtype) for n in outs]
         shapes = [
             (n_in, n_out) if l == 0 and self.input_major else (n_out, n_in)
@@ -461,7 +451,8 @@ def _loss_and_grads(
             np.matmul(left.T, right, out=ws.grad_w[l])
         np.sum(delta, axis=0, out=ws.grad_b[l])
         if l > 0:
-            grad = _activate_grad(pre[l - 1], post[l], activation, ws.act_grad[l - 1][:m])
+            # pre[l - 1] is not read again, so the gradient overwrites it.
+            grad = _activate_grad(pre[l - 1], post[l], activation)
             delta = np.matmul(delta, weights[l], out=ws.delta[l - 1][:m])
             delta *= grad
     return loss, ws.grad_w, ws.grad_b
@@ -511,7 +502,7 @@ def train_reconstructor(
     window = history_k or 1  # frames per input row
     hidden = hyper.hidden_sizes if hyper.hidden_sizes is not None else _DEFAULT_HIDDEN[kind]
     depth = len(_DEFAULT_HIDDEN[kind])
-    if kind is not ReconstructorKind.SEQ and len(hidden) != depth:
+    if len(hidden) != depth:
         raise ConfigError(f"{kind.value} takes hidden_sizes of length {depth}, got {hidden}")
     layer_sizes = [window * n_pixels, *hidden, n_pixels]
     learning_rate = _DEFAULT_LEARNING_RATE[kind]
@@ -608,9 +599,8 @@ def error_series(model: ReconstructorModel, stream) -> ErrorSeries:
     """
     if len(stream) == 0:
         raise ValueError("cannot score an empty stream")
-    k = model.history_k if model.kind is ReconstructorKind.SEQ else None
-    n_samples = _sample_count(len(stream), k)
-    k = k or 0
+    n_samples = _sample_count(len(stream), model.history_k)
+    k = model.history_k or 0
     rows = min(n_samples, SCORE_BLOCK_ROWS + 1)
     x = np.empty((rows, model.layer_sizes[0]))
     layers = [np.empty((rows, n)) for n in model.layer_sizes[1:]]

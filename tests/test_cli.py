@@ -589,6 +589,9 @@ def test_fractional_int_field_exits_2(tmp_path, capsys, section, key, value):
         pytest.param("scenario", {"frame_rate_hz": True},
                      "scenario.frame_rate_hz must be a number, got True",
                      id="frame-rate-boolean"),
+        # inf passes "> 0": it would run a cycle that never leaves intensity 0.
+        pytest.param("scenario", {"conditions": ["rain", "fog"], "cycle_period_s": float("inf")},
+                     "scenario.cycle_period_s must be finite, got inf", id="cycle-period-inf"),
         pytest.param("scenario", {"intensity_max": "1"},
                      "scenario.intensity_max must be a number, got '1'",
                      id="intensity-max-string"),

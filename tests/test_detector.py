@@ -104,8 +104,9 @@ def test_decisions_align_with_alarms():
 
 
 def test_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(theta=0.0)
+    for theta in (0.0, float("inf")):
+        with pytest.raises(ValueError):
+            DetectorConfig(theta=theta)
     with pytest.raises(ValueError):
         DetectorConfig(theta=0.5, healing_frames_h=0)
     # The series type refuses what the detector cannot order against theta.

@@ -39,12 +39,18 @@ from lanewatch.smoothing import ArFilterConfig
          "frame_rate_hz must be a number, got '10'"),
         (lambda: PipelineConfig(epsilon="0.05"), "epsilon must be a number, got '0.05'"),
         (lambda: PipelineConfig(thresholds=[True]), "thresholds[0] must be a number, got True"),
+        # inf passes every "> 0" check, so the number check refuses it.
+        (lambda: FrameStream(frames=np.zeros((1, 2, 2, 1)), frame_rate_hz=float("inf")),
+         "frame_rate_hz must be finite, got inf"),
+        (lambda: PipelineConfig(thresholds=[0.1, float("inf")]),
+         "thresholds[1] must be finite, got inf"),
     ],
     ids=["hidden-size-fractional", "epochs-boolean", "batch-size-fractional",
          "n-frames-fractional", "frame-rate-string", "window-a-fractional",
          "order-k-boolean", "theta-boolean", "theta-string", "healing-fractional",
          "window-start-fractional", "window-length-boolean", "start-index-fractional",
-         "stream-frame-rate-string", "epsilon-string", "threshold-boolean"],
+         "stream-frame-rate-string", "epsilon-string", "threshold-boolean",
+         "stream-frame-rate-inf", "threshold-inf"],
 )
 def test_library_constructors_reject_what_the_config_rejects(build, message):
     with pytest.raises(ValueError) as caught:
@@ -70,3 +76,6 @@ def test_the_two_checks():
             real(value, "x")
     with pytest.raises(ValueError, match="x is too large for a float"):
         real(10**400, "x")
+    for value in (float("inf"), -np.inf, float("nan"), np.float32("nan")):
+        with pytest.raises(ValueError, match=f"x must be finite, got {float(value)}"):
+            real(value, "x")

@@ -240,10 +240,12 @@ def test_error_csv_round_trip(tmp_path):
 
 
 def test_error_csv_rejects_gap(tmp_path):
+    # The gap is reported at its own line, also when a bad number follows it.
     path = tmp_path / "errors.csv"
-    path.write_text("frame_index,smoothed_error\n0,0.1\n2,0.2\n")
-    with pytest.raises(FormatError):
-        read_error_csv(path)
+    for after in ("", "3,0.3\n4,x\n"):
+        path.write_text("frame_index,smoothed_error\n0,0.1\n2,0.2\n" + after)
+        with pytest.raises(FormatError, match="line 3: frame index 2, expected 1"):
+            read_error_csv(path)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-0.1"])
@@ -273,8 +275,18 @@ def test_misbehaviour_csv_round_trip(tmp_path):
 def test_misbehaviour_csv_rejects_bad_flag(tmp_path):
     path = tmp_path / "mis.csv"
     path.write_text("frame_index,misbehaviour\n0,2\n")
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="line 2: bad flag"):
         read_misbehaviour_csv(path)
+
+
+def test_misbehaviour_csv_rejects_gap(tmp_path):
+    # A log counts from frame 0; a gap names its line before a bad flag after it.
+    path = tmp_path / "mis.csv"
+    for rows, message in (("1,0\n", "line 2: frame index 1, expected 0"),
+                          ("0,0\n2,1\n3,x\n", "line 3: frame index 2, expected 1")):
+        path.write_text("frame_index,misbehaviour\n" + rows)
+        with pytest.raises(FormatError, match=message):
+            read_misbehaviour_csv(path)
 
 
 def test_labels_csv_round_trip(tmp_path):
@@ -341,7 +353,9 @@ def _model_parts(path) -> tuple[dict, bytes]:
 
 
 def _tiny_model(kind=ReconstructorKind.SAE, **hyper) -> ReconstructorModel:
-    cfg = TrainConfig(**{"hidden_sizes": (2,), "epochs": 1, **hyper})
+    # Each kind takes as many hidden sizes as its default has: sae one.
+    hidden = (2,) if kind is ReconstructorKind.SAE else None
+    cfg = TrainConfig(**{"hidden_sizes": hidden, "epochs": 1, **hyper})
     return train_reconstructor(_stream(n=12, w=2, h=2), kind, cfg)
 
 
@@ -475,8 +489,7 @@ def test_model_json_rejects_non_finite(tmp_path, token, where):
 def test_model_json_integer_fields_must_be_integers(tmp_path, field, value):
     # Truncated or read as 1, each value would give the sizes the weights have.
     kind = ReconstructorKind.SAE if field == "layer_sizes" else ReconstructorKind.SEQ
-    model = _tiny_model(kind, hidden_sizes=(2,) if kind is ReconstructorKind.SAE else None,
-                        history_k=1)
+    model = _tiny_model(kind, history_k=1)
     path = tmp_path / "model.bin"
     write_model_json(path, model)
     doc, body = _model_parts(path)

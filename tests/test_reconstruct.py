@@ -15,7 +15,6 @@ from lanewatch.errors import ConfigError, ConvergenceError
 from lanewatch.io import FrameFile, read_model_json, write_frames, write_model_json
 from lanewatch.reconstruct import (
     Activation,
-    ErrorSeries,
     FrameStream,
     ReconstructorKind,
     ReconstructorModel,
@@ -356,6 +355,9 @@ def test_hidden_size_arity_enforced():
         train_reconstructor(stream, "sae", TrainConfig(hidden_sizes=(8, 8), epochs=1))
     with pytest.raises(ConfigError):
         train_reconstructor(stream, "dae", TrainConfig(hidden_sizes=(8,), epochs=1))
+    # seq is affine: it takes no hidden size.
+    with pytest.raises(ConfigError, match="seq takes hidden_sizes of length 0"):
+        train_reconstructor(stream, "seq", TrainConfig(hidden_sizes=(8,), epochs=1))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -533,11 +535,6 @@ def test_frame_stream_from_list_of_frames():
     assert rebuilt.frame_rate_hz == stream.frame_rate_hz
 
 
-def test_error_series_frame_indices():
-    es = ErrorSeries(values=[0.1, 0.2, 0.3], start_index=7)
-    assert list(es.frame_indices()) == [7, 8, 9]
-
-
 def test_model_shape_validation():
     with pytest.raises(ValueError):
         ReconstructorModel(
@@ -555,6 +552,26 @@ def test_model_shape_validation():
             biases=[np.zeros(4)],
             activation=Activation.RELU,
             history_k=3,  # 3 * 4 != 8
+        )
+    # An autoencoder has no history, even a history of one frame.
+    with pytest.raises(ValueError, match="history_k applies only to the sequence predictor"):
+        ReconstructorModel(
+            kind=ReconstructorKind.SAE,
+            layer_sizes=[4, 2, 4],
+            weights=[np.zeros((2, 4)), np.zeros((4, 2))],
+            biases=[np.zeros(2), np.zeros(4)],
+            activation=Activation.RELU,
+            history_k=1,
+        )
+    # seq is affine: two layer sizes, even with weights that fit three.
+    with pytest.raises(ValueError, match="seq takes 2 layer sizes"):
+        ReconstructorModel(
+            kind=ReconstructorKind.SEQ,
+            layer_sizes=[8, 2, 4],
+            weights=[np.zeros((2, 8)), np.zeros((4, 2))],
+            biases=[np.zeros(2), np.zeros(4)],
+            activation=Activation.RELU,
+            history_k=2,
         )
 
 
