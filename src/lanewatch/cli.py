@@ -15,6 +15,7 @@ usage/config/file-format error, 3 numerical or degenerate-data error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -68,6 +69,13 @@ class PipelineConfig:
             if not isinstance(value, str):
                 raise ConfigError(f"paths.{key} must be a JSON string, got {value!r}")
         self.files = {**_DEFAULT_FILES, **self.files}
+        # Two artifacts in one file would overwrite each other, or calibrate
+        # theta on the drive the model was trained on.
+        named: dict[str, str] = {}
+        for key, value in self.files.items():
+            other = named.setdefault(os.path.normpath(value), key)
+            if other != key:
+                raise ConfigError(f"paths.{other} and paths.{key} name the same file {value!r}")
         if not isinstance(self.workdir, (str, Path)):
             raise ConfigError(f"workdir must be a JSON string, got {self.workdir!r}")
         self.workdir = Path(self.workdir)
@@ -80,6 +88,9 @@ class PipelineConfig:
             self.thresholds = [real(t, f"thresholds[{i}]") for i, t in enumerate(listed)]
             if not self.thresholds:
                 raise ConfigError("threshold list is empty")
+            for i, t in enumerate(self.thresholds):
+                if not t > 0.0:
+                    raise ConfigError(f"thresholds[{i}] must be positive, got {t}")
 
     def path(self, name: str) -> Path:
         return self.workdir / self.files[name]

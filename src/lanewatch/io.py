@@ -222,12 +222,20 @@ def _flag(cell: str) -> bool:
     return int(cell) == 1
 
 
+def _error(cell: str) -> float:
+    """A reconstruction error: a finite, non-negative number."""
+    value = float(cell)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(cell)
+    return value
+
+
 def _parse(path, line_no, cell: str, kind) -> int | float | bool:
-    """cell parsed by kind: int, float or _flag."""
+    """cell parsed by kind: int, _error or _flag."""
     try:
         return kind(cell)
     except ValueError as exc:
-        noun = {int: "integer", float: "number"}.get(kind, "flag (0 or 1)")
+        noun = {int: "integer", _error: "finite non-negative number"}.get(kind, "flag (0 or 1)")
         raise FormatError(f"{path}: line {line_no}: bad {noun} '{cell}'") from exc
 
 
@@ -260,13 +268,10 @@ def write_error_csv(path: str | Path, series: ErrorSeries) -> None:
 
 
 def read_error_csv(path: str | Path) -> ErrorSeries:
-    start, values = _read_series(path, "smoothed_error", float)
+    start, values = _read_series(path, "smoothed_error", _error)
     if not values:
         raise FormatError(f"{path}: no data rows")
-    try:
-        return ErrorSeries(values=np.asarray(values), start_index=start)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    return ErrorSeries(values=np.asarray(values), start_index=start)
 
 
 def write_misbehaviour_csv(path: str | Path, log: MisbehaviourLog) -> None:

@@ -12,21 +12,21 @@ per-epoch batch shuffle both draw from one seeded generator, so two runs
 with identical inputs produce bit-identical weights.  Frames are float32
 from the generator to the trainer, and the SGD steps run in float32
 inside buffers allocated once per training call.  A model holds float32
-weights and biases: every weight matrix but an input-major first layer
-trains in the model's own array, so no second copy of the weights
-exists.  A weight larger than _ROW_BLOCK_BYTES (seq's) is drawn, updated
-and upcast for scoring in row blocks of that size; its blocked update
-has the bits of one whole update.
+weights and biases, is trained in float32 and is scored in float32:
+every weight matrix but an input-major first layer trains in the
+model's own array, so no second copy of the weights exists.  A weight
+larger than _ROW_BLOCK_BYTES (seq's) is drawn and updated in row blocks
+of that size; its blocked update has the bits of one whole update.
 
 Training and scoring run separate forward passes.  Training's _forward
 writes each layer into a workspace in one of three forms chosen from
 its sizes and the batch rows (see _Workspace): input-major a @ W with
 W = w.T, wide w @ a.T, or a @ w.T.  The batch loss is one float32 dot
-of the output delta with itself.  error_series runs its own float64
+of the output delta with itself.  error_series runs its own float32
 loop, every layer as a @ w.T whatever its form in training, so
 errors.csv does not depend on that choice, SCORE_BLOCK_ROWS samples at
 a time in buffers allocated once per call, so its memory does not grow
-with the stream.
+with the stream.  Each frame's mean squared error is summed in float64.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class TrainConfig:
     autoencoders want.  history_k only applies to the sequence predictor.
     Training reads the stream's float32 frames and computes in float32;
     the returned model holds the float32 weights and biases SGD updated,
-    and scoring runs in float64.
+    and scoring runs in float32 too.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
@@ -176,17 +176,16 @@ _TRAIN_DTYPE = np.float32
 # it wins at 128 rows or fewer but not reliably at 256 and 512.
 _INPUT_MAJOR_MAX_OUT = 64
 
-# A weight matrix larger than this is handled in row blocks of this size:
-# its float64 initial draws, its float32 gradient, each block held in L2
-# between its product and its update (see _Workspace), and its float64
-# upcast when scoring (see error_series).  With the defaults only seq's
-# 3072-1024 weight is larger: 16 gradient blocks of 64 rows, 32 draw and
-# scoring blocks of 32 rows.
+# A weight matrix larger than this is trained in row blocks of this size:
+# its float64 initial draws, and its float32 gradient, each block held in
+# L2 between its product and its update (see _Workspace).  With the
+# defaults only seq's 3072-1024 weight is larger: 16 gradient blocks of
+# 64 rows, 32 draw blocks of 32 rows.
 _ROW_BLOCK_BYTES = 768 * 1024
 
-# Scoring upcasts this many samples at a time to float64 (one more in a
-# last block that would otherwise hold a single sample), so its
-# buffers stay the same size whatever the length of the stream.
+# Scoring reads this many samples at a time (one more in a last block
+# that would otherwise hold a single sample), so its buffers stay the
+# same size whatever the length of the stream.
 SCORE_BLOCK_ROWS = 256
 
 _DEFAULT_LEARNING_RATE = {
@@ -203,8 +202,8 @@ class ReconstructorModel:
     weights[l] has shape (layer_sizes[l+1], layer_sizes[l]); hidden layers
     apply the activation, the output layer is identity (clamped to [0, 1]
     only at reconstruction time, so training gradients stay exact).
-    Weights and biases are float32, as trained or as read back; scoring
-    runs in float64.
+    Weights and biases are float32, as trained or as read back; the
+    model is trained and scored in float32.
     """
 
     kind: ReconstructorKind
@@ -580,7 +579,8 @@ def train_reconstructor(
 
 
 def error_series(model: ReconstructorModel, stream) -> ErrorSeries:
-    """Per-frame reconstruction errors over a stream, computed in float64.
+    """Per-frame reconstruction errors over a stream, computed in float32,
+    the model's dtype, each frame's mean summed in float64.
 
     Autoencoders score every frame (start_index 0); the sequence predictor
     has no prediction for the first history_k frames, so its series starts
@@ -588,22 +588,16 @@ def error_series(model: ReconstructorModel, stream) -> ErrorSeries:
     time, each block from its own slice of stream.frames, so stream may
     also be an io.FrameFile, which reads each slice from disk.  Each error
     depends only on its own sample, so the values are those of scoring
-    the whole stream at once.
-
-    The float64 buffers are allocated once per call, and a block of m
-    samples writes into their first m rows.  A weight is cast one row
-    block at a time (see _block_rows), each block's product written into
-    its columns of the layer's buffer: a float32 weight needs no whole
-    float64 copy, and a weight that fits in one block gives the bits of
-    one product.
+    the whole stream at once.  The buffers are allocated once per call,
+    and a block of m samples writes into their first m rows.
     """
     if len(stream) == 0:
         raise ValueError("cannot score an empty stream")
     n_samples = _sample_count(len(stream), model.history_k)
     k = model.history_k or 0
     rows = min(n_samples, SCORE_BLOCK_ROWS + 1)
-    x = np.empty((rows, model.layer_sizes[0]))
-    layers = [np.empty((rows, n)) for n in model.layer_sizes[1:]]
+    x = np.empty((rows, model.layer_sizes[0]), np.float32)
+    layers = [np.empty((rows, n), np.float32) for n in model.layer_sizes[1:]]
     values = np.empty(n_samples)
     for a, b in _row_ranges(n_samples, SCORE_BLOCK_ROWS):
         m = b - a
@@ -611,22 +605,18 @@ def error_series(model: ReconstructorModel, stream) -> ErrorSeries:
         frames = stream.frames[a : b + k].reshape(m + k, -1)
         n_pixels = frames.shape[1]
         # Row i of the inputs holds sample a+i's frames, oldest first: a
-        # strided view of the block, cast into x without another copy.
+        # strided view of the block, copied into x.
         x[:m] = np.lib.stride_tricks.sliding_window_view(
             frames.reshape(-1), model.input_window * n_pixels
         )[::n_pixels][:m]
         out = x[:m]
         for l, (w, bias) in enumerate(zip(model.weights, model.biases)):
-            inputs, out = out, layers[l][:m]
-            step = _block_rows(len(w), w.shape[1] * out.itemsize)
-            for r0, r1 in _row_ranges(len(w), step):
-                np.matmul(inputs, w[r0:r1].astype(out.dtype, copy=False).T, out=out[:, r0:r1])
+            out = np.matmul(out, w.T, out=layers[l][:m])
             out += bias
             if l < len(layers) - 1:
                 _activate(out, model.activation, out)
         np.clip(out, 0.0, 1.0, out=out)
-        # seq's targets stay float32: a float64 copy would add a buffer.
         np.subtract(frames[k:], out, out=out)
         out *= out
-        np.mean(out, axis=1, out=values[a:b])
+        np.mean(out, axis=1, dtype=np.float64, out=values[a:b])
     return ErrorSeries(values=values, start_index=k)

@@ -1,10 +1,13 @@
 """References for `lanewatch.reconstruct.error_series`.
 
-`error_series` scores a whole stream in float64 blocks of samples, in
-buffers it allocates once.  `forward` here is a plain float64 forward pass
-with a fresh array per layer, and `reconstruct` applies it to one frame.
-They are slow but easy to read, and they share no code with the loop they
-check; tests assert that the blocked scores equal them.
+`error_series` scores a whole stream in float32 blocks of samples, in
+buffers it allocates once.  `forward` here is a plain forward pass in the
+dtype of its inputs with a fresh array per layer, and `reconstruct`
+applies it to one frame.  They are slow but easy to read, and they share
+no code with the loop they check.  Given float32 inputs they compute what
+`error_series` computes, and tests assert that the blocked scores equal
+them; given float64 inputs they are the higher-precision reference the
+float32 scores are held close to.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ def reconstruction_error(x: np.ndarray, x_prime: np.ndarray) -> float:
 
 
 def forward(model: ReconstructorModel, inputs: np.ndarray) -> np.ndarray:
-    """Float64 reconstructions of an (n, input size) matrix of samples,
-    clamped to [0, 1]: each layer a @ w.T + b, then the activation."""
-    a = np.asarray(inputs, dtype=np.float64)
+    """Reconstructions of an (n, input size) matrix of samples, computed in
+    the matrix's dtype and clamped to [0, 1]: each layer a @ w.T + b, then
+    the activation."""
+    a = np.asarray(inputs)
     relu = model.activation is Activation.RELU
     last = len(model.weights) - 1
     for l, (w, b) in enumerate(zip(model.weights, model.biases)):
-        a = a @ w.astype(np.float64).T + b
+        a = a @ w.astype(a.dtype).T + b.astype(a.dtype)
         if l < last:
             # The sigmoid in the tanh form the model computes.
             a = np.maximum(a, 0.0) if relu else (np.tanh(a * 0.5) + 1.0) * 0.5
@@ -38,12 +42,13 @@ def forward(model: ReconstructorModel, inputs: np.ndarray) -> np.ndarray:
 
 def reconstruct(model: ReconstructorModel, history: np.ndarray) -> np.ndarray:
     """Reconstruct one frame: a (k, height, width, channels) history in, an
-    (height, width, channels) frame out, clamped to [0, 1].
+    (height, width, channels) frame out, clamped to [0, 1], in the
+    history's dtype.
 
     Autoencoders take the frame itself (k = 1); the sequence predictor
     takes its previous history_k frames, oldest first.
     """
-    history = np.asarray(history, dtype=np.float64)
+    history = np.asarray(history)
     needed = model.input_window
     if history.ndim != 4 or len(history) != needed:
         raise ValueError(

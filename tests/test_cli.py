@@ -496,6 +496,8 @@ def test_bad_thresholds_flag_exits_2(tmp_path, capsys):
     assert main(["eval", "--config", str(config), "--thresholds", "0.1,abc"]) == 2
     err = capsys.readouterr().err
     assert "thresholds: could not convert string to float: 'abc' in '0.1,abc'" in err
+    assert main(["eval", "--config", str(config), "--thresholds", "0.1,0"]) == 2
+    assert "thresholds[1] must be positive, got 0.0" in capsys.readouterr().err
 
 
 def test_float_train_fields_are_cast(tmp_path):
@@ -599,6 +601,18 @@ def test_fractional_int_field_exits_2(tmp_path, capsys, section, key, value):
                      id="threshold-boolean"),
         pytest.param("thresholds", ["0.5"], "thresholds[0] must be a number, got '0.5'",
                      id="threshold-string"),
+        # A sweep threshold is checked when the config loads, not by eval.
+        pytest.param("thresholds", [-0.1, 0.002], "thresholds[0] must be positive, got -0.1",
+                     id="threshold-negative"),
+        pytest.param("thresholds", [0.002, 0], "thresholds[1] must be positive, got 0.0",
+                     id="threshold-zero"),
+        # theta would be calibrated on the drive the model was trained on.
+        pytest.param("paths", {"calibration": "train.frm1"},
+                     "paths.train and paths.calibration name the same file 'train.frm1'",
+                     id="paths-shared"),
+        pytest.param("paths", {"report": "sub/../alarms.csv"},
+                     "paths.alarms and paths.report name the same file 'sub/../alarms.csv'",
+                     id="paths-shared-normalised"),
         # A workdir is a path, not a number or null.
         pytest.param("workdir", 5, "workdir must be a JSON string, got 5", id="workdir-number"),
         pytest.param("workdir", None, "workdir must be a JSON string, got None",

@@ -250,10 +250,15 @@ def test_error_csv_rejects_gap(tmp_path):
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-0.1"])
 def test_error_csv_rejects_non_finite_or_negative(tmp_path, cell):
+    # The bad value is reported at its own line, ahead of a bad cell or a
+    # gap further down.
     path = tmp_path / "errors.csv"
-    path.write_text(f"frame_index,smoothed_error\n0,0.1\n1,{cell}\n")
-    with pytest.raises(FormatError, match="errors.csv"):
-        read_error_csv(path)
+    for after in ("", "3,x\n", "4,0.3\n"):
+        path.write_text(f"frame_index,smoothed_error\n0,0.1\n1,0.2\n2,{cell}\n" + after)
+        with pytest.raises(
+            FormatError, match=f"errors.csv: line 4: bad finite non-negative number '{cell}'"
+        ):
+            read_error_csv(path)
 
 
 def test_error_csv_rejects_wrong_header(tmp_path):

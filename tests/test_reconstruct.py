@@ -25,7 +25,6 @@ from lanewatch.reconstruct import (
 from lanewatch.reconstruct import (
     _DEFAULT_LEARNING_RATE,
     SCORE_BLOCK_ROWS,
-    _block_rows,
     _Workspace,
     _forward,
     _loss_and_grads,
@@ -378,13 +377,18 @@ def test_diverged_training_raises_convergence_error(monkeypatch, rate, n_frames,
 
 # ------------------------------------------------------------------ scoring
 
+# The float32 references below reconstruct every sample in one product:
+# a one-row product takes numpy's matrix-vector path, which can round
+# differently from the rows of a larger one.
+
 def test_error_series_is_mean_pixel_squared_error():
     stream = _noise_stream(8, 12)
     model = train_reconstructor(stream, "sae", TrainConfig(hidden_sizes=(6,), epochs=3, seed=2))
     errors = error_series(model, stream)
+    recons = forward(model, stream.as_matrix())
     for i, frame in enumerate(stream.frames):
-        recon = reconstruct(model, stream.frames[i : i + 1])
-        by_hand = float(np.mean((frame - recon) ** 2))
+        diff = frame.ravel() - recons[i]
+        by_hand = float(np.mean(diff * diff, dtype=np.float64))
         assert errors.values[i] == pytest.approx(by_hand, rel=1e-12)
     assert errors.start_index == 0
 
@@ -396,21 +400,23 @@ def test_sequence_scoring_skips_history():
     assert errors.start_index == 4
     assert len(errors.values) == 16
     # Row i of the windowed inputs holds frames i ... i+3, oldest first.
+    recons = forward(model, np.stack([stream.frames[i : i + 4].ravel() for i in range(16)]))
     for i in range(16):
-        recon = reconstruct(model, stream.frames[i : i + 4])
-        by_hand = float(np.mean((stream.frames[i + 4] - recon) ** 2))
+        diff = stream.frames[i + 4].ravel() - recons[i]
+        by_hand = float(np.mean(diff * diff, dtype=np.float64))
         assert errors.values[i] == pytest.approx(by_hand, rel=1e-12)
 
 
-def _whole_stream_errors(model, stream):
-    """Float64 errors of every sample at once: the lagged inputs built by
-    concatenation, one forward pass over all of them."""
-    frames = stream.as_matrix().astype(np.float64)
-    k = model.history_k if model.kind is ReconstructorKind.SEQ else 0
+def _whole_stream_errors(model, stream, dtype=np.float32):
+    """Errors of every sample at once, computed in dtype with each mean
+    summed in float64: the lagged inputs built by concatenation, one
+    forward pass over all of them."""
+    frames = stream.as_matrix().astype(dtype)
+    k = model.history_k or 0
     n = len(frames)
     inputs = np.concatenate([frames[j : n - k + j] for j in range(k)], axis=1) if k else frames
     diffs = frames[k:] - forward(model, inputs)
-    return np.mean(diffs * diffs, axis=1)
+    return np.mean(diffs * diffs, axis=1, dtype=np.float64)
 
 
 @pytest.mark.parametrize(
@@ -428,40 +434,29 @@ def test_blocked_error_series_matches_whole_stream(tmp_path, kind, activation, n
     shift = cfg.history_k if kind == "seq" else 0
     stream = _noise_stream(17, n_samples + shift, w=8, h=8)
     # The same frames scored in memory and read from an FRM1 file block
-    # by block.
+    # by block, by the model and by its read-back from model.bin.
     path = tmp_path / "frames.frm1"
     write_frames(path, stream)
+    write_model_json(tmp_path / "model.bin", model)
+    read_back = read_model_json(tmp_path / "model.bin")
+    assert model.weights[0].dtype == read_back.weights[0].dtype == np.float32
     expected = _whole_stream_errors(model, stream)
-    for frames in (stream, FrameFile(path)):
-        errors = error_series(model, frames)
+    for scored, frames in [(model, stream), (model, FrameFile(path)), (read_back, stream)]:
+        errors = error_series(scored, frames)
         assert errors.start_index == shift
         np.testing.assert_array_equal(errors.values, expected)
 
 
-@pytest.mark.parametrize("kind, block_rows", [("sae", [9, 18]), ("seq", [3])])
-@pytest.mark.parametrize("n_samples", [1, 2, 5, 21, 255, 257])
-def test_multi_block_scoring_matches_one_block(tmp_path, monkeypatch, kind, block_rows, n_samples):
-    # At 8x8 frames every weight fits in one 768 KiB block.  At three
-    # float64 rows of seq's 192-64 weight, that weight is scored in 21
-    # blocks (the lone last row joins the 21st), and sae's 64-32 and 32-64
-    # weights in 4 each, the last one ragged.
-    cfg = TrainConfig(epochs=2, seed=5, history_k=3)
-    model = train_reconstructor(_noise_stream(16, 40, w=8, h=8), kind, cfg)
+@pytest.mark.parametrize("kind", ["sae", "dae", "seq"])
+@pytest.mark.parametrize("activation", [Activation.RELU, Activation.SIGMOID])
+def test_float32_scores_track_float64_reference(kind, activation):
+    # Three sample blocks, the last one holding the lone last sample.
+    cfg = TrainConfig(epochs=2, seed=6, history_k=3, activation=activation)
+    model = train_reconstructor(_noise_stream(19, 40, w=8, h=8), kind, cfg)
     shift = cfg.history_k if kind == "seq" else 0
-    stream = _noise_stream(23, n_samples + shift, w=8, h=8)
-    one_block = error_series(model, stream).values
-    path = tmp_path / "model.bin"
-    write_model_json(path, model)
-    read_back = read_model_json(path)
-    monkeypatch.setattr(reconstruct_module, "_ROW_BLOCK_BYTES", 3 * 192 * 8)
-    assert [_block_rows(len(w), w.shape[1] * 8) for w in model.weights] == block_rows
-    in_memory = error_series(model, stream).values
-    # Short sample blocks may round the column-blocked product differently
-    # in the last bit.
-    np.testing.assert_allclose(in_memory, one_block, rtol=1e-12, atol=0.0)
-    # The float32 model and its float32 read-back score to the same bits.
-    assert model.weights[0].dtype == read_back.weights[0].dtype == np.float32
-    np.testing.assert_array_equal(error_series(read_back, stream).values, in_memory)
+    stream = _noise_stream(20, 2 * SCORE_BLOCK_ROWS + 1 + shift, w=8, h=8)
+    want = _whole_stream_errors(model, stream, np.float64)
+    np.testing.assert_allclose(error_series(model, stream).values, want, rtol=1e-5, atol=0.0)
 
 
 @pytest.mark.parametrize("kind", ["sae", "dae", "seq"])
@@ -478,9 +473,10 @@ def test_error_series_memory_does_not_grow_with_the_stream(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One float64 copy of the stream is 16.4 MB; whole-stream scoring
-    # peaked at two to five such copies.
-    assert peak < 0.6 * stream.frames.size * 8
+    # One float64 copy of the stream is 16.4 MB.  Whole-stream scoring
+    # peaks at two to five such copies, float64 scoring blocks at 0.56 of
+    # one (seq), and float32 ones at 0.26.
+    assert peak < 0.35 * stream.frames.size * 8
 
 
 def test_reconstruct_checks_history_length():
