@@ -1,31 +1,26 @@
 """Frame streams, image reconstructors, and per-frame reconstruction errors.
 
-Reconstructors are small fully-connected networks trained by mini-batch
-SGD to reproduce nominal camera frames: a shallow autoencoder (one hidden
-layer), a deep autoencoder (five node layers), and a sequence predictor,
-an affine map (no hidden layer) from the previous k frames to the next
-one.  The per-frame error is the mean pixel-wise squared difference
-between a frame and its reconstruction.
+Reconstructors are small fully-connected networks that reproduce nominal
+camera frames: a shallow autoencoder (one hidden layer), a deep
+autoencoder (five node layers), and a sequence predictor, an affine map
+(no hidden layer) from the previous k frames to the next one.  The
+per-frame error is the mean pixel-wise squared difference between a
+frame and its reconstruction.
 
-Training is deterministic given the seed: weight initialization and the
-per-epoch batch shuffle both draw from one seeded generator, so two runs
-with identical inputs produce bit-identical weights.  Frames are float32
-from the generator to the trainer, and the SGD steps run in float32
-inside buffers allocated once per training call.  A model holds float32
-weights and biases, is trained in float32 and is scored in float32:
-every weight matrix but an input-major first layer trains in the
-model's own array, so no second copy of the weights exists.  A weight
-larger than _ROW_BLOCK_BYTES (seq's) is drawn and updated in row blocks
-of that size; its blocked update has the bits of one whole update.
+The autoencoders are trained by mini-batch SGD in float32, in buffers
+allocated once per call; initialization and the per-epoch shuffle draw
+from one seeded generator.  The sequence predictor is a least-squares
+problem, solved in closed form (see _fit_sequence).  Either way two runs
+with identical inputs give bit-identical weights.  Frames are float32
+from the generator to the trainer, and a model holds float32 weights and
+biases and is scored in float32.
 
-Training and scoring run separate forward passes.  Training's _forward
-writes each layer into a workspace in one of three forms chosen from
-its sizes and the batch rows (see _Workspace): input-major a @ W with
-W = w.T, wide w @ a.T, or a @ w.T.  The batch loss is one float32 dot
-of the output delta with itself.  error_series runs its own float32
-loop, every layer as a @ w.T whatever its form in training, so
-errors.csv does not depend on that choice, SCORE_BLOCK_ROWS samples at
-a time in buffers allocated once per call, so its memory does not grow
+SGD's _forward writes each layer into a workspace in one of three forms
+chosen from its sizes and the batch rows (see _Workspace): input-major
+a @ W with W = w.T, wide w @ a.T, or a @ w.T.  error_series runs its own
+float32 loop, every layer as a @ w.T whatever its form in training, so
+errors.csv does not depend on that choice, SCORE_BLOCK_ROWS samples at a
+time in buffers allocated once per call, so its memory does not grow
 with the stream.  Each frame's mean squared error is summed in float64.
 """
 
@@ -125,13 +120,12 @@ class TrainConfig:
     """Hyperparameters for reconstructor training.
 
     hidden_sizes=None selects a per-kind default; every kind takes as many
-    sizes as its default has (see _DEFAULT_HIDDEN).  The learning rate is
-    fixed per kind: the sequence predictor's affine map sees the full
-    concatenated pixel vector and diverges at the step size the
-    autoencoders want.  history_k only applies to the sequence predictor.
-    Training reads the stream's float32 frames and computes in float32;
-    the returned model holds the float32 weights and biases SGD updated,
-    and scoring runs in float32 too.
+    sizes as its default has (see _DEFAULT_HIDDEN).  The autoencoders run
+    `epochs` epochs of SGD on batches of `batch_size`, at a learning rate
+    fixed per kind.  The sequence predictor is fitted in closed form: it
+    ignores epochs and batch_size, seed seeds its principal basis, and
+    history_k, which only it reads, is how many past frames it maps to
+    the next one.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
@@ -176,23 +170,20 @@ _TRAIN_DTYPE = np.float32
 # it wins at 128 rows or fewer but not reliably at 256 and 512.
 _INPUT_MAJOR_MAX_OUT = 64
 
-# A weight matrix larger than this is trained in row blocks of this size:
-# its float64 initial draws, and its float32 gradient, each block held in
-# L2 between its product and its update (see _Workspace).  With the
-# defaults only seq's 3072-1024 weight is larger: 16 gradient blocks of
-# 64 rows, 32 draw blocks of 32 rows.
-_ROW_BLOCK_BYTES = 768 * 1024
-
-# Scoring reads this many samples at a time (one more in a last block
-# that would otherwise hold a single sample), so its buffers stay the
-# same size whatever the length of the stream.
+# Scoring and the sequence fit read this many samples at a time (one
+# more in a last block that would otherwise hold a single sample), so
+# their buffers stay the same size whatever the length of the stream.
 SCORE_BLOCK_ROWS = 256
 
 _DEFAULT_LEARNING_RATE = {
     ReconstructorKind.SAE: 10.0,
     ReconstructorKind.DAE: 10.0,
-    ReconstructorKind.SEQ: 1.0,
 }
+
+# The sequence predictor's rank and ridge factor (see _fit_sequence),
+# chosen on held-out nominal drives with bits independent of BLAS threads.
+_SEQ_RANK = 16
+_SEQ_RIDGE = 0.01
 
 
 @dataclass
@@ -288,10 +279,9 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, activation: Activation) -> np.n
 def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
     """np.empty, but starting on a 64-byte cache line.  np.empty starts
     where malloc does, on 16 bytes, so a buffer's offset within its cache
-    line depended on every allocation made before it: a change elsewhere
-    in the package that only defined two functions made seq's SGD steps
-    about 5% slower.  Aligned, the step's speed no longer depends on
-    unrelated code; the trained bits are the same."""
+    line depends on every allocation made before it.  With plain np.empty
+    for the SGD buffers, the README quick-start's sae training ran about
+    17% slower in the pipeline process; the trained bits are the same."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     raw = np.empty(nbytes + 64, np.uint8)
     start = -raw.ctypes.data % 64
@@ -313,26 +303,19 @@ class _Workspace:
       OpenBLAS multiplies these as fast as or faster than a @ w.T and
       delta.T @ a at these shapes, and the first layer propagates no
       delta, which would be the slow delta @ W.T.  With the defaults this
-      is sae's 1024-32 and dae's 1024-64 layer; seq's 3072-1024 layer
-      stays wide at any batch size.  Unlike the wide form, a @ W can
-      round differently from a @ w.T on a short batch, so a stream whose
-      last batch is short may train weights that differ in float32
-      rounding from the a @ w.T ones.
+      is sae's 1024-32 and dae's 1024-64 layer.  Unlike the wide form,
+      a @ W can round differently from a @ w.T on a short batch, so a
+      stream whose last batch is short may train weights that differ in
+      float32 rounding from the a @ w.T ones.
     - wide: both sizes exceed `rows`.  The pre-activation buffer is
       feature-major, (n_out, rows), and _forward fills its first m columns
       as w @ a.T, which OpenBLAS computes faster than a @ w.T at these
-      shapes and sums in the same order.  With the defaults this is seq's
-      one layer and dae's 64-1024 layer.
+      shapes and sums in the same order.  With the defaults this is dae's
+      64-1024 layer.
     - batch-major: every other layer, a @ w.T.
 
-    A layer whose gradient exceeds _ROW_BLOCK_BYTES trains through
-    _apply_blocked, block_rows[l] rows (at least two; 0 for every other
-    layer) at a time into grad_w[l], which holds one block.  A block is
-    rows of the whole product, each element summed over the batch in the
-    same order, so the trained bits do not change.
-
     standard=True keeps every layer batch-major with (n_out, n_in)
-    weights and full gradients, for the step that takes no workspace.
+    weights and gradients, for the step that takes no workspace.
     """
 
     def __init__(self, layer_sizes: list[int], rows: int, dtype, standard: bool = False):
@@ -349,29 +332,11 @@ class _Workspace:
         # Hidden layers only: the output layer is the identity.
         self.post = [_aligned_empty((rows, n), dtype) for n in outs[:-1]]
         self.delta = [_aligned_empty((rows, n), dtype) for n in outs]
-        shapes = [
-            (n_in, n_out) if l == 0 and self.input_major else (n_out, n_in)
+        self.grad_w = [
+            _aligned_empty((n_in, n_out) if l == 0 and self.input_major else (n_out, n_in), dtype)
             for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))
         ]
-        blocks = [_block_rows(r, n * np.dtype(dtype).itemsize) for r, n in shapes]
-        self.block_rows = [
-            0 if standard or br == r else br for (r, _), br in zip(shapes, blocks)
-        ]
-        # A blocked layer's buffer holds one block and a lone last row.
-        self.grad_w = [
-            _aligned_empty((br + 1, s[1]) if br else s, dtype)
-            for s, br in zip(shapes, self.block_rows)
-        ]
         self.grad_b = [_aligned_empty((n,), dtype) for n in outs]
-
-
-def _block_rows(n_rows: int, row_bytes: int) -> int:
-    """Rows per block of an n_rows matrix whose rows take row_bytes each:
-    all of them when the matrix fits in _ROW_BLOCK_BYTES, else as many as
-    fit, at least two (see _row_ranges)."""
-    if n_rows * row_bytes <= _ROW_BLOCK_BYTES:
-        return n_rows
-    return max(2, _ROW_BLOCK_BYTES // row_bytes)
 
 
 def _row_ranges(n: int, step: int) -> zip:
@@ -430,9 +395,8 @@ def _loss_and_grads(
     workspace the step makes a standard one: every weight and gradient
     (n_out, n_in).  With one, each layer takes the workspace's form (see
     _Workspace): an input-major first layer's weights and gradient are
-    (n_in, n_out); the returned gradient lists are the workspace's own
-    buffers, overwritten by its next step; a blocked layer's weight
-    gradient is left to _apply_blocked, which reads its delta from ws.delta.
+    (n_in, n_out), and the returned gradient lists are the workspace's
+    own buffers, overwritten by its next step.
     """
     if ws is None:
         sizes = [x.shape[1], *(len(b) for b in biases)]
@@ -446,8 +410,7 @@ def _loss_and_grads(
     for l in range(len(weights) - 1, -1, -1):
         # The gradient is left.T @ right; row r of it is column r of left.
         left, right = (post[l], delta) if l == 0 and ws.input_major else (delta, post[l])
-        if not ws.block_rows[l]:
-            np.matmul(left.T, right, out=ws.grad_w[l])
+        np.matmul(left.T, right, out=ws.grad_w[l])
         np.sum(delta, axis=0, out=ws.grad_b[l])
         if l > 0:
             # pre[l - 1] is not read again, so the gradient overwrites it.
@@ -455,19 +418,6 @@ def _loss_and_grads(
             delta = np.matmul(delta, weights[l], out=ws.delta[l - 1][:m])
             delta *= grad
     return loss, ws.grad_w, ws.grad_b
-
-
-def _apply_blocked(l: int, w: np.ndarray, x: np.ndarray, ws: _Workspace, rate: float) -> None:
-    """SGD update of the blocked layer l's training weights w after
-    _loss_and_grads on the batch x, one row block of gradient at a time."""
-    a = x if l == 0 else ws.post[l - 1][: len(x)]
-    delta = ws.delta[l][: len(x)]
-    left, right = (a, delta) if l == 0 and ws.input_major else (delta, a)
-    for start, end in _row_ranges(len(w), ws.block_rows[l]):
-        g = ws.grad_w[l][: end - start]
-        np.matmul(left[:, start:end].T, right, out=g)
-        g *= rate
-        w[start:end] -= g
 
 
 def _sample_count(n_frames: int, history_k: int | None) -> int:
@@ -484,87 +434,154 @@ def _sample_count(n_frames: int, history_k: int | None) -> int:
     return n_frames - history_k
 
 
-def train_reconstructor(
-    stream: FrameStream,
-    kind: ReconstructorKind | str,
-    hyper: TrainConfig | None = None,
-) -> ReconstructorModel:
-    """Fit a reconstructor to a nominal stream with mini-batch SGD in float32."""
-    kind = ReconstructorKind(kind)
-    hyper = hyper or TrainConfig()
-    if len(stream) == 0:
-        raise ValueError("cannot train on an empty stream")
-    history_k = hyper.history_k if kind is ReconstructorKind.SEQ else None
-    frames = stream.as_matrix()
-    n_samples = _sample_count(len(frames), history_k)
-    n_pixels = frames.shape[1]
-    window = history_k or 1  # frames per input row
-    hidden = hyper.hidden_sizes if hyper.hidden_sizes is not None else _DEFAULT_HIDDEN[kind]
-    depth = len(_DEFAULT_HIDDEN[kind])
-    if len(hidden) != depth:
-        raise ConfigError(f"{kind.value} takes hidden_sizes of length {depth}, got {hidden}")
-    layer_sizes = [window * n_pixels, *hidden, n_pixels]
-    learning_rate = _DEFAULT_LEARNING_RATE[kind]
-
+def _train_sgd(frames: np.ndarray, layer_sizes: list[int], hyper: TrainConfig, rate: float):
+    """An autoencoder's float32 weights, biases and per-epoch mean batch
+    losses after hyper.epochs epochs of mini-batch SGD on the frames."""
     rng = np.random.default_rng(hyper.seed)
     # The model's arrays are allocated first, before any training buffer:
     # allocated last, they would sit above the memory training frees and
     # keep the allocator from returning later temporaries to the system.
-    # Each weight is drawn in float64 one row block at a time and rounded
-    # as it is stored, so no whole float64 weight exists.
     weights: list[np.ndarray] = []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
         bound = 1.0 / math.sqrt(n_in)
-        w = np.empty((n_out, n_in), _TRAIN_DTYPE)
-        for start, end in _row_ranges(n_out, _block_rows(n_out, n_in * 8)):
-            w[start:end] = rng.uniform(-bound, bound, size=(end - start, n_in))
-        weights.append(w)
+        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)).astype(_TRAIN_DTYPE))
     biases = [np.zeros(n_out, _TRAIN_DTYPE) for n_out in layer_sizes[1:]]
 
-    rows = min(hyper.batch_size, n_samples)
+    rows = min(hyper.batch_size, len(frames))
     ws = _Workspace(layer_sizes, rows, _TRAIN_DTYPE)
     # An input-major first layer trains as a copy W = w.T (see _Workspace),
     # every other weight in its model array.
     trained = list(weights)
     if ws.input_major:
         trained[0] = np.ascontiguousarray(weights[0].T)
-    # Each batch is gathered from the float32 frame matrix straight into
-    # these buffers; an autoencoder's target batch is its input batch.
+    # Each batch is gathered into this buffer and is its own target.
     x_rows = _aligned_empty((rows, layer_sizes[0]), _TRAIN_DTYPE)
-    t_rows = x_rows if history_k is None else _aligned_empty((rows, n_pixels), _TRAIN_DTYPE)
-    lags = np.arange(window)
     epoch_losses: list[float] = []
     for _ in range(hyper.epochs):
-        order = rng.permutation(n_samples)
+        order = rng.permutation(len(frames))
         batch_losses: list[float] = []
-        for start in range(0, n_samples, hyper.batch_size):
+        for start in range(0, len(frames), hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            m = len(idx)
-            x, target = x_rows[:m], t_rows[:m]
             # The indices are all in range; mode="clip" lets take write into
             # out directly, where the default mode would buffer a copy.
-            np.take(frames, idx[:, None] + lags, axis=0,
-                    out=x.reshape(m, window, n_pixels), mode="clip")
-            if history_k is not None:
-                np.take(frames, idx + history_k, axis=0, out=target, mode="clip")
-            loss, grad_w, grad_b = _loss_and_grads(
-                trained, biases, hyper.activation, x, target, ws
-            )
+            x = np.take(frames, idx, axis=0, out=x_rows[: len(idx)], mode="clip")
+            loss, grad_w, grad_b = _loss_and_grads(trained, biases, hyper.activation, x, x, ws)
             batch_losses.append(loss)
             for l in range(len(trained)):
-                if ws.block_rows[l]:
-                    _apply_blocked(l, trained[l], x, ws, learning_rate)
-                else:
-                    grad_w[l] *= learning_rate
-                    trained[l] -= grad_w[l]
-                grad_b[l] *= learning_rate
+                grad_w[l] *= rate
+                trained[l] -= grad_w[l]
+                grad_b[l] *= rate
                 biases[l] -= grad_b[l]
         epoch_losses.append(float(np.mean(batch_losses)))
 
     if ws.input_major:
         weights[0][...] = trained[0].T
+    return weights, biases, epoch_losses
+
+
+def _block_gram(a: np.ndarray) -> np.ndarray:
+    """a.T @ a summed over SCORE_BLOCK_ROWS row blocks.  Threaded OpenBLAS
+    splits a sum over a few hundred rows or more differently from one
+    thread, so one product would round differently with the thread count."""
+    return sum(a[i:j].T @ a[i:j] for i, j in _row_ranges(len(a), SCORE_BLOCK_ROWS))
+
+
+def _principal_basis(frames: np.ndarray, rank: int, seed: int):
+    """An (n, d) float32 frame matrix's float32 mean frame, and in float64
+    its top `rank` principal directions (orthonormal columns, by falling
+    variance), each frame's code in them and squared distance to the mean.
+
+    Block subspace iteration (Halko, Martinsson & Tropp, SIAM Review
+    2011): from a seeded d x (rank + 8) normal draw Q, 4 rounds of
+    Q <- qr(sum of Xc.T @ (Xc @ Q)) over row blocks Xc of the centred
+    frames, each centred into one reused float32 buffer, then Rayleigh-Ritz:
+    with V the eigenvectors of Y.T @ Y, Y = Xc @ Q, the basis is Q @ V and
+    the codes Y @ V.  No d x d matrix is formed."""
+    n, d = frames.shape
+    ranges = list(_row_ranges(n, SCORE_BLOCK_ROWS))
+    mean = sum(frames[a:b].sum(axis=0, dtype=np.float64) for a, b in ranges) / n
+    mean = mean.astype(np.float32)
+    block = np.empty((min(n, SCORE_BLOCK_ROWS + 1), d), np.float32)
+
+    def centred():
+        for a, b in ranges:
+            yield a, b, np.subtract(frames[a:b], mean, out=block[: b - a])
+
+    q = np.random.default_rng(seed).standard_normal((d, min(rank + 8, d)))
+    for _ in range(4):
+        q32, s = q.astype(np.float32), np.zeros_like(q)
+        for _, _, xc in centred():
+            s += xc.T @ (xc @ q32)
+        q = np.linalg.qr(s)[0]
+    q32, y, sq_dist = q.astype(np.float32), np.empty((n, q.shape[1])), np.empty(n)
+    for a, b, xc in centred():
+        y[a:b] = xc @ q32
+        sq_dist[a:b] = np.square(xc, out=xc).sum(axis=1, dtype=np.float64)
+    v = np.linalg.eigh(_block_gram(y))[1][:, : -rank - 1 : -1]
+    return mean, q @ v, y @ v, sq_dist
+
+
+def _fit_sequence(frames: np.ndarray, history_k: int, seed: int):
+    """The sequence predictor's float32 weight and bias, and the mean
+    per-pixel squared error of its training targets predicted by the
+    pool's mean frame and by the fit.
+
+    Principal-components regression (Massy, JASA 1965): a frame's code is
+    U.T @ (f - mean) in the pool's top _SEQ_RANK principal directions U
+    (at most d and the sample count), and a ridge regression, shrinking
+    toward the mean frame, maps a sample's k input codes to its target
+    code: a (k*r)^2 system.  The weight's block j, for frame i+j, is
+    U @ M_j.T @ U.T, formed as one float32 matmul; the bias is worked out
+    in r-space."""
+    n_frames, d = frames.shape
+    k, n = history_k, _sample_count(n_frames, history_k)
+    rank = min(_SEQ_RANK, d, n)
+    mean, basis, codes, sq_dist = _principal_basis(frames, rank, seed)
+    # Row i: sample i's input codes i ... i+k-1, oldest first, then code i+k.
+    cov = _block_gram(np.concatenate([codes[j : n + j] for j in range(k + 1)], axis=1))
+    kr = k * rank
+    gram, rhs = cov[:kr, :kr], cov[:kr, kr:]
+    # A pool without variation has a zero Gram matrix and right-hand side,
+    # so any positive ridge gives it the zero map.
+    ridge = _SEQ_RIDGE * np.trace(gram) / kr or 1.0
+    coef = np.linalg.solve(gram + ridge * np.eye(kr), rhs)
+    # M_j, rows j*r ... (j+1)*r - 1 of coef, maps input code j to the target code.
+    right = np.hstack([m_j.T @ basis.T for m_j in coef.reshape(k, rank, rank)], dtype=np.float32)
+    weight = basis.astype(np.float32) @ right
+    bias = mean - basis @ (coef.T @ np.tile(basis.T @ mean, k))
+    # The fit's squared error is the targets' squared distance to the mean
+    # less what the regression explains of their codes, which by the
+    # normal equations is <coef, rhs> + ridge |coef|^2.
+    frame_loss = sq_dist[k:].sum()
+    fit_loss = frame_loss - (coef * rhs).sum() - ridge * np.square(coef).sum()
+    losses = [float(frame_loss) / (n * d), float(fit_loss) / (n * d)]
+    return [weight], [bias.astype(np.float32)], losses
+
+
+def train_reconstructor(
+    stream: FrameStream,
+    kind: ReconstructorKind | str,
+    hyper: TrainConfig | None = None,
+) -> ReconstructorModel:
+    """Fit a reconstructor to a nominal stream: an autoencoder by
+    mini-batch SGD in float32, the sequence predictor in closed form."""
+    kind = ReconstructorKind(kind)
+    hyper = hyper or TrainConfig()
+    if len(stream) == 0:
+        raise ValueError("cannot train on an empty stream")
+    history_k = hyper.history_k if kind is ReconstructorKind.SEQ else None
+    frames = stream.as_matrix()
+    hidden = hyper.hidden_sizes if hyper.hidden_sizes is not None else _DEFAULT_HIDDEN[kind]
+    depth = len(_DEFAULT_HIDDEN[kind])
+    if len(hidden) != depth:
+        raise ConfigError(f"{kind.value} takes hidden_sizes of length {depth}, got {hidden}")
+    layer_sizes = [(history_k or 1) * frames.shape[1], *hidden, frames.shape[1]]
+    weights, biases, epoch_losses = (
+        _fit_sequence(frames, history_k, hyper.seed) if history_k
+        else _train_sgd(frames, layer_sizes, hyper, _DEFAULT_LEARNING_RATE[kind])
+    )
     # A float64 sum of float32 cells is finite exactly when every cell is.
-    cells = sum(a.sum(dtype=np.float64) for a in trained + biases)
+    cells = sum(a.sum(dtype=np.float64) for a in weights + biases)
     if not math.isfinite(sum(epoch_losses) + cells):
         raise ConvergenceError(f"{kind.value} training diverged: non-finite loss or weights")
     return ReconstructorModel(

@@ -1,4 +1,5 @@
-"""Reconstructors: gradient exactness, memorization, scoring conventions."""
+"""Reconstructors: gradient exactness, memorization, the sequence fit, scoring
+conventions."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ import sys
 import numpy as np
 import pytest
 
-import lanewatch.reconstruct as reconstruct_module
 from lanewatch.errors import ConfigError, ConvergenceError
+from lanewatch.experiment import nominal_drive
 from lanewatch.io import FrameFile, read_model_json, write_frames, write_model_json
 from lanewatch.reconstruct import (
     Activation,
@@ -24,13 +25,14 @@ from lanewatch.reconstruct import (
 )
 from lanewatch.reconstruct import (
     _DEFAULT_LEARNING_RATE,
+    _SEQ_RANK,
+    _SEQ_RIDGE,
     SCORE_BLOCK_ROWS,
     _Workspace,
     _forward,
     _loss_and_grads,
-    _row_ranges,
 )
-from reconstruct_reference import forward, reconstruct, reconstruction_error
+from reconstruct_reference import forward
 
 
 def _frame(pixels: np.ndarray, w: int = 4, h: int = 4) -> np.ndarray:
@@ -162,19 +164,12 @@ def test_loss_is_mean_squared_residual(dtype, rtol):
 # ----------------------------------------------------------------- training
 
 def _reference_sgd(stream, kind, cfg):
-    """Float64 SGD with train_reconstructor's draws and batches: the same
-    seeded initialization and per-epoch permutations, fresh buffers.  A
-    sequence predictor's sample i is frames i ... i+k-1 concatenated,
-    oldest first, and its target is frame i+k."""
+    """Float64 SGD of an autoencoder with train_reconstructor's draws and
+    batches: the same seeded initialization and per-epoch permutations,
+    fresh buffers."""
     rng = np.random.default_rng(cfg.seed)
-    frames = stream.as_matrix().astype(np.float64)
-    if kind == "seq":
-        k, n = cfg.history_k, len(frames)
-        data = np.concatenate([frames[j : n - k + j] for j in range(k)], axis=1)
-        targets = frames[k:]
-    else:
-        data = targets = frames
-    sizes = [data.shape[1], *(cfg.hidden_sizes or ()), targets.shape[1]]
+    data = targets = stream.as_matrix().astype(np.float64)
+    sizes = [data.shape[1], *cfg.hidden_sizes, targets.shape[1]]
     weights, biases = [], []
     for n_in, n_out in zip(sizes, sizes[1:]):
         bound = 1.0 / math.sqrt(n_in)
@@ -204,15 +199,11 @@ def _reference_sgd(stream, kind, cfg):
         ("sae", TrainConfig(hidden_sizes=(6,), epochs=12, batch_size=8, seed=3)),
         ("dae", TrainConfig(hidden_sizes=(8, 4, 8), epochs=12, batch_size=8, seed=4,
                             activation=Activation.SIGMOID)),
-        ("seq", TrainConfig(epochs=12, batch_size=8, seed=5, history_k=2)),
     ],
 )
 def test_float32_training_tracks_float64_reference(kind, cfg):
-    # 45 frames in batches of 8 end each epoch with a short batch: 5
-    # samples for the autoencoders, 3 for seq (43 lagged samples).
-    # 9x9 frames make seq's one layer (162-81) wide, as at full size.
-    side = 9 if kind == "seq" else 4
-    stream = _noise_stream(14, 45, w=side, h=side)
+    # 45 frames in batches of 8 end each epoch with a short batch of 5.
+    stream = _noise_stream(14, 45)
     model = train_reconstructor(stream, kind, cfg)
     weights, biases, losses = _reference_sgd(stream, kind, cfg)
     for got, want in zip(model.weights + model.biases, weights + biases):
@@ -224,7 +215,7 @@ def test_float32_training_tracks_float64_reference(kind, cfg):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are read on Linux")
-@pytest.mark.parametrize("kind", ["sae", "dae", "seq"])
+@pytest.mark.parametrize("kind", ["sae", "dae"])
 def test_training_steps_do_not_churn_allocations(kind):
     # A 32x32 frame makes each 32-row float32 batch array 128 KiB.  The
     # count runs in a fresh process with one BLAS thread and glibc's mmap
@@ -232,9 +223,7 @@ def test_training_steps_do_not_churn_allocations(kind):
     # fresh and faults in its pages: at the default threshold, which rises
     # after the first large free, the heap would reuse a freed array
     # unseen.  dae's one wide layer (64-1024) writes the short last batch
-    # (200 = 6 * 32 + 8) into a column slice of its feature-major buffer;
-    # seq's 3072-1024 layer computes its gradient a 768 KiB block at a
-    # time, each into the same buffer.
+    # (200 = 6 * 32 + 8) into a column slice of its feature-major buffer.
     script = """
 import resource, sys
 import numpy as np
@@ -262,58 +251,148 @@ print(minor_faults(1), minor_faults(11))
     assert (eleven - one) / extra_steps < 5.0
 
 
-@pytest.mark.parametrize(
-    "kind, side, n_frames, block_bytes, block_rows, ranges",
-    [
-        # seq at 10x10 frames: its wide 300-100 layer (117 KiB of float32
-        # gradient) in blocks of 32 rows with a ragged last one, and of 33
-        # rows, where the lone 100th row joins the last block.
-        ("seq", 10, 45, 32 * 1200, [32], [(0, 32), (32, 64), (64, 96), (96, 100)]),
-        ("seq", 10, 45, 33 * 1200, [33], [(0, 33), (33, 66), (66, 100)]),
-        # seq's default 3072-1024 layer at the default 768 KiB.
-        ("seq", 32, 45, 768 * 1024, [64], [(r, r + 64) for r in range(0, 1024, 64)]),
-        # dae at 32x32 frames: its input-major 1024-64 and wide 64-1024
-        # layers (256 KiB each) in blocks of 400 rows.
-        ("dae", 32, 200, 400 * 256, [400, 0, 0, 400], [(0, 400), (400, 800), (800, 1024)]),
-    ],
-)
-def test_blocked_update_is_bit_identical(
-    monkeypatch, kind, side, n_frames, block_bytes, block_rows, ranges
-):
-    # seq's 42 samples in batches of 8 and dae's 200 in batches of 32
-    # both end each epoch with a short batch.
-    stream = _noise_stream(19, n_frames, w=side, h=side)
-    hyper = TrainConfig(epochs=3, batch_size=8 if kind == "seq" else 32, seed=6)
-    monkeypatch.setattr(reconstruct_module, "_ROW_BLOCK_BYTES", 2**62)
-    whole = train_reconstructor(stream, kind, hyper)
-    assert not any(_Workspace(whole.layer_sizes, hyper.batch_size, np.float32).block_rows)
-    monkeypatch.setattr(reconstruct_module, "_ROW_BLOCK_BYTES", block_bytes)
-    ws = _Workspace(whole.layer_sizes, hyper.batch_size, np.float32)
-    assert ws.block_rows == block_rows
-    assert list(_row_ranges(ranges[-1][1], block_rows[0])) == ranges
-    split = train_reconstructor(stream, kind, hyper)
-    for a, b in zip(split.weights + split.biases, whole.weights + whole.biases):
-        np.testing.assert_array_equal(a, b)
-    assert split.epoch_losses == whole.epoch_losses
+def _reference_pcr(stream, k):
+    """Float64 principal-components regression by exact SVD: the top
+    _SEQ_RANK right singular vectors U of the centred frames, then a
+    ridge regression of each target code on its k input codes, solved by
+    np.linalg.solve.  Returns the predictor of the next frame from an
+    (m, k*d) matrix of k frames each, clamped to [0, 1] as scoring
+    clamps it."""
+    frames = stream.as_matrix().astype(np.float64)
+    n, d = len(frames) - k, frames.shape[1]
+    mean = frames.mean(axis=0)
+    u = np.linalg.svd(frames - mean, full_matrices=False)[2][:_SEQ_RANK].T
+    codes = (frames - mean) @ u
+    x = np.concatenate([codes[j : n + j] for j in range(k)], axis=1)
+    gram = x.T @ x
+    ridge = _SEQ_RIDGE * np.trace(gram) / len(gram)
+    coef = np.linalg.solve(gram + ridge * np.eye(len(gram)), x.T @ codes[k:])
+
+    def predict(inputs):
+        z = np.concatenate([(inputs[:, j * d : (j + 1) * d] - mean) @ u for j in range(k)], axis=1)
+        return np.clip(mean + z @ coef @ u.T, 0.0, 1.0)
+
+    return predict
 
 
-def test_seq_training_memory_holds_one_gradient_block():
+def _smooth_stream(n_frames, n_components, noise, seed=21, side=8):
+    """0.5 plus n_components sinusoids in time, each on its own random
+    spatial pattern, plus Gaussian noise of the given standard deviation:
+    a stream whose centred frames have n_components large singular values
+    and a floor of noise."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_frames)[:, None]
+    waves = np.sin(rng.uniform(0.02, 0.3, n_components) * t + rng.uniform(0, 6, n_components))
+    patterns = rng.uniform(-1.0, 1.0, (n_components, side * side)) * 0.3 / n_components
+    frames = 0.5 + waves @ patterns + rng.normal(0.0, noise, (n_frames, side * side))
+    return FrameStream(frames=frames.reshape(n_frames, side, side, 1), frame_rate_hz=10.0)
+
+
+def test_seq_fit_tracks_float64_reference():
+    # Six components below the rank of 16, so the fit's basis past the
+    # sixth direction spans noise, which the ridge keeps out of the map.
+    k = 3
+    stream = _smooth_stream(400, 6, 1e-3)
+    model = train_reconstructor(stream, "seq", TrainConfig(history_k=k, seed=7))
+    predict = _reference_pcr(stream, k)
+    # Held-out frames: the same waves, continued.
+    later = _smooth_stream(700, 6, 1e-3).as_matrix()[400:].astype(np.float64)
+    inputs = np.concatenate([later[j : len(later) - k + j] for j in range(k)], axis=1)
+    want = predict(inputs)
+    got = forward(model, inputs)
+    # The two bases differ only past the sixth direction, in noise: the
+    # predictions agree to a third of the noise's standard deviation.
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=3e-4)
+    # Both leave under 1% of the mean frame's error, in training and held out.
+    mean_frame_error = np.mean((later[k:] - stream.as_matrix().mean(axis=0)) ** 2)
+    assert np.mean((later[k:] - want) ** 2) < 0.01 * mean_frame_error
+    assert np.mean((later[k:] - got) ** 2) < 0.01 * mean_frame_error
+    assert model.epoch_losses[1] < 0.01 * model.epoch_losses[0]
+
+
+def test_seq_fit_predicts_a_constant_stream():
+    # The centred pool is zero: a zero Gram matrix, made regular by the
+    # ridge, and the map that predicts the mean frame.
+    stream = FrameStream(frames=np.full((30, 4, 4, 1), 0.3), frame_rate_hz=10.0)
+    model = train_reconstructor(stream, "seq", TrainConfig(history_k=2))
+    assert np.all(np.isfinite(model.weights[0]))
+    assert float(error_series(model, stream).values.max()) < 1e-10
+    assert model.epoch_losses == [0.0, 0.0]
+
+
+def test_seq_fit_ignores_epochs_and_batch_size():
+    stream = _noise_stream(22, 40, w=6, h=6)
+    base = train_reconstructor(stream, "seq", TrainConfig(seed=3))
+    assert len(base.epoch_losses) == 2
+    assert base.epoch_losses[1] < base.epoch_losses[0]
+    for cfg in (TrainConfig(epochs=0, seed=3), TrainConfig(epochs=7, batch_size=5, seed=3)):
+        other = train_reconstructor(stream, "seq", cfg)
+        for a, b in zip(other.weights + other.biases, base.weights + base.biases):
+            np.testing.assert_array_equal(a, b)
+        assert other.epoch_losses == base.epoch_losses
+
+
+def test_seq_fit_beats_the_mean_frame_on_held_out_drives():
+    # A pool of the train_seq benchmark's shape: two 600-frame nominal drives.
+    pool = FrameStream(
+        frames=np.concatenate([nominal_drive(s, 600).frames for s in (1000, 1001)]),
+        frame_rate_hz=10.0,
+    )
+    model = train_reconstructor(pool, "seq", TrainConfig(seed=0))
+    k = model.history_k
+    mean_frame = pool.as_matrix().mean(axis=0, dtype=np.float64)
+    errors, baseline = [], []
+    for seed in (2000, 2001):
+        drive = nominal_drive(seed, 600)
+        errors.append(error_series(model, drive).values)
+        baseline.append(np.mean((drive.as_matrix()[k:] - mean_frame) ** 2, axis=1))
+    assert np.mean(np.concatenate(errors)) <= 0.7 * np.mean(np.concatenate(baseline))
+
+
+def test_seq_fit_memory_holds_the_model_and_one_block():
     import tracemalloc
 
     stream = FrameStream(
-        frames=np.random.default_rng(20).random((200, 32, 32, 1)), frame_rate_hz=10.0
+        frames=np.random.default_rng(20).random((600, 32, 32, 1)), frame_rate_hz=10.0
     )
     tracemalloc.start()
     try:
-        model = train_reconstructor(stream, "seq", TrainConfig(epochs=1))
+        model = train_reconstructor(stream, "seq")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     model_bytes = sum(a.nbytes for a in model.weights + model.biases)
-    # The float32 training weights are the model's arrays; a separate
-    # float32 copy of the 3072-1024 layer would add 12 MiB, and so would a
-    # full float32 gradient of it.
+    # The 3072-1024 weight is 12 MiB; one float32 block of the pool is
+    # 1 MiB.  A float64 weight, or a d x d matrix per lag, would add 4 MiB
+    # or more.
     assert peak <= model_bytes + 2 * 2**20
+
+
+def test_model_bits_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits long sums differently at one thread and at two.  On
+    # this 1000-frame pool, seq's Gram matrix as one product over every
+    # sample, not summed block by block, writes a loss that differs in its
+    # last bit.
+    script = """
+import sys
+from lanewatch.experiment import nominal_drive
+from lanewatch.io import write_model_json
+from lanewatch.reconstruct import TrainConfig, train_reconstructor
+stream = nominal_drive(1000, 1000)
+for kind in ("sae", "dae", "seq"):
+    model = train_reconstructor(stream, kind, TrainConfig(epochs=2))
+    write_model_json(f"{sys.argv[1]}/{kind}.bin", model)
+"""
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
+                             env=env, capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+    for kind in ("sae", "dae", "seq"):
+        one = (tmp_path / "1" / f"{kind}.bin").read_bytes()
+        assert (tmp_path / "2" / f"{kind}.bin").read_bytes() == one, kind
 
 
 def test_shallow_autoencoder_memorizes_constant_frame():
@@ -477,30 +556,6 @@ def test_error_series_memory_does_not_grow_with_the_stream(kind):
     # peaks at two to five such copies, float64 scoring blocks at 0.56 of
     # one (seq), and float32 ones at 0.26.
     assert peak < 0.35 * stream.frames.size * 8
-
-
-def test_reconstruct_checks_history_length():
-    stream = _noise_stream(10, 10)
-    model = train_reconstructor(stream, "sae", TrainConfig(hidden_sizes=(6,), epochs=1))
-    with pytest.raises(ValueError):
-        reconstruct(model, stream.frames[:2])
-
-
-def test_reconstruction_error_hand_value():
-    a = _frame([0.0, 0.5, 1.0, 0.0] * 4)
-    b = _frame([0.5, 0.5, 0.0, 0.0] * 4)
-    # squared diffs: 0.25, 0, 1.0, 0 repeating -> mean 0.3125
-    assert reconstruction_error(a, b) == pytest.approx(0.3125, rel=1e-15)
-    assert reconstruction_error(a, a) == 0.0
-
-
-def test_reconstruction_clamped_to_unit_interval():
-    stream = _noise_stream(12, 15)
-    model = train_reconstructor(stream, "sae", TrainConfig(hidden_sizes=(6,), epochs=0, seed=4))
-    out = reconstruct(model, stream.frames[:1])
-    assert out.shape == (4, 4, 1)
-    assert float(out.min()) >= 0.0
-    assert float(out.max()) <= 1.0
 
 
 # --------------------------------------------------------------- containers
