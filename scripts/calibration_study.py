@@ -26,7 +26,6 @@ def parse_args(argv=None):
     parser.add_argument("--heldout-seeds", type=int, default=10)
     parser.add_argument("--train-frames", type=int, default=900)
     parser.add_argument("--stream-frames", type=int, default=600)
-    parser.add_argument("--epochs", type=int, default=120)
     parser.add_argument("--healing-h", type=int, default=DEFAULT_HEALING_FRAMES)
     parser.add_argument(
         "--epsilons", default="0.10,0.05,0.02,0.01",
@@ -40,7 +39,7 @@ def main(argv=None) -> int:
     epsilons = [float(e) for e in args.epsilons.split(",") if e]
     t0 = time.time()
 
-    hyper = TrainConfig(epochs=args.epochs, seed=0)
+    hyper = TrainConfig(seed=0)
     model = train_nominal(range(1000, 1000 + args.train_seeds), args.train_frames, "sae", hyper)
     n_frames = args.train_seeds * args.train_frames
     print(f"[{time.time() - t0:5.1f}s] trained on {n_frames} nominal frames")

@@ -30,7 +30,6 @@ def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--eval-seeds", type=int, default=20)
     parser.add_argument("--eval-frames", type=int, default=2000)
-    parser.add_argument("--epochs", type=int, default=120)
     parser.add_argument("--epsilon", type=float, default=0.05)
     parser.add_argument("--reaction-rs", default="10,30,50,70")
     parser.add_argument("--grid-size", type=int, default=36)
@@ -42,7 +41,7 @@ def main(argv=None) -> int:
     reaction_rs = [int(r) for r in args.reaction_rs.split(",") if r]
     t0 = time.time()
 
-    hyper = TrainConfig(epochs=args.epochs, seed=0)
+    hyper = TrainConfig(seed=0)
     model = train_nominal(range(1000, 1006), 900, "sae", hyper)
     drives = (nominal_drive(seed, 600) for seed in range(1500, 1508))
     params, _ = calibrate(model, drives, ArFilterConfig())

@@ -214,16 +214,16 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
 
 
 def cmd_train(cfg: PipelineConfig) -> None:
-    stream = io.read_frames(cfg.path("train"))
-    n_frames = len(stream)
-    model = train_reconstructor(stream, cfg.train_kind, cfg.train)
-    # The drive goes back to the system before the model is written.
-    del stream
+    # The fits read the drive from disk a block at a time; dae reads it whole.
+    drive = io.FrameFile(cfg.path("train"))
+    model = train_reconstructor(drive, cfg.train_kind, cfg.train)
     io.write_model_json(cfg.path("model"), model)
-    final = model.epoch_losses[-1] if model.epoch_losses else float("nan")
+    # What training bought: the first loss, then the last.  For the fits
+    # these are the mean frame's loss and the fitted one.
+    losses = model.epoch_losses or [float("nan")]
     print(
-        f"trained {cfg.train_kind.value} on {n_frames} nominal frames, "
-        f"final epoch loss {final:.6g} -> {cfg.path('model')}"
+        f"trained {cfg.train_kind.value} on {len(drive)} nominal frames, "
+        f"loss {losses[0]:.6g} -> {losses[-1]:.6g} -> {cfg.path('model')}"
     )
 
 

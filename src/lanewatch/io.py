@@ -105,13 +105,15 @@ def _head(f, magic: bytes, n: int) -> tuple[int, bytes]:
 
 class FrameFile:
     """An FRM1 file, the one reader of the format, read a few frames at a
-    time so that scoring it holds one block of frames rather than the drive.
+    time so that scoring it or fitting to it holds one block of frames
+    rather than the drive.
 
     Opening checks the magic, the dimensions, and that the body holds
-    exactly the bytes they call for.  error_series takes a FrameFile in
-    place of a FrameStream: frames is the file itself, and frames[a:b]
-    reads frames a ... b-1 from disk, validates only those, and returns
-    them as a read-only "<f4" view of an anonymous mmap of their own.
+    exactly the bytes they call for.  error_series and train_reconstructor
+    take a FrameFile in place of a FrameStream: frames is the file itself,
+    and frames[a:b] reads frames a ... b-1 from disk, validates only those,
+    and returns them as a read-only "<f4" view of an anonymous mmap of
+    their own.
     That memory goes back to the system when the view is dropped, where a
     freed bytes object of a drive's size can stay in the heap under later
     allocations.

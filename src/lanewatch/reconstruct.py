@@ -7,13 +7,15 @@ autoencoder (five node layers), and a sequence predictor, an affine map
 per-frame error is the mean pixel-wise squared difference between a
 frame and its reconstruction.
 
-The autoencoders are trained by mini-batch SGD in float32, in buffers
-allocated once per call; initialization and the per-epoch shuffle draw
-from one seeded generator.  The sequence predictor is a least-squares
-problem, solved in closed form (see _fit_sequence).  Either way two runs
-with identical inputs give bit-identical weights.  Frames are float32
-from the generator to the trainer, and a model holds float32 weights and
-biases and is scored in float32.
+The shallow autoencoder and the sequence predictor are fitted in closed
+form on the pool's top principal directions (see _fit_autoencoder and
+_fit_sequence), reading the frames a block of rows at a time.  The deep
+autoencoder is trained by mini-batch SGD in float32, in buffers allocated
+once per call; initialization and the per-epoch shuffle draw from one
+seeded generator.  Either way two runs with identical inputs give
+bit-identical weights.  Frames are float32 from the generator to the
+trainer, and a model holds float32 weights and biases and is scored in
+float32.
 
 SGD's _forward writes each layer into a workspace in one of three forms
 chosen from its sizes and the batch rows (see _Workspace): input-major
@@ -120,12 +122,12 @@ class TrainConfig:
     """Hyperparameters for reconstructor training.
 
     hidden_sizes=None selects a per-kind default; every kind takes as many
-    sizes as its default has (see _DEFAULT_HIDDEN).  The autoencoders run
-    `epochs` epochs of SGD on batches of `batch_size`, at a learning rate
-    fixed per kind.  The sequence predictor is fitted in closed form: it
-    ignores epochs and batch_size, seed seeds its principal basis, and
-    history_k, which only it reads, is how many past frames it maps to
-    the next one.
+    sizes as its default has (see _DEFAULT_HIDDEN).  The deep autoencoder
+    runs `epochs` epochs of SGD on batches of `batch_size`.  The shallow
+    autoencoder and the sequence predictor are fitted in closed form: they
+    ignore epochs and batch_size, and seed seeds their principal basis.
+    history_k, which only the sequence predictor reads, is how many past
+    frames it maps to the next one.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
@@ -170,20 +172,28 @@ _TRAIN_DTYPE = np.float32
 # it wins at 128 rows or fewer but not reliably at 256 and 512.
 _INPUT_MAJOR_MAX_OUT = 64
 
-# Scoring and the sequence fit read this many samples at a time (one
-# more in a last block that would otherwise hold a single sample), so
-# their buffers stay the same size whatever the length of the stream.
+# Scoring and the fits read this many samples at a time (one more in a
+# last block that would otherwise hold a single sample), so their buffers
+# stay the same size whatever the length of the stream.
 SCORE_BLOCK_ROWS = 256
 
-_DEFAULT_LEARNING_RATE = {
-    ReconstructorKind.SAE: 10.0,
-    ReconstructorKind.DAE: 10.0,
-}
+# The fits sum every product over pixels this many pixels at a time.
+# Threaded OpenBLAS splits a sum of more than 512 float32 (384 float64)
+# terms differently from one thread, so one product over the pixels of a
+# frame of 30x30 rounds differently with the thread count.
+_PIXEL_BLOCK = 256
+
+# The deep autoencoder's SGD step size.
+_DAE_LEARNING_RATE = 10.0
 
 # The sequence predictor's rank and ridge factor (see _fit_sequence),
 # chosen on held-out nominal drives with bits independent of BLAS threads.
 _SEQ_RANK = 16
 _SEQ_RIDGE = 0.01
+
+# A sigmoid autoencoder's hidden unit sees at most this |z| on a training
+# frame, where sigmoid(z) - 1/2 is z/4 to within 0.1% (see _fit_autoencoder).
+_SIGMOID_REACH = 0.1
 
 
 @dataclass
@@ -280,8 +290,9 @@ def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
     """np.empty, but starting on a 64-byte cache line.  np.empty starts
     where malloc does, on 16 bytes, so a buffer's offset within its cache
     line depends on every allocation made before it.  With plain np.empty
-    for the SGD buffers, the README quick-start's sae training ran about
-    17% slower in the pipeline process; the trained bits are the same."""
+    for the SGD buffers, the README quick-start ran about 17% slower in
+    the pipeline process, when its sae still trained by SGD; the trained
+    bits are the same."""
     nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     raw = np.empty(nbytes + 64, np.uint8)
     start = -raw.ctypes.data % 64
@@ -303,10 +314,10 @@ class _Workspace:
       OpenBLAS multiplies these as fast as or faster than a @ w.T and
       delta.T @ a at these shapes, and the first layer propagates no
       delta, which would be the slow delta @ W.T.  With the defaults this
-      is sae's 1024-32 and dae's 1024-64 layer.  Unlike the wide form,
-      a @ W can round differently from a @ w.T on a short batch, so a
-      stream whose last batch is short may train weights that differ in
-      float32 rounding from the a @ w.T ones.
+      is dae's 1024-64 layer.  Unlike the wide form, a @ W can round
+      differently from a @ w.T on a short batch, so a stream whose last
+      batch is short may train weights that differ in float32 rounding
+      from the a @ w.T ones.
     - wide: both sizes exceed `rows`.  The pre-activation buffer is
       feature-major, (n_out, rows), and _forward fills its first m columns
       as w @ a.T, which OpenBLAS computes faster than a @ w.T at these
@@ -434,9 +445,10 @@ def _sample_count(n_frames: int, history_k: int | None) -> int:
     return n_frames - history_k
 
 
-def _train_sgd(frames: np.ndarray, layer_sizes: list[int], hyper: TrainConfig, rate: float):
+def _train_sgd(frames: np.ndarray, layer_sizes: list[int], hyper: TrainConfig):
     """An autoencoder's float32 weights, biases and per-epoch mean batch
-    losses after hyper.epochs epochs of mini-batch SGD on the frames."""
+    losses after hyper.epochs epochs of mini-batch SGD at
+    _DAE_LEARNING_RATE on an (n, d) frame matrix."""
     rng = np.random.default_rng(hyper.seed)
     # The model's arrays are allocated first, before any training buffer:
     # allocated last, they would sit above the memory training frees and
@@ -468,9 +480,9 @@ def _train_sgd(frames: np.ndarray, layer_sizes: list[int], hyper: TrainConfig, r
             loss, grad_w, grad_b = _loss_and_grads(trained, biases, hyper.activation, x, x, ws)
             batch_losses.append(loss)
             for l in range(len(trained)):
-                grad_w[l] *= rate
+                grad_w[l] *= _DAE_LEARNING_RATE
                 trained[l] -= grad_w[l]
-                grad_b[l] *= rate
+                grad_b[l] *= _DAE_LEARNING_RATE
                 biases[l] -= grad_b[l]
         epoch_losses.append(float(np.mean(batch_losses)))
 
@@ -486,10 +498,20 @@ def _block_gram(a: np.ndarray) -> np.ndarray:
     return sum(a[i:j].T @ a[i:j] for i, j in _row_ranges(len(a), SCORE_BLOCK_ROWS))
 
 
-def _principal_basis(frames: np.ndarray, rank: int, seed: int):
-    """An (n, d) float32 frame matrix's float32 mean frame, and in float64
-    its top `rank` principal directions (orthonormal columns, by falling
-    variance), each frame's code in them and squared distance to the mean.
+def _pixel_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b summed over the pixel axis, a's last and b's first, in blocks
+    of _PIXEL_BLOCK pixels, so its bits do not depend on the thread count."""
+    return sum(a[..., i : i + _PIXEL_BLOCK] @ b[i : i + _PIXEL_BLOCK]
+               for i in range(0, len(b), _PIXEL_BLOCK))
+
+
+def _principal_basis(frames, rank: int, seed: int):
+    """The float32 mean frame of n frames, and in float64 their top `rank`
+    principal directions (orthonormal columns, by falling variance), each
+    frame's code in them and squared distance to the mean.  frames is
+    anything whose frames[a:b] gives frames a ... b-1 as a float32 array,
+    such as a (n, height, width, channels) array or an io.FrameFile; it is
+    read SCORE_BLOCK_ROWS frames at a time.
 
     Block subspace iteration (Halko, Martinsson & Tropp, SIAM Review
     2011): from a seeded d x (rank + 8) normal draw Q, 4 rounds of
@@ -497,31 +519,77 @@ def _principal_basis(frames: np.ndarray, rank: int, seed: int):
     frames, each centred into one reused float32 buffer, then Rayleigh-Ritz:
     with V the eigenvectors of Y.T @ Y, Y = Xc @ Q, the basis is Q @ V and
     the codes Y @ V.  No d x d matrix is formed."""
-    n, d = frames.shape
+    n, d = len(frames), math.prod(frames.shape[1:])
     ranges = list(_row_ranges(n, SCORE_BLOCK_ROWS))
-    mean = sum(frames[a:b].sum(axis=0, dtype=np.float64) for a, b in ranges) / n
-    mean = mean.astype(np.float32)
+    mean = sum(frames[a:b].reshape(b - a, d).sum(axis=0, dtype=np.float64) for a, b in ranges)
+    mean = (mean / n).astype(np.float32)
     block = np.empty((min(n, SCORE_BLOCK_ROWS + 1), d), np.float32)
 
     def centred():
         for a, b in ranges:
-            yield a, b, np.subtract(frames[a:b], mean, out=block[: b - a])
+            yield a, b, np.subtract(frames[a:b].reshape(b - a, d), mean, out=block[: b - a])
 
     q = np.random.default_rng(seed).standard_normal((d, min(rank + 8, d)))
     for _ in range(4):
         q32, s = q.astype(np.float32), np.zeros_like(q)
         for _, _, xc in centred():
-            s += xc.T @ (xc @ q32)
+            s += xc.T @ _pixel_dot(xc, q32)
         q = np.linalg.qr(s)[0]
     q32, y, sq_dist = q.astype(np.float32), np.empty((n, q.shape[1])), np.empty(n)
     for a, b, xc in centred():
-        y[a:b] = xc @ q32
+        y[a:b] = _pixel_dot(xc, q32)
         sq_dist[a:b] = np.square(xc, out=xc).sum(axis=1, dtype=np.float64)
     v = np.linalg.eigh(_block_gram(y))[1][:, : -rank - 1 : -1]
     return mean, q @ v, y @ v, sq_dist
 
 
-def _fit_sequence(frames: np.ndarray, history_k: int, seed: int):
+def _fit_autoencoder(frames, hidden: int, activation: Activation, seed: int):
+    """The shallow autoencoder's float32 weights and biases, and the mean
+    per-pixel squared error of its training frames reconstructed by the
+    pool's mean frame and by the fit.
+
+    A linear autoencoder's optimum projects onto the top principal
+    subspace (Baldi & Hornik, Neural Networks 1989).  Unit j holds the
+    pool's principal direction u_j (see _principal_basis), in the layout
+    SGD would train, so the model scores as any other.  With ReLU units,
+    each code is shifted up by c_j = 2 max|code_j| on the way in and back
+    on the way out, so the ReLU is the identity on every training frame:
+    W0 = U.T, b0 = c - U.T mean, W1 = U, b1 = mean - U c.  With sigmoid
+    units, code j is scaled by s_j = _SIGMOID_REACH / max|code_j| into the
+    sigmoid's near-linear middle and scaled back: W0 = diag(s) U.T,
+    b0 = -diag(s) U.T mean, W1 = 4 U diag(1/s), b1 = mean - 2 U (1/s).
+    A direction that explains no more than float32's resolution of the
+    pool's variance is rounding noise (past what the pool holds, or a
+    constant pool), and its unit, like any unit past the rank, gets zero
+    weights in and out."""
+    n, d = len(frames), math.prod(frames.shape[1:])
+    rank = min(hidden, d, n)
+    mean, basis, codes, sq_dist = _principal_basis(frames, rank, seed)
+    explained = np.square(codes).sum(axis=0)
+    live = explained > np.finfo(np.float32).eps * sq_dist.sum()
+    u = np.where(live, basis, 0.0)
+    reach = np.where(live, np.abs(codes).max(axis=0), 0.0)
+    projected_mean = _pixel_dot(mean, u)
+    w0, b0 = np.zeros((hidden, d), np.float32), np.zeros(hidden, np.float32)
+    w1 = np.zeros((d, hidden), np.float32)
+    if activation is Activation.RELU:
+        c = 2.0 * reach
+        w0[:rank], b0[:rank], w1[:, :rank] = u.T, c - projected_mean, u
+        b1 = mean - u @ c
+    else:
+        s = np.divide(_SIGMOID_REACH, reach, out=np.zeros(rank), where=live)
+        inv_s = reach / _SIGMOID_REACH
+        w0[:rank], b0[:rank] = s[:, None] * u.T, -s * projected_mean
+        w1[:, :rank], b1 = u * (4.0 * inv_s), mean - u @ (2.0 * inv_s)
+    # What the basis explains is the codes' squared length; a pool it
+    # explains whole can round that a little past its squared distance.
+    frame_loss = sq_dist.sum()
+    fit_loss = max(frame_loss - explained[live].sum(), 0.0)
+    losses = [float(frame_loss) / (n * d), float(fit_loss) / (n * d)]
+    return [w0, w1], [b0, b1.astype(np.float32)], losses
+
+
+def _fit_sequence(frames, history_k: int, seed: int):
     """The sequence predictor's float32 weight and bias, and the mean
     per-pixel squared error of its training targets predicted by the
     pool's mean frame and by the fit.
@@ -533,7 +601,7 @@ def _fit_sequence(frames: np.ndarray, history_k: int, seed: int):
     code: a (k*r)^2 system.  The weight's block j, for frame i+j, is
     U @ M_j.T @ U.T, formed as one float32 matmul; the bias is worked out
     in r-space."""
-    n_frames, d = frames.shape
+    n_frames, d = len(frames), math.prod(frames.shape[1:])
     k, n = history_k, _sample_count(n_frames, history_k)
     rank = min(_SEQ_RANK, d, n)
     mean, basis, codes, sq_dist = _principal_basis(frames, rank, seed)
@@ -548,7 +616,7 @@ def _fit_sequence(frames: np.ndarray, history_k: int, seed: int):
     # M_j, rows j*r ... (j+1)*r - 1 of coef, maps input code j to the target code.
     right = np.hstack([m_j.T @ basis.T for m_j in coef.reshape(k, rank, rank)], dtype=np.float32)
     weight = basis.astype(np.float32) @ right
-    bias = mean - basis @ (coef.T @ np.tile(basis.T @ mean, k))
+    bias = mean - basis @ (coef.T @ np.tile(_pixel_dot(mean, basis), k))
     # The fit's squared error is the targets' squared distance to the mean
     # less what the regression explains of their codes, which by the
     # normal equations is <coef, rhs> + ridge |coef|^2.
@@ -559,27 +627,38 @@ def _fit_sequence(frames: np.ndarray, history_k: int, seed: int):
 
 
 def train_reconstructor(
-    stream: FrameStream,
+    stream,
     kind: ReconstructorKind | str,
     hyper: TrainConfig | None = None,
 ) -> ReconstructorModel:
-    """Fit a reconstructor to a nominal stream: an autoencoder by
-    mini-batch SGD in float32, the sequence predictor in closed form."""
+    """Fit a reconstructor to a nominal stream: the shallow autoencoder and
+    the sequence predictor in closed form, the deep autoencoder by
+    mini-batch SGD in float32.  stream is a FrameStream or an
+    io.FrameFile.  The closed-form fits read SCORE_BLOCK_ROWS frames of
+    stream.frames at a time, so from a FrameFile they never hold the
+    drive; SGD reads it whole."""
     kind = ReconstructorKind(kind)
     hyper = hyper or TrainConfig()
     if len(stream) == 0:
         raise ValueError("cannot train on an empty stream")
     history_k = hyper.history_k if kind is ReconstructorKind.SEQ else None
-    frames = stream.as_matrix()
+    frames = stream.frames
+    n_pixels = math.prod(frames.shape[1:])
     hidden = hyper.hidden_sizes if hyper.hidden_sizes is not None else _DEFAULT_HIDDEN[kind]
     depth = len(_DEFAULT_HIDDEN[kind])
     if len(hidden) != depth:
         raise ConfigError(f"{kind.value} takes hidden_sizes of length {depth}, got {hidden}")
-    layer_sizes = [(history_k or 1) * frames.shape[1], *hidden, frames.shape[1]]
-    weights, biases, epoch_losses = (
-        _fit_sequence(frames, history_k, hyper.seed) if history_k
-        else _train_sgd(frames, layer_sizes, hyper, _DEFAULT_LEARNING_RATE[kind])
-    )
+    layer_sizes = [(history_k or 1) * n_pixels, *hidden, n_pixels]
+    if kind is ReconstructorKind.SEQ:
+        weights, biases, epoch_losses = _fit_sequence(frames, history_k, hyper.seed)
+    elif kind is ReconstructorKind.SAE:
+        weights, biases, epoch_losses = _fit_autoencoder(
+            frames, hidden[0], hyper.activation, hyper.seed
+        )
+    else:
+        weights, biases, epoch_losses = _train_sgd(
+            frames[:].reshape(len(frames), n_pixels), layer_sizes, hyper
+        )
     # A float64 sum of float32 cells is finite exactly when every cell is.
     cells = sum(a.sum(dtype=np.float64) for a in weights + biases)
     if not math.isfinite(sum(epoch_losses) + cells):

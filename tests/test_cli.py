@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -181,11 +182,43 @@ def test_fit_scores_the_frame_file_like_the_whole_stream(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(io, "read_frames", counted_read)
     assert main(["pipeline", "--config", str(config)]) == 0
-    # train reads the drive whole; fit reads it block by block.
-    assert len(reads) == 1
+    # train and fit read every drive through io.FrameFile.
+    assert reads == []
     whole = error_series(read_model_json(work / "model.bin"), read_frames(work / "frames.frm1"))
     write_error_csv(tmp_path / "whole.csv", ar_filter(whole))
     assert (work / "errors.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_train_reads_its_drive_block_by_block(tmp_path, monkeypatch):
+    # The README quick-start's drive length.  No stage reads a whole drive
+    # through io.read_frames, and the sae fit holds a few blocks of frames
+    # and its basis, never a copy of the drive.  tracemalloc sees numpy's
+    # arrays but not FrameFile's anonymous mmaps, which hold one block each.
+    import tracemalloc
+
+    work = tmp_path / "out"
+    work.mkdir()
+    doc = _config_doc(work)
+    doc["scenario"]["n_frames"] = 2000
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    reads = []
+
+    def counted_read(*args, **kwargs):
+        reads.append(args)
+        return read_frames(*args, **kwargs)
+
+    monkeypatch.setattr(io, "read_frames", counted_read)
+    assert main(["pipeline", "--config", str(config)]) == 0
+    assert reads == []
+    drive_bytes = math.prod(io.FrameFile(work / "train.frm1").shape) * 4  # 8.2 MB
+    tracemalloc.start()
+    try:
+        assert main(["train", "--config", str(config)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * drive_bytes
 
 
 def test_fit_writes_the_errors_smoothed_like_its_calibration(pipeline_dir, tmp_path):
@@ -783,13 +816,14 @@ def test_json_text_model_exits_2(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_exits_3_without_a_model(tmp_path, monkeypatch, capsys):
-    # At a learning rate of 1e40 one batch leaves non-finite weights.
-    monkeypatch.setitem(reconstruct._DEFAULT_LEARNING_RATE, ReconstructorKind.SAE, 1e40)
+    # At a learning rate of 1e40 one batch of dae's SGD leaves non-finite
+    # weights.
+    monkeypatch.setattr(reconstruct, "_DAE_LEARNING_RATE", 1e40)
     frames = np.random.default_rng(0).random((64, 4, 4, 1))
     write_frames(tmp_path / "train.frm1", FrameStream(frames=frames))
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"workdir": str(tmp_path),
-                                  "train": {"epochs": 1, "batch_size": 64}}))
+                                  "train": {"kind": "dae", "epochs": 1, "batch_size": 64}}))
     assert main(["train", "--config", str(config)]) == 3
-    assert "sae training diverged" in capsys.readouterr().err
+    assert "dae training diverged" in capsys.readouterr().err
     assert not (tmp_path / "model.bin").exists()

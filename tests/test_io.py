@@ -368,8 +368,8 @@ def test_model_json_round_trip_exact(tmp_path):
     stream = _stream(n=12, w=4, h=4)
     model = train_reconstructor(
         stream,
-        ReconstructorKind.SAE,
-        TrainConfig(hidden_sizes=(4,), epochs=3, batch_size=4, seed=1),
+        ReconstructorKind.DAE,
+        TrainConfig(hidden_sizes=(4, 2, 4), epochs=3, batch_size=4, seed=1),
     )
     path = tmp_path / "model.bin"
     write_model_json(path, model)
@@ -387,7 +387,7 @@ def test_model_json_round_trip_exact(tmp_path):
 
 @pytest.mark.parametrize(
     "kind, epochs",
-    [("sae", 2), ("dae", 2), ("seq", 2), ("sae", 0)],
+    [("sae", 2), ("dae", 2), ("seq", 2), ("dae", 0)],
     ids=["sae", "dae", "seq", "no-epoch-losses"],
 )
 def test_model_json_bytes_are_json_dumps_of_the_document(tmp_path, kind, epochs):
@@ -397,8 +397,8 @@ def test_model_json_bytes_are_json_dumps_of_the_document(tmp_path, kind, epochs)
                       history_k=3)
     model = train_reconstructor(_stream(n=12, w=4, h=4), kind, cfg)
     assert (model.history_k is None) == (kind != "seq")
-    # seq is fitted in closed form: [mean-frame loss, fitted loss].
-    assert len(model.epoch_losses) == (2 if kind == "seq" else epochs)
+    # sae and seq are fitted in closed form: [mean-frame loss, fitted loss].
+    assert len(model.epoch_losses) == (epochs if kind == "dae" else 2)
     doc = {
         "kind": model.kind.value,
         "layer_sizes": model.layer_sizes,

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+from lanewatch import reconstruct
 from lanewatch.errors import ConfigError, ConvergenceError
 from lanewatch.experiment import nominal_drive
 from lanewatch.io import FrameFile, read_model_json, write_frames, write_model_json
@@ -24,7 +25,7 @@ from lanewatch.reconstruct import (
     train_reconstructor,
 )
 from lanewatch.reconstruct import (
-    _DEFAULT_LEARNING_RATE,
+    _DAE_LEARNING_RATE,
     _SEQ_RANK,
     _SEQ_RIDGE,
     SCORE_BLOCK_ROWS,
@@ -163,10 +164,10 @@ def test_loss_is_mean_squared_residual(dtype, rtol):
 
 # ----------------------------------------------------------------- training
 
-def _reference_sgd(stream, kind, cfg):
-    """Float64 SGD of an autoencoder with train_reconstructor's draws and
-    batches: the same seeded initialization and per-epoch permutations,
-    fresh buffers."""
+def _reference_sgd(stream, cfg):
+    """Float64 SGD of the deep autoencoder with train_reconstructor's draws
+    and batches: the same seeded initialization and per-epoch
+    permutations, fresh buffers."""
     rng = np.random.default_rng(cfg.seed)
     data = targets = stream.as_matrix().astype(np.float64)
     sizes = [data.shape[1], *cfg.hidden_sizes, targets.shape[1]]
@@ -175,7 +176,7 @@ def _reference_sgd(stream, kind, cfg):
         bound = 1.0 / math.sqrt(n_in)
         weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)))
         biases.append(np.zeros(n_out))
-    rate = _DEFAULT_LEARNING_RATE[ReconstructorKind(kind)]
+    rate = _DAE_LEARNING_RATE
     losses = []
     for _ in range(cfg.epochs):
         order = rng.permutation(len(data))
@@ -193,19 +194,13 @@ def _reference_sgd(stream, kind, cfg):
     return weights, biases, losses
 
 
-@pytest.mark.parametrize(
-    "kind, cfg",
-    [
-        ("sae", TrainConfig(hidden_sizes=(6,), epochs=12, batch_size=8, seed=3)),
-        ("dae", TrainConfig(hidden_sizes=(8, 4, 8), epochs=12, batch_size=8, seed=4,
-                            activation=Activation.SIGMOID)),
-    ],
-)
-def test_float32_training_tracks_float64_reference(kind, cfg):
+def test_dae_training_tracks_float64_reference():
     # 45 frames in batches of 8 end each epoch with a short batch of 5.
+    cfg = TrainConfig(hidden_sizes=(8, 4, 8), epochs=12, batch_size=8, seed=4,
+                      activation=Activation.SIGMOID)
     stream = _noise_stream(14, 45)
-    model = train_reconstructor(stream, kind, cfg)
-    weights, biases, losses = _reference_sgd(stream, kind, cfg)
+    model = train_reconstructor(stream, "dae", cfg)
+    weights, biases, losses = _reference_sgd(stream, cfg)
     for got, want in zip(model.weights + model.biases, weights + biases):
         assert got.dtype == np.float32
         assert np.all(np.isfinite(got))
@@ -215,15 +210,16 @@ def test_float32_training_tracks_float64_reference(kind, cfg):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts are read on Linux")
-@pytest.mark.parametrize("kind", ["sae", "dae"])
+@pytest.mark.parametrize("kind", ["dae"])
 def test_training_steps_do_not_churn_allocations(kind):
-    # A 32x32 frame makes each 32-row float32 batch array 128 KiB.  The
-    # count runs in a fresh process with one BLAS thread and glibc's mmap
-    # threshold fixed at 128 KiB, so every array that large is mapped
-    # fresh and faults in its pages: at the default threshold, which rises
-    # after the first large free, the heap would reuse a freed array
-    # unseen.  dae's one wide layer (64-1024) writes the short last batch
-    # (200 = 6 * 32 + 8) into a column slice of its feature-major buffer.
+    # dae is the one kind trained by SGD.  A 32x32 frame makes each 32-row
+    # float32 batch array 128 KiB.  The count runs in a fresh process with
+    # one BLAS thread and glibc's mmap threshold fixed at 128 KiB, so every
+    # array that large is mapped fresh and faults in its pages: at the
+    # default threshold, which rises after the first large free, the heap
+    # would reuse a freed array unseen.  dae's one wide layer (64-1024)
+    # writes the short last batch (200 = 6 * 32 + 8) into a column slice of
+    # its feature-major buffer.
     script = """
 import resource, sys
 import numpy as np
@@ -368,20 +364,105 @@ def test_seq_fit_memory_holds_the_model_and_one_block():
     assert peak <= model_bytes + 2 * 2**20
 
 
+def test_sae_fit_tracks_float64_reference():
+    # Six components and six hidden units: the exact basis by SVD and the
+    # fit's both span the six waves.  The reference reconstructs a frame as
+    # its projection onto them, clamped to [0, 1] as scoring clamps it.
+    stream = _smooth_stream(400, 6, 1e-3)
+    frames = stream.as_matrix().astype(np.float64)
+    mean = frames.mean(axis=0)
+    u = np.linalg.svd(frames - mean, full_matrices=False)[2][:6].T
+    later = _smooth_stream(700, 6, 1e-3).as_matrix()[400:].astype(np.float64)
+    want = np.clip(mean + (later - mean) @ u @ u.T, 0.0, 1.0)
+    mean_frame_loss = np.mean((frames - mean) ** 2)
+    fit_loss = np.mean((frames - mean - (frames - mean) @ u @ u.T) ** 2)
+    # The ReLU is exact on the codes; the sigmoid's cubic term,
+    # z^3 / 48 at |z| <= 0.1, costs up to 1e-3 of a code.
+    for activation, atol in ((Activation.RELU, 1e-6), (Activation.SIGMOID, 3e-4)):
+        cfg = TrainConfig(hidden_sizes=(6,), seed=7, activation=activation)
+        model = train_reconstructor(stream, "sae", cfg)
+        got = forward(model, later)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=atol)
+        assert np.mean((later - got) ** 2) < 0.01 * np.mean((later - mean) ** 2)
+        assert model.epoch_losses[0] == pytest.approx(mean_frame_loss, rel=1e-8)
+        assert model.epoch_losses[1] == pytest.approx(fit_loss, rel=1e-4)
+
+
+def test_sae_fit_past_the_pool_rank_leaves_zero_units():
+    # Five centred frames span four directions: of 32 units, four are
+    # live, the fifth direction is rounding noise and 27 are past the rank.
+    stream = _noise_stream(23, 5, w=32, h=32)
+    for activation in Activation:
+        model = train_reconstructor(stream, "sae", TrainConfig(activation=activation))
+        for a in model.weights + model.biases:
+            assert np.all(np.isfinite(a))
+        live = np.any(model.weights[0] != 0.0, axis=1)
+        assert live.sum() == 4
+        assert not np.any(model.weights[1][:, ~live])
+        if activation is Activation.RELU:
+            assert not np.any(model.biases[0][~live])
+        assert np.all(np.isfinite(error_series(model, stream).values))
+        assert model.epoch_losses[1] < 1e-6 * model.epoch_losses[0]
+
+
+def _held_out_ratio(model, pool, drives):
+    """The model's mean error on drives over that of the pool's mean frame."""
+    mean_frame = pool.as_matrix().mean(axis=0, dtype=np.float64)
+    k = model.history_k or 0
+    errors = np.concatenate([error_series(model, drive).values for drive in drives])
+    baseline = np.concatenate(
+        [np.mean((drive.as_matrix()[k:] - mean_frame) ** 2, axis=1) for drive in drives]
+    )
+    return np.mean(errors) / np.mean(baseline)
+
+
+@pytest.fixture(scope="module")
+def nominal_pool_and_held_out():
+    """The train benchmarks' pool, two 600-frame nominal drives, and two
+    600-frame nominal drives it does not hold."""
+    pool = FrameStream(
+        frames=np.concatenate([nominal_drive(s, 600).frames for s in (1000, 1001)]),
+        frame_rate_hz=10.0,
+    )
+    return pool, [nominal_drive(seed, 600) for seed in (2000, 2001)]
+
+
+def test_sae_fit_beats_the_mean_frame_on_held_out_drives(nominal_pool_and_held_out):
+    # SGD at rate 10 ended at the mean frame: a ratio of 1.0004 on this pool.
+    pool, held_out = nominal_pool_and_held_out
+    model = train_reconstructor(pool, "sae", TrainConfig(seed=0))
+    assert _held_out_ratio(model, pool, held_out) <= 0.9
+
+
+def test_sigmoid_sae_fit_matches_the_relu_fit(nominal_pool_and_held_out):
+    pool, held_out = nominal_pool_and_held_out
+    relu, sigmoid = (
+        _held_out_ratio(train_reconstructor(pool, "sae", TrainConfig(activation=a)), pool,
+                        held_out)
+        for a in (Activation.RELU, Activation.SIGMOID)
+    )
+    assert sigmoid == pytest.approx(relu, rel=0.01)
+
+
 def test_model_bits_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits long sums differently at one thread and at two.  On
     # this 1000-frame pool, seq's Gram matrix as one product over every
     # sample, not summed block by block, writes a loss that differs in its
-    # last bit.
+    # last bit.  On its 30x30 crop, 900 pixels, a product over every pixel
+    # of a frame, not summed block by block, changes the sae and seq fits.
     script = """
 import sys
 from lanewatch.experiment import nominal_drive
 from lanewatch.io import write_model_json
-from lanewatch.reconstruct import TrainConfig, train_reconstructor
+from lanewatch.reconstruct import FrameStream, TrainConfig, train_reconstructor
 stream = nominal_drive(1000, 1000)
+crop = FrameStream(frames=stream.frames[:, :30, :30])
 for kind in ("sae", "dae", "seq"):
     model = train_reconstructor(stream, kind, TrainConfig(epochs=2))
     write_model_json(f"{sys.argv[1]}/{kind}.bin", model)
+for kind in ("sae", "seq"):
+    model = train_reconstructor(crop, kind, TrainConfig(epochs=2))
+    write_model_json(f"{sys.argv[1]}/{kind}-30x30.bin", model)
 """
     for threads in ("1", "2"):
         (tmp_path / threads).mkdir()
@@ -390,20 +471,22 @@ for kind in ("sae", "dae", "seq"):
         out = subprocess.run([sys.executable, "-c", script, str(tmp_path / threads)],
                              env=env, capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-    for kind in ("sae", "dae", "seq"):
-        one = (tmp_path / "1" / f"{kind}.bin").read_bytes()
-        assert (tmp_path / "2" / f"{kind}.bin").read_bytes() == one, kind
+    for name in ("sae", "dae", "seq", "sae-30x30", "seq-30x30"):
+        one = (tmp_path / "1" / f"{name}.bin").read_bytes()
+        assert (tmp_path / "2" / f"{name}.bin").read_bytes() == one, name
 
 
 def test_shallow_autoencoder_memorizes_constant_frame():
+    # The centred pool is zero: every unit is dead, and the output bias is
+    # the frame itself.
     frame = _frame(np.full(16, 0.3))
     stream = FrameStream(frames=[frame] * 40, frame_rate_hz=10.0)
     model = train_reconstructor(
         stream, ReconstructorKind.SAE, TrainConfig(hidden_sizes=(8,), epochs=200, seed=1)
     )
     errors = error_series(model, stream)
-    assert float(errors.values.max()) < 1e-4
-    assert model.epoch_losses[-1] < model.epoch_losses[0]
+    assert float(errors.values.max()) == 0.0
+    assert model.epoch_losses == [0.0, 0.0]
 
 
 def test_training_is_deterministic():
@@ -445,12 +528,13 @@ def test_hidden_size_arity_enforced():
     ids=["non-finite-loss", "finite-loss-non-finite-weights"],
 )
 def test_diverged_training_raises_convergence_error(monkeypatch, rate, n_frames, epochs):
-    # At rate 1e6 the epoch losses overflow.  At 1e40 (inf in float32) the
-    # one batch's loss is computed before its update and stays finite, but
-    # the update leaves non-finite weights.
-    monkeypatch.setitem(_DEFAULT_LEARNING_RATE, ReconstructorKind.SAE, rate)
-    with pytest.raises(ConvergenceError, match="sae training diverged"):
-        train_reconstructor(_noise_stream(9, n_frames), "sae",
+    # dae is the one kind trained by SGD.  At rate 1e6 the epoch losses
+    # overflow.  At 1e40 (inf in float32) the one batch's loss is computed
+    # before its update and stays finite, but the update leaves non-finite
+    # weights.
+    monkeypatch.setattr(reconstruct, "_DAE_LEARNING_RATE", rate)
+    with pytest.raises(ConvergenceError, match="dae training diverged"):
+        train_reconstructor(_noise_stream(9, n_frames), "dae",
                             TrainConfig(epochs=epochs, batch_size=64))
 
 

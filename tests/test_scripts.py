@@ -19,14 +19,13 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
     [
         (
             "calibration_study.py",
-            ["--train-seeds", "2", "--calibration-seeds", "2", "--heldout-seeds", "2",
-             "--epochs", "2"],
+            ["--train-seeds", "2", "--calibration-seeds", "2", "--heldout-seeds", "2"],
             ["epsilon", "theta", "measured", "FPR", "windows"],
         ),
         (
             "reaction_sweep.py",
-            ["--eval-seeds", "2", "--eval-frames", "600", "--epochs", "2",
-             "--reaction-rs", "10,50", "--grid-size", "6"],
+            ["--eval-seeds", "2", "--eval-frames", "600", "--reaction-rs", "10,50",
+             "--grid-size", "6"],
             ["r", "AUC-ROC", "AUC-PR", "TPR@eps", "FPR@eps"],
         ),
         (
