@@ -214,13 +214,12 @@ def cmd_simulate(cfg: PipelineConfig) -> None:
 
 
 def cmd_train(cfg: PipelineConfig) -> None:
-    # The fits read the drive from disk a block at a time; dae reads it whole.
+    # The fits read the drive from disk a block at a time.
     drive = io.FrameFile(cfg.path("train"))
     model = train_reconstructor(drive, cfg.train_kind, cfg.train)
     io.write_model_json(cfg.path("model"), model)
-    # What training bought: the first loss, then the last.  For the fits
-    # these are the mean frame's loss and the fitted one.
-    losses = model.epoch_losses or [float("nan")]
+    # What training bought: the mean frame's loss, then the fitted one.
+    losses = model.epoch_losses
     print(
         f"trained {cfg.train_kind.value} on {len(drive)} nominal frames, "
         f"loss {losses[0]:.6g} -> {losses[-1]:.6g} -> {cfg.path('model')}"

@@ -29,7 +29,8 @@ class DegenerateDataError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solver exhausted its iteration budget."""
+    """An iterative solver exhausted its iteration budget, or a fit came out
+    non-finite."""
 
 
 def integer(value, name: str) -> int:

@@ -7,21 +7,14 @@ autoencoder (five node layers), and a sequence predictor, an affine map
 per-frame error is the mean pixel-wise squared difference between a
 frame and its reconstruction.
 
-The shallow autoencoder and the sequence predictor are fitted in closed
-form on the pool's top principal directions (see _fit_autoencoder and
-_fit_sequence), reading the frames a block of rows at a time.  The deep
-autoencoder is trained by mini-batch SGD in float32, in buffers allocated
-once per call; initialization and the per-epoch shuffle draw from one
-seeded generator.  Either way two runs with identical inputs give
-bit-identical weights.  Frames are float32 from the generator to the
-trainer, and a model holds float32 weights and biases and is scored in
-float32.
+Every reconstructor is fitted in closed form on the pool's top principal
+directions (see _fit_autoencoder and _fit_sequence), reading the frames a
+block of rows at a time; the basis draws its start from one seeded
+generator, so two runs with identical inputs give bit-identical weights.
+Frames are float32 from the generator to the fit, and a model holds
+float32 weights and biases and is scored in float32.
 
-SGD's _forward writes each layer into a workspace in one of three forms
-chosen from its sizes and the batch rows (see _Workspace): input-major
-a @ W with W = w.T, wide w @ a.T, or a @ w.T.  error_series runs its own
-float32 loop, every layer as a @ w.T whatever its form in training, so
-errors.csv does not depend on that choice, SCORE_BLOCK_ROWS samples at a
+error_series runs every layer as a @ w.T, SCORE_BLOCK_ROWS samples at a
 time in buffers allocated once per call, so its memory does not grow
 with the stream.  Each frame's mean squared error is summed in float64.
 """
@@ -93,10 +86,6 @@ class FrameStream:
     def __len__(self) -> int:
         return self.frames.shape[0]
 
-    def as_matrix(self) -> np.ndarray:
-        """View the frames as an (n_frames, n_pixels) matrix."""
-        return self.frames.reshape(len(self), math.prod(self.frames.shape[1:]))
-
 
 @dataclass
 class ErrorSeries:
@@ -122,12 +111,11 @@ class TrainConfig:
     """Hyperparameters for reconstructor training.
 
     hidden_sizes=None selects a per-kind default; every kind takes as many
-    sizes as its default has (see _DEFAULT_HIDDEN).  The deep autoencoder
-    runs `epochs` epochs of SGD on batches of `batch_size`.  The shallow
-    autoencoder and the sequence predictor are fitted in closed form: they
-    ignore epochs and batch_size, and seed seeds their principal basis.
-    history_k, which only the sequence predictor reads, is how many past
-    frames it maps to the next one.
+    sizes as its default has (see _DEFAULT_HIDDEN).  Every kind is fitted
+    in closed form, and seed seeds its principal basis.  epochs and
+    batch_size are validated and ignored: configs and callers written for
+    SGD training still pass them.  history_k, which only the sequence
+    predictor reads, is how many past frames it maps to the next one.
     """
 
     hidden_sizes: tuple[int, ...] | None = None
@@ -161,17 +149,6 @@ _DEFAULT_HIDDEN = {
     ReconstructorKind.SEQ: (),
 }
 
-# SGD runs in float32: half the memory traffic of float64, and the
-# gradient noise of a 32-sample batch is far above float32 rounding.
-_TRAIN_DTYPE = np.float32
-
-# A first layer with at most this many outputs trains input-major (see
-# _Workspace).  Measured with one BLAS thread at batches of 1 to 1024
-# rows, a @ W plus a.T @ delta is as fast as or faster than the other
-# forms at 1024- and 3072-wide inputs up to 64 outputs; at 128 outputs
-# it wins at 128 rows or fewer but not reliably at 256 and 512.
-_INPUT_MAJOR_MAX_OUT = 64
-
 # Scoring and the fits read this many samples at a time (one more in a
 # last block that would otherwise hold a single sample), so their buffers
 # stay the same size whatever the length of the stream.
@@ -182,9 +159,6 @@ SCORE_BLOCK_ROWS = 256
 # terms differently from one thread, so one product over the pixels of a
 # frame of 30x30 rounds differently with the thread count.
 _PIXEL_BLOCK = 256
-
-# The deep autoencoder's SGD step size.
-_DAE_LEARNING_RATE = 10.0
 
 # The sequence predictor's rank and ridge factor (see _fit_sequence),
 # chosen on held-out nominal drives with bits independent of BLAS threads.
@@ -202,9 +176,9 @@ class ReconstructorModel:
 
     weights[l] has shape (layer_sizes[l+1], layer_sizes[l]); hidden layers
     apply the activation, the output layer is identity (clamped to [0, 1]
-    only at reconstruction time, so training gradients stay exact).
-    Weights and biases are float32, as trained or as read back; the
-    model is trained and scored in float32.
+    only at reconstruction time, so the loss's gradients stay exact).
+    Weights and biases are float32, as fitted or as read back; the model
+    is scored in float32.
     """
 
     kind: ReconstructorKind
@@ -286,70 +260,6 @@ def _activate_grad(z: np.ndarray, a: np.ndarray, activation: Activation) -> np.n
     return g
 
 
-def _aligned_empty(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """np.empty, but starting on a 64-byte cache line.  np.empty starts
-    where malloc does, on 16 bytes, so a buffer's offset within its cache
-    line depends on every allocation made before it.  With plain np.empty
-    for the SGD buffers, the README quick-start ran about 17% slower in
-    the pipeline process, when its sae still trained by SGD; the trained
-    bits are the same."""
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    raw = np.empty(nbytes + 64, np.uint8)
-    start = -raw.ctypes.data % 64
-    return raw[start : start + nbytes].view(dtype).reshape(shape)
-
-
-class _Workspace:
-    """Buffers for one SGD step of up to `rows` examples, allocated once.
-
-    A step on m <= rows examples writes into the first m rows of each
-    batch-shaped buffer, so a short last batch needs no new arrays.
-
-    Each layer takes one of three forms, chosen from its sizes and `rows`:
-
-    - input-major: the first layer, when its output is narrow
-      (n_out <= _INPUT_MAJOR_MAX_OUT, whatever `rows`).  Its training
-      weights are held as W, shape (n_in, n_out); _forward computes a @ W
-      and the gradient is a.T @ delta into an (n_in, n_out) buffer.
-      OpenBLAS multiplies these as fast as or faster than a @ w.T and
-      delta.T @ a at these shapes, and the first layer propagates no
-      delta, which would be the slow delta @ W.T.  With the defaults this
-      is dae's 1024-64 layer.  Unlike the wide form, a @ W can round
-      differently from a @ w.T on a short batch, so a stream whose last
-      batch is short may train weights that differ in float32 rounding
-      from the a @ w.T ones.
-    - wide: both sizes exceed `rows`.  The pre-activation buffer is
-      feature-major, (n_out, rows), and _forward fills its first m columns
-      as w @ a.T, which OpenBLAS computes faster than a @ w.T at these
-      shapes and sums in the same order.  With the defaults this is dae's
-      64-1024 layer.
-    - batch-major: every other layer, a @ w.T.
-
-    standard=True keeps every layer batch-major with (n_out, n_in)
-    weights and gradients, for the step that takes no workspace.
-    """
-
-    def __init__(self, layer_sizes: list[int], rows: int, dtype, standard: bool = False):
-        outs = layer_sizes[1:]
-        self.input_major = not standard and outs[0] <= _INPUT_MAJOR_MAX_OUT
-        self.wide = [
-            not standard and min(n_in, n_out) > rows and not (l == 0 and self.input_major)
-            for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))
-        ]
-        self.pre = [
-            _aligned_empty((n, rows) if wide else (rows, n), dtype)
-            for n, wide in zip(outs, self.wide)
-        ]
-        # Hidden layers only: the output layer is the identity.
-        self.post = [_aligned_empty((rows, n), dtype) for n in outs[:-1]]
-        self.delta = [_aligned_empty((rows, n), dtype) for n in outs]
-        self.grad_w = [
-            _aligned_empty((n_in, n_out) if l == 0 and self.input_major else (n_out, n_in), dtype)
-            for l, (n_in, n_out) in enumerate(zip(layer_sizes, outs))
-        ]
-        self.grad_b = [_aligned_empty((n,), dtype) for n in outs]
-
-
 def _row_ranges(n: int, step: int) -> zip:
     """(start, end) ranges of step rows covering n rows.  A lone last row
     joins the range before it: numpy multiplies a one-row matrix on its
@@ -358,77 +268,38 @@ def _row_ranges(n: int, step: int) -> zip:
     return zip(starts, [*starts[1:], n])
 
 
-def _forward(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    activation: Activation,
-    x: np.ndarray,
-    ws: _Workspace,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Return (pre-activations, post-activations); post[0] is the input.
-
-    Each layer is written into the workspace's buffers in the form it
-    chose (see _Workspace).  Every returned array is batch-major, (m, n):
-    a wide layer's feature-major buffer is returned as the transposed
-    view."""
-    m = len(x)
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = [x]
-    a = x
-    last = len(weights) - 1
-    for l, (w, b) in enumerate(zip(weights, biases)):
-        if l == 0 and ws.input_major:
-            z = np.matmul(a, w, out=ws.pre[0][:m])
-        elif ws.wide[l]:
-            z = np.matmul(w, a.T, out=ws.pre[l][:, :m]).T
-        else:
-            z = np.matmul(a, w.T, out=ws.pre[l][:m])
-        z += b
-        pre.append(z)
-        a = z if l == last else _activate(z, activation, ws.post[l][:m])
-        post.append(a)
-    return pre, post
-
-
 def _loss_and_grads(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
     activation: Activation,
     x: np.ndarray,
     target: np.ndarray,
-    ws: _Workspace | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Batch loss (mean over examples of per-pixel mean squared error) and
-    its gradients with respect to every weight and bias.
-
-    The arithmetic runs in the dtype of the inputs; the loss is one dot of
-    the flat output delta with itself, divided by its size.  Without a
-    workspace the step makes a standard one: every weight and gradient
-    (n_out, n_in).  With one, each layer takes the workspace's form (see
-    _Workspace): an input-major first layer's weights and gradient are
-    (n_in, n_out), and the returned gradient lists are the workspace's
-    own buffers, overwritten by its next step.
-    """
-    if ws is None:
-        sizes = [x.shape[1], *(len(b) for b in biases)]
-        ws = _Workspace(sizes, len(x), np.result_type(x, *weights), standard=True)
-    pre, post = _forward(weights, biases, activation, x, ws)
-    m = len(x)
-    delta = np.subtract(post[-1], target, out=ws.delta[-1][:m])
+    its gradients with respect to every weight and bias, each shaped like
+    its weight or bias.  Every layer is a @ w.T in the dtype of the
+    inputs; the loss is one dot of the flat output delta with itself,
+    divided by its size.  The fits minimise this loss in closed form, so
+    no fit calls it: it is the network's gradient, checked against finite
+    differences."""
+    pre: list[np.ndarray] = []
+    post: list[np.ndarray] = [x]
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = post[-1] @ w.T + b
+        pre.append(z)
+        post.append(z if l == last else _activate(z, activation, np.empty_like(z)))
+    delta = post[-1] - target
     flat = delta.reshape(-1)
     loss = float(np.dot(flat, flat)) / flat.size
     delta *= 2.0 / delta.size
-    for l in range(len(weights) - 1, -1, -1):
-        # The gradient is left.T @ right; row r of it is column r of left.
-        left, right = (post[l], delta) if l == 0 and ws.input_major else (delta, post[l])
-        np.matmul(left.T, right, out=ws.grad_w[l])
-        np.sum(delta, axis=0, out=ws.grad_b[l])
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    for l in range(last, -1, -1):
+        grad_w[l], grad_b[l] = delta.T @ post[l], delta.sum(axis=0)
         if l > 0:
             # pre[l - 1] is not read again, so the gradient overwrites it.
-            grad = _activate_grad(pre[l - 1], post[l], activation)
-            delta = np.matmul(delta, weights[l], out=ws.delta[l - 1][:m])
-            delta *= grad
-    return loss, ws.grad_w, ws.grad_b
+            delta = (delta @ weights[l]) * _activate_grad(pre[l - 1], post[l], activation)
+    return loss, grad_w, grad_b
 
 
 def _sample_count(n_frames: int, history_k: int | None) -> int:
@@ -443,52 +314,6 @@ def _sample_count(n_frames: int, history_k: int | None) -> int:
             f"sequence predictor needs more than history_k={history_k} frames, got {n_frames}"
         )
     return n_frames - history_k
-
-
-def _train_sgd(frames: np.ndarray, layer_sizes: list[int], hyper: TrainConfig):
-    """An autoencoder's float32 weights, biases and per-epoch mean batch
-    losses after hyper.epochs epochs of mini-batch SGD at
-    _DAE_LEARNING_RATE on an (n, d) frame matrix."""
-    rng = np.random.default_rng(hyper.seed)
-    # The model's arrays are allocated first, before any training buffer:
-    # allocated last, they would sit above the memory training frees and
-    # keep the allocator from returning later temporaries to the system.
-    weights: list[np.ndarray] = []
-    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        bound = 1.0 / math.sqrt(n_in)
-        weights.append(rng.uniform(-bound, bound, size=(n_out, n_in)).astype(_TRAIN_DTYPE))
-    biases = [np.zeros(n_out, _TRAIN_DTYPE) for n_out in layer_sizes[1:]]
-
-    rows = min(hyper.batch_size, len(frames))
-    ws = _Workspace(layer_sizes, rows, _TRAIN_DTYPE)
-    # An input-major first layer trains as a copy W = w.T (see _Workspace),
-    # every other weight in its model array.
-    trained = list(weights)
-    if ws.input_major:
-        trained[0] = np.ascontiguousarray(weights[0].T)
-    # Each batch is gathered into this buffer and is its own target.
-    x_rows = _aligned_empty((rows, layer_sizes[0]), _TRAIN_DTYPE)
-    epoch_losses: list[float] = []
-    for _ in range(hyper.epochs):
-        order = rng.permutation(len(frames))
-        batch_losses: list[float] = []
-        for start in range(0, len(frames), hyper.batch_size):
-            idx = order[start : start + hyper.batch_size]
-            # The indices are all in range; mode="clip" lets take write into
-            # out directly, where the default mode would buffer a copy.
-            x = np.take(frames, idx, axis=0, out=x_rows[: len(idx)], mode="clip")
-            loss, grad_w, grad_b = _loss_and_grads(trained, biases, hyper.activation, x, x, ws)
-            batch_losses.append(loss)
-            for l in range(len(trained)):
-                grad_w[l] *= _DAE_LEARNING_RATE
-                trained[l] -= grad_w[l]
-                grad_b[l] *= _DAE_LEARNING_RATE
-                biases[l] -= grad_b[l]
-        epoch_losses.append(float(np.mean(batch_losses)))
-
-    if ws.input_major:
-        weights[0][...] = trained[0].T
-    return weights, biases, epoch_losses
 
 
 def _block_gram(a: np.ndarray) -> np.ndarray:
@@ -543,50 +368,59 @@ def _principal_basis(frames, rank: int, seed: int):
     return mean, q @ v, y @ v, sq_dist
 
 
-def _fit_autoencoder(frames, hidden: int, activation: Activation, seed: int):
-    """The shallow autoencoder's float32 weights and biases, and the mean
-    per-pixel squared error of its training frames reconstructed by the
-    pool's mean frame and by the fit.
+def _fit_autoencoder(frames, hidden: tuple[int, ...], activation: Activation, seed: int):
+    """An autoencoder's float32 weights and biases, for hidden layers of
+    the given sizes, and the mean per-pixel squared error of its training
+    frames reconstructed by the pool's mean frame and by the fit.
 
-    A linear autoencoder's optimum projects onto the top principal
-    subspace (Baldi & Hornik, Neural Networks 1989).  Unit j holds the
-    pool's principal direction u_j (see _principal_basis), in the layout
-    SGD would train, so the model scores as any other.  With ReLU units,
+    A linear autoencoder's optimum at any depth projects onto the top
+    principal subspace of its narrowest layer (Baldi & Hornik, Neural
+    Networks 1989).  Unit j of every hidden layer holds the code of the
+    pool's principal direction u_j (see _principal_basis), j < rank =
+    min(hidden, d, n), so the model scores as any other.  With ReLU units,
     each code is shifted up by c_j = 2 max|code_j| on the way in and back
     on the way out, so the ReLU is the identity on every training frame:
-    W0 = U.T, b0 = c - U.T mean, W1 = U, b1 = mean - U c.  With sigmoid
+    W0 = U.T, b0 = c - U.T mean, W_last = U, b_last = mean - U c, and
+    each inner layer carries the code with W = I, b = 0.  With sigmoid
     units, code j is scaled by s_j = _SIGMOID_REACH / max|code_j| into the
     sigmoid's near-linear middle and scaled back: W0 = diag(s) U.T,
-    b0 = -diag(s) U.T mean, W1 = 4 U diag(1/s), b1 = mean - 2 U (1/s).
-    A direction that explains no more than float32's resolution of the
-    pool's variance is rounding noise (past what the pool holds, or a
-    constant pool), and its unit, like any unit past the rank, gets zero
-    weights in and out."""
+    b0 = -diag(s) U.T mean, W_last = 4 U diag(1/s), b_last = mean - 2 U (1/s),
+    and each inner layer undoes the sigmoid's 1/2 + z/4 with W = 4 I,
+    b = -2.  A direction that explains no more than float32's resolution
+    of the pool's variance is rounding noise (past what the pool holds, or
+    a constant pool), and its unit, like any unit past the rank, gets zero
+    weights in and out of the first and last layers."""
     n, d = len(frames), math.prod(frames.shape[1:])
-    rank = min(hidden, d, n)
+    rank = min(*hidden, d, n)
     mean, basis, codes, sq_dist = _principal_basis(frames, rank, seed)
     explained = np.square(codes).sum(axis=0)
     live = explained > np.finfo(np.float32).eps * sq_dist.sum()
     u = np.where(live, basis, 0.0)
     reach = np.where(live, np.abs(codes).max(axis=0), 0.0)
     projected_mean = _pixel_dot(mean, u)
-    w0, b0 = np.zeros((hidden, d), np.float32), np.zeros(hidden, np.float32)
-    w1 = np.zeros((d, hidden), np.float32)
+    sizes = [d, *hidden, d]
+    weights = [np.zeros((n_out, n_in), np.float32) for n_in, n_out in zip(sizes, sizes[1:])]
+    biases = [np.zeros(n_out, np.float32) for n_out in sizes[1:]]
+    w0, b0, w_last, b_last = weights[0], biases[0], weights[-1], biases[-1]
     if activation is Activation.RELU:
         c = 2.0 * reach
-        w0[:rank], b0[:rank], w1[:, :rank] = u.T, c - projected_mean, u
-        b1 = mean - u @ c
+        w0[:rank], b0[:rank], w_last[:, :rank] = u.T, c - projected_mean, u
+        b_last[:] = mean - u @ c
+        carry_w, carry_b = 1.0, 0.0
     else:
         s = np.divide(_SIGMOID_REACH, reach, out=np.zeros(rank), where=live)
         inv_s = reach / _SIGMOID_REACH
         w0[:rank], b0[:rank] = s[:, None] * u.T, -s * projected_mean
-        w1[:, :rank], b1 = u * (4.0 * inv_s), mean - u @ (2.0 * inv_s)
+        w_last[:, :rank], b_last[:] = u * (4.0 * inv_s), mean - u @ (2.0 * inv_s)
+        carry_w, carry_b = 4.0, -2.0
+    for w, b in zip(weights[1:-1], biases[1:-1]):
+        w[range(rank), range(rank)], b[:rank] = carry_w, carry_b
     # What the basis explains is the codes' squared length; a pool it
     # explains whole can round that a little past its squared distance.
     frame_loss = sq_dist.sum()
     fit_loss = max(frame_loss - explained[live].sum(), 0.0)
     losses = [float(frame_loss) / (n * d), float(fit_loss) / (n * d)]
-    return [w0, w1], [b0, b1.astype(np.float32)], losses
+    return weights, biases, losses
 
 
 def _fit_sequence(frames, history_k: int, seed: int):
@@ -631,12 +465,11 @@ def train_reconstructor(
     kind: ReconstructorKind | str,
     hyper: TrainConfig | None = None,
 ) -> ReconstructorModel:
-    """Fit a reconstructor to a nominal stream: the shallow autoencoder and
-    the sequence predictor in closed form, the deep autoencoder by
-    mini-batch SGD in float32.  stream is a FrameStream or an
-    io.FrameFile.  The closed-form fits read SCORE_BLOCK_ROWS frames of
-    stream.frames at a time, so from a FrameFile they never hold the
-    drive; SGD reads it whole."""
+    """Fit a reconstructor to a nominal stream in closed form: an
+    autoencoder on the pool's principal basis, the sequence predictor by
+    principal-components regression.  stream is a FrameStream or an
+    io.FrameFile; the fits read SCORE_BLOCK_ROWS frames of stream.frames at
+    a time, so from a FrameFile they never hold the drive."""
     kind = ReconstructorKind(kind)
     hyper = hyper or TrainConfig()
     if len(stream) == 0:
@@ -651,18 +484,14 @@ def train_reconstructor(
     layer_sizes = [(history_k or 1) * n_pixels, *hidden, n_pixels]
     if kind is ReconstructorKind.SEQ:
         weights, biases, epoch_losses = _fit_sequence(frames, history_k, hyper.seed)
-    elif kind is ReconstructorKind.SAE:
-        weights, biases, epoch_losses = _fit_autoencoder(
-            frames, hidden[0], hyper.activation, hyper.seed
-        )
     else:
-        weights, biases, epoch_losses = _train_sgd(
-            frames[:].reshape(len(frames), n_pixels), layer_sizes, hyper
+        weights, biases, epoch_losses = _fit_autoencoder(
+            frames, hidden, hyper.activation, hyper.seed
         )
     # A float64 sum of float32 cells is finite exactly when every cell is.
     cells = sum(a.sum(dtype=np.float64) for a in weights + biases)
     if not math.isfinite(sum(epoch_losses) + cells):
-        raise ConvergenceError(f"{kind.value} training diverged: non-finite loss or weights")
+        raise ConvergenceError(f"{kind.value} fit is not finite: non-finite loss or weights")
     return ReconstructorModel(
         kind=kind,
         layer_sizes=layer_sizes,

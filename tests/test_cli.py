@@ -816,14 +816,18 @@ def test_json_text_model_exits_2(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_training_exits_3_without_a_model(tmp_path, monkeypatch, capsys):
-    # At a learning rate of 1e40 one batch of dae's SGD leaves non-finite
-    # weights.
-    monkeypatch.setattr(reconstruct, "_DAE_LEARNING_RATE", 1e40)
+    # A non-finite principal basis gives the fit non-finite weights.
+    fit_basis = reconstruct._principal_basis
+
+    def non_finite_basis(frames, rank, seed):
+        mean, basis, codes, sq_dist = fit_basis(frames, rank, seed)
+        return mean, np.full_like(basis, np.nan), codes, sq_dist
+
+    monkeypatch.setattr(reconstruct, "_principal_basis", non_finite_basis)
     frames = np.random.default_rng(0).random((64, 4, 4, 1))
     write_frames(tmp_path / "train.frm1", FrameStream(frames=frames))
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"workdir": str(tmp_path),
-                                  "train": {"kind": "dae", "epochs": 1, "batch_size": 64}}))
+    config.write_text(json.dumps({"workdir": str(tmp_path), "train": {"kind": "dae"}}))
     assert main(["train", "--config", str(config)]) == 3
-    assert "dae training diverged" in capsys.readouterr().err
+    assert "dae fit is not finite" in capsys.readouterr().err
     assert not (tmp_path / "model.bin").exists()

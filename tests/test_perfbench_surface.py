@@ -186,6 +186,7 @@ def test_cmd_train_calls_the_name_bound_in_cli(tmp_path, monkeypatch):
         weights=[np.zeros((2, 4)), np.zeros((4, 2))],
         biases=[np.zeros(2), np.zeros(4)],
         activation=Activation.RELU,
+        epoch_losses=[0.0, 0.0],
     )
     calls = []
 
